@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -211,18 +211,13 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
                    train_cfg: TrainConfig, sim_cfg: SimConfig,
                    replicate: int) -> tuple[simulate.MonthRunResult,
                                             metrics.MonthlyBiasRecord]:
-    seed = derive_seed(sim_cfg.seed, "rep", replicate)
-    cfg = SimConfig(n_officers=sim_cfg.n_officers, radius_ft=sim_cfg.radius_ft,
-                    p_officer=sim_cfg.p_officer,
-                    reporting_prob=sim_cfg.reporting_prob,
-                    mode=cell.mode, seed=seed,
-                    expected_value=sim_cfg.expected_value,
-                    reported_mode_semantics=sim_cfg.reported_mode_semantics)
+    cfg = replace(sim_cfg, mode=cell.mode,
+                  seed=derive_seed(sim_cfg.seed, "rep", replicate))
     if cell.mode == "detected":
         result = simulate.run_month_detected(slice_, neighborhoods, train_cfg,
                                              cfg, bbox)
     else:
-        result = simulate.run_month_reported(slice_, neighborhoods, cfg, bbox)
+        result = simulate.run_month_reported(slice_, neighborhoods, cfg)
     rates = metrics.group_rates(result.outcomes, expected=cfg.expected_value)
     record = metrics.monthly_record(cell.city, cell.year, slice_.month,
                                     cell.mode, rates, replicate)
@@ -259,15 +254,15 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1,
             continue
         all_neighborhoods.update(data.neighborhoods)
         manifest_data[f"{cell.city}-{cell.year}"] = data.checksum
-        for slice_ in data.slices:
-            if not slice_.incidents:
-                skipped.append(f"{cell.city}/{cell.year}/{slice_.month}/{cell.mode}")
+        by_month = {s.month: s for s in data.slices if s.incidents}
+        for month in range(2, 13):
+            if month not in by_month:
+                skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
                 continue
             for rep in range(plan.replicates):
-                key = (ci, slice_.month, rep)
-                tasks.append((key, (cell, slice_, data.neighborhoods,
-                                    data.bbox, plan.train_cfg, plan.sim_cfg,
-                                    rep)))
+                tasks.append(((ci, month, rep),
+                              (cell, by_month[month], data.neighborhoods,
+                               data.bbox, plan.train_cfg, plan.sim_cfg, rep)))
 
     outputs: dict[tuple, tuple] = {}
     if jobs > 1 and len(tasks) > 1:
@@ -302,7 +297,8 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1,
         _write_lines(os.path.join(plan.out_dir, "annual.csv"),
                      [metrics.ANNUAL_CSV_HEADER]
                      + [metrics.annual_csv_row(s) for s in summaries])
-        _write_manifest(plan, manifest_data, skipped)
+        _write_manifest(plan, manifest_data, skipped,
+                        [(plan.cells[ci], m, rep) for (ci, m, rep), _ in tasks])
     return records, summaries, results, all_neighborhoods, failures
 
 
@@ -312,7 +308,8 @@ def _write_lines(path: str, lines: list[str]) -> None:
 
 
 def _write_manifest(plan: ExperimentPlan, data_checksums: dict[str, str],
-                    skipped: list[str]) -> None:
+                    skipped: list[str], runs: list[tuple[Cell, int, int]],
+                    ) -> None:
     from . import __version__
     manifest = {
         "version": __version__,
@@ -325,8 +322,7 @@ def _write_manifest(plan: ExperimentPlan, data_checksums: dict[str, str],
             f"{c.city}/{c.year}/{m}/{c.mode}/r{rep}": derive_seed(
                 derive_seed(plan.sim_cfg.seed, "rep", rep),
                 c.city, c.year, m, c.mode)
-            for c in plan.cells for m in range(2, 13)
-            for rep in range(plan.replicates)
+            for c, m, rep in runs
         },
     }
     with open(os.path.join(plan.out_dir, "manifest.json"), "w",
@@ -415,10 +411,7 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
                 simulate.assign_race(inc, data.neighborhoods, rng))
                for inc in incidents]
 
-    train_cfg = TrainConfig(epochs=plan.train_cfg.epochs,
-                            batch_size=plan.train_cfg.batch_size,
-                            lr=plan.train_cfg.lr, beta1=plan.train_cfg.beta1,
-                            beta2=plan.train_cfg.beta2, seed=seed)
+    train_cfg = replace(plan.train_cfg, seed=seed)
 
     biased_model, _ = gan.train_gan([p for p, _ in labeled], train_cfg,
                                     data.bbox)
@@ -433,8 +426,7 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
     for name, model in (("biased", biased_model), ("debiased", debiased_model)):
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
-        rates = _evaluate_condition(labeled, patrols, data.bbox, plan.sim_cfg,
-                                    eval_rng)
+        rates = _evaluate_condition(labeled, patrols, plan.sim_cfg, eval_rng)
         dir_value, dir_flag = metrics.disparate_impact_ratio(rates)
         gap = metrics.parity_gap(rates)
         lines.append(",".join([
@@ -446,15 +438,13 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
     return 0
 
 
-def _evaluate_condition(labeled, patrols, bbox, sim_cfg: SimConfig,
+def _evaluate_condition(labeled, patrols, sim_cfg: SimConfig,
                         rng: np.random.Generator) -> metrics.GroupRates:
-    from .geodata import build_grid_index, radius_query
-    index = build_grid_index(patrols, sim_cfg.radius_ft, bbox)
+    detection = simulate.noisy_or([loc for loc, _ in labeled], patrols,
+                                  sim_cfg)
     detected = {g: 0.0 for g in simulate.RACE_GROUPS}
     total = {g: 0 for g in simulate.RACE_GROUPS}
-    for loc, group in labeled:
-        k = len(radius_query(index, loc, sim_cfg.radius_ft))
-        prob = 1.0 - (1.0 - sim_cfg.p_officer) ** k
+    for (_, group), (_, prob) in zip(labeled, detection):
         total[group] += 1
         if sim_cfg.expected_value:
             detected[group] += prob

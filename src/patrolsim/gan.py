@@ -42,12 +42,6 @@ class LossHistory:
     d_loss: list[float] = field(default_factory=list)
     mode_collapsed: bool = False
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("epoch,g_loss,d_loss\n")
-            for i, (g, d) in enumerate(zip(self.g_loss, self.d_loss)):
-                fh.write(f"{i},{g!r},{d!r}\n")
-
 
 def normalize_coords(p: LatLon, bbox: BoundingBox) -> tuple[float, float]:
     u = 2.0 * (p.lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) - 1.0

@@ -1,5 +1,5 @@
 """Geospatial primitives: coordinates, distances in feet, polygon containment,
-and a uniform grid index for radius queries.
+and the count of points within a radius.
 
 City-scale spans (< 0.2 degrees) let us use a flat equirectangular
 approximation for distance; a haversine cross-check bounds the error
@@ -8,8 +8,9 @@ below 0.1% at that scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 # Conversion used throughout: one degree of latitude in feet.
 FEET_PER_DEGREE_LAT = 364_567.2
@@ -54,15 +55,37 @@ class BoundingBox:
 BALTIMORE_BBOX = BoundingBox(39.197, 39.372, -76.712, -76.529)
 
 
-def distance_feet(a: LatLon, b: LatLon) -> float:
-    """Equirectangular distance in feet between two points.
+def _feet_apart(lat_a, lon_a, lat_b, lon_b):
+    """Equirectangular distance in feet, elementwise over floats or arrays.
 
-    Longitude differences are scaled by cos(mean latitude).
+    Longitude differences are scaled by cos(mean latitude). The scalar and
+    the array paths share this one numpy expression, so a distance compared
+    against a radius rounds the same way in both.
     """
-    dlat = (b.lat - a.lat) * FEET_PER_DEGREE_LAT
-    mean_lat = math.radians((a.lat + b.lat) / 2.0)
-    dlon = (b.lon - a.lon) * FEET_PER_DEGREE_LAT * math.cos(mean_lat)
-    return math.hypot(dlat, dlon)
+    dlat = (lat_b - lat_a) * FEET_PER_DEGREE_LAT
+    mean_lat = np.radians((lat_a + lat_b) / 2.0)
+    dlon = (lon_b - lon_a) * FEET_PER_DEGREE_LAT * np.cos(mean_lat)
+    return np.hypot(dlat, dlon)
+
+
+def distance_feet(a: LatLon, b: LatLon) -> float:
+    """Equirectangular distance in feet between two points."""
+    return float(_feet_apart(a.lat, a.lon, b.lat, b.lon))
+
+
+def count_within(points: list[LatLon], centers: list[LatLon],
+                 radius_ft: float) -> np.ndarray:
+    """For each point, the number of centers within radius_ft (closed ball).
+
+    Loops over centers and vectorizes over points, so memory stays linear
+    in the number of points.
+    """
+    lat = np.array([p.lat for p in points], dtype=float)
+    lon = np.array([p.lon for p in points], dtype=float)
+    counts = np.zeros(len(points), dtype=np.int64)
+    for c in centers:
+        counts += _feet_apart(lat, lon, c.lat, c.lon) <= radius_ft
+    return counts
 
 
 class Polygon:
@@ -113,63 +136,3 @@ def point_in_polygon(p: LatLon, poly: Polygon) -> bool:
     for hole in poly.holes:
         crossings += _ring_crossings(p, hole)
     return crossings % 2 == 1
-
-
-class GridIndex:
-    """Uniform grid over local feet coordinates, unbounded in cell space.
-
-    Local coordinates are measured from the frame's (lat_min, lon_min)
-    corner, with longitude scaled by cos of the frame's mid latitude.
-    """
-
-    def __init__(self, cell_size_ft: float, frame: BoundingBox):
-        if cell_size_ft <= 0:
-            raise ValueError("cell_size_ft must be positive")
-        self.cell_size_ft = cell_size_ft
-        self.origin = LatLon(frame.lat_min, frame.lon_min)
-        self._cos_lat = math.cos(math.radians(frame.center.lat))
-        self.cells: dict[tuple[int, int], list[int]] = {}
-        self.points: list[LatLon] = []
-
-    def _local_feet(self, p: LatLon) -> tuple[float, float]:
-        x = (p.lon - self.origin.lon) * FEET_PER_DEGREE_LAT * self._cos_lat
-        y = (p.lat - self.origin.lat) * FEET_PER_DEGREE_LAT
-        return x, y
-
-    def _cell_of(self, p: LatLon) -> tuple[int, int]:
-        x, y = self._local_feet(p)
-        return (math.floor(x / self.cell_size_ft), math.floor(y / self.cell_size_ft))
-
-    def add(self, p: LatLon) -> int:
-        pid = len(self.points)
-        self.points.append(p)
-        self.cells.setdefault(self._cell_of(p), []).append(pid)
-        return pid
-
-
-def build_grid_index(points: list[LatLon], cell_size_ft: float,
-                     frame: BoundingBox) -> GridIndex:
-    index = GridIndex(cell_size_ft, frame)
-    for p in points:
-        index.add(p)
-    return index
-
-
-def radius_query(index: GridIndex, center: LatLon, radius_ft: float) -> list[int]:
-    """Ids of all indexed points within radius_ft of center (closed ball).
-
-    Scans one ring beyond ceil(radius/cell): the grid's fixed-latitude
-    longitude scaling differs slightly from the pairwise distance metric,
-    so the extra ring guarantees no candidate near the boundary is missed.
-    """
-    if not index.points:
-        return []
-    cx, cy = index._cell_of(center)
-    rings = math.ceil(radius_ft / index.cell_size_ft) + 1
-    out: list[int] = []
-    for i in range(cx - rings, cx + rings + 1):
-        for j in range(cy - rings, cy + rings + 1):
-            for pid in index.cells.get((i, j), ()):
-                if distance_feet(center, index.points[pid]) <= radius_ft:
-                    out.append(pid)
-    return out

@@ -68,10 +68,6 @@ class Neighborhood:
     def contains(self, p: LatLon) -> bool:
         return any(point_in_polygon(p, poly) for poly in self.polygons)
 
-    @property
-    def boundary(self) -> Polygon:
-        return self.polygons[0]
-
 
 @dataclass(frozen=True)
 class MonthSlice:
@@ -157,15 +153,30 @@ def filter_valid(incidents: list[CrimeIncident],
             if bbox.contains(inc.location) and inc.timestamp.month >= 2]
 
 
-def _normalize_pct(values: list[float]) -> list[float]:
-    # ACS extracts come in either 0-1 or 0-100 scale; any value above 1.5
-    # marks the whole file as percentage-scaled.
-    for v in values:
-        if not (0.0 <= v <= 100.0):
-            raise IngestError(f"percentage outside [0, 100]: {v}")
-    if any(v > 1.5 for v in values):
-        return [v / 100.0 for v in values]
-    return values
+SHARE_COLUMNS = ("pct_black", "pct_white", "pct_neither", "poverty_rate")
+
+
+def _share_divisors(rows: list[dict[str, str]]) -> dict[str, float]:
+    """Divisor (1 or 100) of each share column, decided over all its values.
+
+    ACS extracts come in either 0-1 or 0-100 scale; any value above 1.5
+    marks the whole column as percentage-scaled.
+    """
+    divisors = {}
+    for col in SHARE_COLUMNS:
+        values = [float(r[col]) for r in rows if r.get(col) not in (None, "")]
+        for v in values:
+            if not (0.0 <= v <= 100.0):
+                raise IngestError(f"{col} outside [0, 100]: {v}")
+        divisors[col] = 100.0 if any(v > 1.5 for v in values) else 1.0
+    return divisors
+
+
+def _share(row: dict[str, str], col: str, divisors: dict[str, float]) -> float:
+    value = float(row[col]) / divisors[col]
+    if value > 1.0:
+        raise IngestError(f"{col} fraction above 1: {row[col]}")
+    return value
 
 
 def _geojson_polygons(geometry: dict) -> list[Polygon]:
@@ -205,6 +216,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
     except (OSError, KeyError) as exc:
         raise IngestError(f"cannot read demographics {demographics_path}: {exc}") from exc
 
+    divisors = _share_divisors(list(demo.values()))
     out: list[Neighborhood] = []
     for feature in collection.get("features", []):
         props = feature.get("properties", {})
@@ -213,10 +225,10 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
             log.warning("boundary id %r has no demographics row; dropped", fid)
             continue
         row = demo[fid]
-        pct_black, pct_white = _normalize_pct(
-            [float(row["pct_black"]), float(row["pct_white"])])
+        pct_black = _share(row, "pct_black", divisors)
+        pct_white = _share(row, "pct_white", divisors)
         if row.get("pct_neither") not in (None, ""):
-            (pct_neither,) = _normalize_pct([float(row["pct_neither"])])
+            pct_neither = _share(row, "pct_neither", divisors)
         else:
             pct_neither = max(0.0, 1.0 - pct_black - pct_white)
         out.append(Neighborhood(
@@ -227,7 +239,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
             pct_white=pct_white,
             pct_neither=pct_neither,
             median_income=float(row["median_income"]),
-            poverty_rate=_normalize_pct([float(row["poverty_rate"])])[0],
+            poverty_rate=_share(row, "poverty_rate", divisors),
         ))
     return out
 

@@ -260,17 +260,6 @@ class Adam:
             v += (1.0 - self.beta2) * g * g
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
-    def state(self) -> dict:
-        return {"t": self.t, "m": [m.tolist() for m in self.m],
-                "v": [v.tolist() for v in self.v]}
-
-    def load_state(self, state: dict) -> None:
-        self.t = int(state["t"])
-        for m, saved in zip(self.m, state["m"]):
-            m[...] = np.asarray(saved)
-        for v, saved in zip(self.v, state["v"]):
-            v[...] = np.asarray(saved)
-
 
 def save_checkpoint(path: str, networks: dict[str, Network],
                     meta: dict | None = None) -> None:

@@ -11,12 +11,12 @@ as a detection).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .gan import GanModel, TrainConfig, sample_patrol, train_gan
-from .geodata import BoundingBox, GridIndex, LatLon, build_grid_index, radius_query
+from .geodata import BoundingBox, LatLon, count_within
 from .ingest import CrimeIncident, MonthSlice, Neighborhood
 
 RACE_GROUPS = ("Black", "White", "Neither")
@@ -76,13 +76,6 @@ class MonthRunResult:
     mode_collapsed: bool = False
     group_counts: dict[str, int] = field(default_factory=dict)
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("id,group,k,prob,detected\n")
-            for o in self.outcomes:
-                fh.write(f"{o.incident_id},{o.group},{o.k_officers},"
-                         f"{o.detection_prob!r},{int(o.detected)}\n")
-
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Stable per-month RNG seed from the master seed and run coordinates.
@@ -107,29 +100,25 @@ def assign_race(incident: CrimeIncident,
     return RACE_GROUPS[rng.choice(len(RACE_GROUPS), p=probs)]
 
 
-def noisy_or_probability(crime: LatLon, patrols: GridIndex,
-                         radius_ft: float, p_officer: float) -> float:
-    """Detection probability 1 - (1 - p)^k over the k officers within radius."""
-    if not 0.0 < p_officer <= 1.0:
-        raise ValueError("p_officer must be in (0, 1]")
-    k = len(radius_query(patrols, crime, radius_ft))
-    return 1.0 - (1.0 - p_officer) ** k
+def noisy_or(crimes: list[LatLon], patrols: list[LatLon],
+             sim_cfg: SimConfig) -> list[tuple[int, float]]:
+    """(k, 1 - (1 - p)^k) per crime, over the k patrols within the radius."""
+    counts = count_within(crimes, patrols, sim_cfg.radius_ft).tolist()
+    return [(k, 1.0 - (1.0 - sim_cfg.p_officer) ** k) for k in counts]
 
 
 def _evaluate_detections(slice_: MonthSlice,
                          neighborhoods: dict[str, Neighborhood],
                          patrol_points: list[LatLon],
-                         bbox: BoundingBox,
                          sim_cfg: SimConfig,
                          rng: np.random.Generator,
                          reported: dict[str, bool] | None = None,
                          ) -> list[DetectionOutcome]:
-    index = build_grid_index(patrol_points, sim_cfg.radius_ft, bbox)
+    detection = noisy_or([inc.location for inc in slice_.incidents],
+                         patrol_points, sim_cfg)
     outcomes = []
-    for inc in slice_.incidents:
+    for inc, (k, prob) in zip(slice_.incidents, detection):
         group = assign_race(inc, neighborhoods, rng)
-        k = len(radius_query(index, inc.location, sim_cfg.radius_ft))
-        prob = 1.0 - (1.0 - sim_cfg.p_officer) ** k
         if sim_cfg.expected_value:
             detected = prob > 0.0
         else:
@@ -169,16 +158,13 @@ def run_month_detected(slice_: MonthSlice,
                        "detected")
     mode_collapsed = False
     if model is None:
-        train_cfg = TrainConfig(epochs=gan_cfg.epochs, batch_size=gan_cfg.batch_size,
-                                lr=gan_cfg.lr, beta1=gan_cfg.beta1,
-                                beta2=gan_cfg.beta2, seed=seed)
         model, history = train_gan([i.location for i in slice_.incidents],
-                                   train_cfg, bbox)
+                                   replace(gan_cfg, seed=seed), bbox)
         mode_collapsed = history.mode_collapsed
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
-    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, bbox,
-                                    sim_cfg, rng)
+    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
+                                    rng)
     return MonthRunResult(slice_.city, slice_.year, slice_.month, "detected",
                           outcomes, patrols, mode_collapsed,
                           _group_counts(outcomes))
@@ -186,8 +172,7 @@ def run_month_detected(slice_: MonthSlice,
 
 def run_month_reported(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       sim_cfg: SimConfig,
-                       bbox: BoundingBox) -> MonthRunResult:
+                       sim_cfg: SimConfig) -> MonthRunResult:
     """Reported mode: citizen reports seed the detection pipeline."""
     if not slice_.incidents:
         raise ValueError("cannot run on an empty month slice")
@@ -219,7 +204,7 @@ def run_month_reported(slice_: MonthSlice,
         patrols = [reported_locs[i] for i in pick]
     else:
         patrols = []
-    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, bbox,
-                                    sim_cfg, rng, reported)
+    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
+                                    rng, reported)
     return MonthRunResult(slice_.city, slice_.year, slice_.month, "reported",
                           outcomes, patrols, False, _group_counts(outcomes))

@@ -221,8 +221,8 @@ def regression_csv(fit: OlsFit) -> str:
     lines = ["variable,coefficient,se,t,p,stars"]
     for name, b, se, t, p in zip(REGRESSION_VARIABLES, fit.coefficients,
                                  fit.std_errors, fit.t_stats, fit.p_values):
-        lines.append(f"{name},{b!r},{se!r},{float(t)!r},{p!r},"
-                     f"{significance_stars(p)}")
+        lines.append(f"{name},{float(b)!r},{float(se)!r},{float(t)!r},"
+                     f"{float(p)!r},{significance_stars(p)}")
     return "\n".join(lines) + "\n"
 
 

@@ -16,13 +16,12 @@ from patrolsim.cli import main
 from patrolsim.gan import (TrainConfig, denormalize_coords, normalize_coords,
                            sample_conditional, sample_patrol,
                            train_conditional_gan, train_gan)
-from patrolsim.geodata import (BoundingBox, LatLon, build_grid_index,
-                               distance_feet, radius_query)
+from patrolsim.geodata import BoundingBox, LatLon, count_within, distance_feet
 from patrolsim.metrics import (DIR_OK, GroupRates, bias_amplification_score,
                                disparate_impact_ratio, gini, parity_gap)
 from patrolsim.neuralnet import (BatchNorm, Dense, Dropout, LeakyReLU,
                                  Sigmoid, Tanh, bce_loss)
-from patrolsim.simulate import noisy_or_probability
+from patrolsim.simulate import SimConfig, noisy_or
 from patrolsim.stats import ols_fit, pearson, spearman, student_t_cdf
 from patrolsim.synthetic import SYNTH_BBOX
 
@@ -100,27 +99,31 @@ def test_criterion_2_noisy_or():
                     product *= (1.0 - p)
                 closed = 1.0 - (1.0 - p) ** k
                 assert abs(closed - (1.0 - product)) < 1e-12
-        index = build_grid_index([BBOX.center], 700.0, BBOX)
-        assert noisy_or_probability(BBOX.center, index, 700.0, 0.85) == \
-            pytest.approx(0.85, abs=1e-12)
+        cfg = SimConfig(radius_ft=700.0, p_officer=0.85)
+        [(k, prob)] = noisy_or([BBOX.center], [BBOX.center], cfg)
+        assert k == 1
+        assert prob == pytest.approx(0.85, abs=1e-12)
 
 
 # --- 3: spatial index -------------------------------------------------------
 
 def test_criterion_3_spatial_index():
-    with criterion(3, "radius_query equals brute force on 1000 pts x 100 probes"):
+    with criterion(3, "count_within equals brute force on 1000 pts x 100 probes"):
         rng = np.random.default_rng(101)
         points = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
                          rng.uniform(BBOX.lon_min, BBOX.lon_max))
                   for _ in range(1000)]
-        index = build_grid_index(points, 700.0, BBOX)
-        for _ in range(100):
-            probe = LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
-                           rng.uniform(BBOX.lon_min, BBOX.lon_max))
-            for radius in (400.0, 700.0, 1500.0):
-                brute = {i for i, p in enumerate(points)
-                         if distance_feet(probe, p) <= radius}
-                assert set(radius_query(index, probe, radius)) == brute
+        probes = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
+                         rng.uniform(BBOX.lon_min, BBOX.lon_max))
+                  for _ in range(100)]
+        for radius in (400.0, 700.0, 1500.0):
+            brute = [{i for i, p in enumerate(points)
+                      if distance_feet(probe, p) <= radius} for probe in probes]
+            for probe, ids in zip(probes, brute):
+                hits = count_within(points, [probe], radius)
+                assert {i for i, k in enumerate(hits) if k} == ids
+            counts = count_within(probes, points, radius)
+            assert counts.tolist() == [len(ids) for ids in brute]
 
 
 # --- 4: gradient checks -----------------------------------------------------
@@ -285,9 +288,8 @@ def test_criterion_8_monotonicity():
                    for _ in range(120)]
 
         def total(patrol_subset, radius):
-            index = build_grid_index(patrol_subset, radius, BBOX)
-            return sum(noisy_or_probability(c, index, radius, 0.85)
-                       for c in crimes)
+            cfg = SimConfig(radius_ft=radius, p_officer=0.85)
+            return sum(prob for _, prob in noisy_or(crimes, patrol_subset, cfg))
 
         radius_totals = [total(patrols[:60], r)
                          for r in (400.0, 700.0, 1000.0, 1500.0)]

@@ -1,8 +1,10 @@
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
+from patrolsim import cli
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
 
@@ -116,6 +118,21 @@ class TestGrid:
         assert manifest["cells"] == [["Synth", 2020, "detected"]]
         assert "Synth-2020" in manifest["data_checksums"]
         assert len(manifest["per_run_seeds"]) == 11
+
+    def test_manifest_lists_only_runs_that_happened(self, tmp_path,
+                                                   monkeypatch):
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config["output_dir"] = str(tmp_path / "out")
+        plan = build_plan(config)
+        full = cli.load_city_year(plan.config, "Synth", 2020)
+        no_may = replace(full, slices=[s for s in full.slices if s.month != 5])
+        monkeypatch.setattr(cli, "load_city_year", lambda *args: no_may)
+        assert run_grid(plan)[4] == 0
+        with open(tmp_path / "out" / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["skipped_month_runs"] == ["Synth/2020/5/detected"]
+        assert sorted(manifest["per_run_seeds"]) == sorted(
+            f"Synth/2020/{m}/detected/r0" for m in range(2, 13) if m != 5)
 
     def test_empty_plan_succeeds(self, tmp_path):
         config = dict(SYNTH_CONFIG, cells=[])

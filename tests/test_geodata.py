@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsim.geodata import (BALTIMORE_BBOX, FEET_PER_DEGREE_LAT, BoundingBox,
-                               GridIndex, LatLon, Polygon, build_grid_index,
-                               distance_feet, point_in_polygon, radius_query)
+                               LatLon, Polygon, count_within, distance_feet,
+                               point_in_polygon)
 
 
 def haversine_feet(a: LatLon, b: LatLon) -> float:
@@ -138,64 +138,59 @@ def random_points(n, rng, bbox=BALTIMORE_BBOX):
                    rng.uniform(bbox.lon_min, bbox.lon_max)) for _ in range(n)]
 
 
+def within(points, center, radius):
+    """Ids of points within radius of center, read from the kernel's counts."""
+    counts = count_within(points, [center], radius)
+    return {i for i, k in enumerate(counts) if k}
+
+
 class TestGridIndex:
+    """Radius counts from count_within, checked against brute force."""
+
     def test_empty_index(self):
-        index = build_grid_index([], 700.0, BALTIMORE_BBOX)
-        assert radius_query(index, LatLon(39.3, -76.6), 10_000.0) == []
+        assert count_within([LatLon(39.3, -76.6)], [], 10_000.0).tolist() == [0]
+        assert count_within([], [LatLon(39.3, -76.6)], 10_000.0).tolist() == []
 
-    def test_single_point_single_cell(self):
-        index = build_grid_index([BALTIMORE_BBOX.center], 700.0, BALTIMORE_BBOX)
-        assert len(index.cells) == 1
-        assert radius_query(index, BALTIMORE_BBOX.center, 1.0) == [0]
-
-    def test_every_point_in_exactly_one_cell(self):
+    def test_counts_every_center_in_range(self):
         rng = np.random.default_rng(11)
         pts = random_points(300, rng)
-        index = build_grid_index(pts, 700.0, BALTIMORE_BBOX)
-        ids = sorted(pid for cell in index.cells.values() for pid in cell)
-        assert ids == list(range(300))
+        centers = random_points(40, rng)
+        counts = count_within(pts, centers, 700.0)
+        for p, k in zip(pts, counts):
+            assert k == sum(distance_feet(p, c) <= 700.0 for c in centers)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
         pts = random_points(500, rng)
-        index = build_grid_index(pts, 700.0, BALTIMORE_BBOX)
         for _ in range(100):
             probe = LatLon(rng.uniform(39.19, 39.38), rng.uniform(-76.72, -76.52))
             for radius in (400.0, 700.0, 1500.0):
-                assert set(radius_query(index, probe, radius)) == \
+                assert within(pts, probe, radius) == \
                     brute_force_query(pts, probe, radius)
 
     def test_probe_far_outside_frame(self):
         rng = np.random.default_rng(6)
         pts = random_points(100, rng)
-        index = build_grid_index(pts, 700.0, BALTIMORE_BBOX)
-        assert radius_query(index, LatLon(45.0, -76.6), 700.0) == []
+        assert within(pts, LatLon(45.0, -76.6), 700.0) == set()
 
     def test_closed_ball_boundary(self):
         center = LatLon(39.30, -76.60)
         boundary = LatLon(39.30 + 700.0 / FEET_PER_DEGREE_LAT, -76.60)
-        index = build_grid_index([boundary], 700.0, BALTIMORE_BBOX)
         d = distance_feet(center, boundary)
-        assert radius_query(index, center, d) == [0]
+        assert within([boundary], center, d) == {0}
+        assert count_within([center], [boundary], d).tolist() == [1]
 
     def test_points_outside_frame_still_indexed(self):
         outside = LatLon(39.5, -76.6)
-        index = build_grid_index([outside], 700.0, BALTIMORE_BBOX)
-        assert radius_query(index, outside, 1.0) == [0]
-
-    def test_bad_cell_size(self):
-        with pytest.raises(ValueError):
-            GridIndex(0.0, BALTIMORE_BBOX)
+        assert within([outside], outside, 1.0) == {0}
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2 ** 31 - 1), st.sampled_from([150.0, 700.0, 2500.0]),
-           st.integers(1, 60))
-    def test_brute_force_equivalence_property(self, seed, cell, n):
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60))
+    def test_brute_force_equivalence_property(self, seed, n):
         rng = np.random.default_rng(seed)
         pts = random_points(n, rng)
-        index = build_grid_index(pts, cell, BALTIMORE_BBOX)
         for _ in range(20):
             probe = LatLon(rng.uniform(39.19, 39.38), rng.uniform(-76.72, -76.52))
             radius = rng.uniform(50.0, 3000.0)
-            assert set(radius_query(index, probe, radius)) == \
+            assert within(pts, probe, radius) == \
                 brute_force_query(pts, probe, radius)

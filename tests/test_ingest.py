@@ -154,6 +154,25 @@ class TestLoadNeighborhoods:
         nbs = load_neighborhoods(bpath, str(dpath))
         assert nbs[0].pct_black == pytest.approx(0.62)
 
+    def test_scale_decided_per_column(self, tmp_path, boundary_files):
+        bpath, _ = boundary_files
+        dpath = tmp_path / "demo6.csv"
+        dpath.write_text("id,pct_black,pct_white,median_income,poverty_rate\n"
+                         "A,1.2,0.9,35000,1.1\nB,60.0,35.0,72000,20.0\n")
+        a = load_neighborhoods(bpath, str(dpath))[0]
+        assert a.pct_black == pytest.approx(0.012)
+        assert a.pct_white == pytest.approx(0.009)
+        assert a.poverty_rate == pytest.approx(0.011)
+        assert a.pct_neither == pytest.approx(0.979)
+
+    def test_fraction_above_one_fatal(self, tmp_path, boundary_files):
+        bpath, _ = boundary_files
+        dpath = tmp_path / "demo7.csv"
+        dpath.write_text("id,pct_black,pct_white,median_income,poverty_rate\n"
+                         "A,0.62,0.305,35000,1.2\nB,0.1,0.85,72000,0.08\n")
+        with pytest.raises(IngestError):
+            load_neighborhoods(bpath, str(dpath))
+
     def test_multipolygon(self, tmp_path):
         feature = {"type": "Feature", "properties": {"id": "M"},
                    "geometry": {"type": "MultiPolygon", "coordinates": [

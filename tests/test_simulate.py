@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from patrolsim.gan import TrainConfig, denormalize_coords
-from patrolsim.geodata import LatLon, build_grid_index
+from patrolsim.geodata import LatLon
 from patrolsim.ingest import CrimeIncident, MonthSlice, Neighborhood, Polygon
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
-                                SimConfig, assign_race, derive_seed,
-                                noisy_or_probability, run_month_detected,
-                                run_month_reported)
+                                SimConfig, assign_race, derive_seed, noisy_or,
+                                run_month_detected, run_month_reported)
 from patrolsim.synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                                  synthetic_month_slice,
                                  synthetic_neighborhoods)
@@ -62,22 +61,29 @@ class TestAssignRace:
             assert abs(draws.count(group) / 10_000 - p) < 3.5 * se
 
 
-class TestNoisyOr:
-    def grid_with(self, points):
-        return build_grid_index(points, 700.0, BBOX)
+def probability_at(crime, patrols, radius_ft, p_officer):
+    cfg = SimConfig(radius_ft=radius_ft, p_officer=p_officer)
+    [(_, prob)] = noisy_or([crime], patrols, cfg)
+    return prob
 
+
+class TestNoisyOr:
     def test_no_officers(self):
-        index = self.grid_with([])
-        assert noisy_or_probability(BBOX.center, index, 700.0, 0.85) == 0.0
+        assert probability_at(BBOX.center, [], 700.0, 0.85) == 0.0
 
     def test_one_officer(self):
-        index = self.grid_with([BBOX.center])
-        assert noisy_or_probability(BBOX.center, index, 700.0, 0.85) == pytest.approx(0.85)
+        assert probability_at(BBOX.center, [BBOX.center], 700.0, 0.85) \
+            == pytest.approx(0.85)
 
     def test_two_officers(self):
-        index = self.grid_with([BBOX.center, BBOX.center])
-        assert noisy_or_probability(BBOX.center, index, 700.0, 0.85) == \
-            pytest.approx(0.9775, abs=1e-12)
+        assert probability_at(BBOX.center, [BBOX.center, BBOX.center],
+                              700.0, 0.85) == pytest.approx(0.9775, abs=1e-12)
+
+    def test_counts_officers_per_crime(self):
+        crimes = [BBOX.center, LatLon(BBOX.lat_max, BBOX.lon_max)]
+        cfg = SimConfig(radius_ft=700.0, p_officer=0.5)
+        assert noisy_or(crimes, [BBOX.center, BBOX.center], cfg) == \
+            [(2, 0.75), (0, 0.0)]
 
     def test_closed_form_equals_product_loop(self):
         for p in (0.1, 0.5, 0.85, 1.0):
@@ -92,9 +98,8 @@ class TestNoisyOr:
         rng = np.random.default_rng(3)
         patrols = [denormalize_coords(u, v, BBOX)
                    for u, v in rng.uniform(-0.9, 0.9, (40, 2))]
-        index = build_grid_index(patrols, 700.0, BBOX)
         crime = BBOX.center
-        probs = [noisy_or_probability(crime, index, r, 0.85)
+        probs = [probability_at(crime, patrols, r, 0.85)
                  for r in (100, 400, 700, 1000, 1500, 5000)]
         assert probs == sorted(probs)
 
@@ -105,14 +110,12 @@ class TestNoisyOr:
         crime = BBOX.center
         probs = []
         for n in range(1, 31):
-            index = build_grid_index(pts[:n], 700.0, BBOX)
-            probs.append(noisy_or_probability(crime, index, 2000.0, 0.5))
+            probs.append(probability_at(crime, pts[:n], 2000.0, 0.5))
         assert probs == sorted(probs)
 
     def test_invalid_p_officer(self):
-        index = self.grid_with([])
         with pytest.raises(ValueError):
-            noisy_or_probability(BBOX.center, index, 700.0, 0.0)
+            probability_at(BBOX.center, [], 700.0, 0.0)
 
 
 def co_located_slice(n, uv=(0.0, 0.0)):
@@ -195,14 +198,14 @@ class TestRunMonthReported:
         slice_ = co_located_slice(40)
         cfg = SimConfig(mode="reported", p_officer=1.0, reporting_prob=1.0,
                         radius_ft=1e6, n_officers=60, seed=4)
-        result = run_month_reported(slice_, NBS, cfg, BBOX)
+        result = run_month_reported(slice_, NBS, cfg)
         assert all(o.detected for o in result.outcomes)
         assert all(o.reported for o in result.outcomes)
 
     def test_low_reporting_few_detections(self):
         slice_ = co_located_slice(200)
         cfg = SimConfig(mode="reported", reporting_prob=0.01, seed=5)
-        result = run_month_reported(slice_, NBS, cfg, BBOX)
+        result = run_month_reported(slice_, NBS, cfg)
         reported = sum(bool(o.reported) for o in result.outcomes)
         assert reported < 20
 
@@ -212,7 +215,7 @@ class TestRunMonthReported:
         # find a seed where it does.
         for seed in range(50):
             cfg = SimConfig(mode="reported", reporting_prob=0.001, seed=seed)
-            result = run_month_reported(slice_, NBS, cfg, BBOX)
+            result = run_month_reported(slice_, NBS, cfg)
             if not any(o.reported for o in result.outcomes):
                 assert not any(o.detected for o in result.outcomes)
                 assert result.patrol_points == []
@@ -223,7 +226,7 @@ class TestRunMonthReported:
         slice_ = co_located_slice(100)
         cfg = SimConfig(mode="reported", reporting_prob=0.5, seed=6,
                         reported_mode_semantics=REPORT_IS_DETECTION)
-        result = run_month_reported(slice_, NBS, cfg, BBOX)
+        result = run_month_reported(slice_, NBS, cfg)
         for o in result.outcomes:
             assert o.detected == o.reported
         assert result.patrol_points == []
@@ -232,14 +235,14 @@ class TestRunMonthReported:
         slice_ = co_located_slice(10)
         cfg = SimConfig(mode="reported", reporting_prob=1.0, n_officers=60,
                         seed=7, reported_mode_semantics=PATROL_FROM_REPORTS)
-        result = run_month_reported(slice_, NBS, cfg, BBOX)
+        result = run_month_reported(slice_, NBS, cfg)
         assert len(result.patrol_points) == 10
 
     def test_determinism(self):
         slice_ = co_located_slice(50)
         cfg = SimConfig(mode="reported", seed=8)
-        r1 = run_month_reported(slice_, NBS, cfg, BBOX)
-        r2 = run_month_reported(slice_, NBS, cfg, BBOX)
+        r1 = run_month_reported(slice_, NBS, cfg)
+        r2 = run_month_reported(slice_, NBS, cfg)
         assert r1.outcomes == r2.outcomes
 
 

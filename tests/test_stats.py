@@ -307,6 +307,14 @@ class TestReports:
         assert lines[0] == "variable,coefficient,se,t,p,stars"
         assert lines[1].startswith("Intercept,")
 
+    def test_regression_csv_fields_are_plain_floats(self):
+        rng = np.random.default_rng(14)
+        x = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
+        fit = ols_fit(x, rng.standard_normal(30))
+        for line in regression_csv(fit).strip().split("\n")[1:]:
+            for value in line.split(",")[1:5]:
+                float(value)  # raises on a numpy repr such as np.float64(...)
+
     def test_correlations_csv_shape(self):
         rng = np.random.default_rng(15)
         obs = [NeighborhoodObservation(
