@@ -8,14 +8,13 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 run failure(s).
 from __future__ import annotations
 
 import argparse
-import copy
 import hashlib
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -55,29 +54,25 @@ class ExperimentPlan:
     config: dict
 
 
-def _dict_to_sim_cfg(d: dict, seed: int, mode: str = "detected") -> SimConfig:
-    return SimConfig(
-        n_officers=int(d.get("n_officers", 60)),
-        radius_ft=float(d.get("radius_ft", 700.0)),
-        p_officer=float(d.get("p_officer", 0.85)),
-        reporting_prob=float(d.get("reporting_prob", 0.521)),
-        mode=mode,
-        seed=seed,
-        expected_value=bool(d.get("expected_value", False)),
-        reported_mode_semantics=d.get("reported_mode_semantics",
-                                      simulate.PATROL_FROM_REPORTS),
-    )
+def _dict_to_cfg(cls: type, d: dict, seed: int):
+    """Build a SimConfig or TrainConfig from its config block.
 
-
-def _dict_to_train_cfg(d: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=int(d.get("epochs", 200)),
-        batch_size=int(d.get("batch_size", 64)),
-        lr=float(d.get("lr", 2e-4)),
-        beta1=float(d.get("beta1", 0.5)),
-        beta2=float(d.get("beta2", 0.999)),
-        seed=seed,
-    )
+    Every key must name a field, and each value must have the type of that
+    field's default; an integer is also taken where a float is expected.
+    """
+    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
+    if not isinstance(d, dict) or set(d) - set(defaults):
+        raise ConfigError(f"{cls.__name__} block {d!r} may only have the keys "
+                          f"{sorted(defaults)}")
+    values = {}
+    for key, value in d.items():
+        kind = type(defaults[key])
+        if kind is float and type(value) is int:
+            value = float(value)
+        if type(value) is not kind:
+            raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
+        values[key] = value
+    return cls(**values, seed=seed)
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -104,23 +99,25 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return config
 
 
-def build_plan(config: dict) -> ExperimentPlan:
-    cells = []
-    for raw in config.get("cells", []):
-        try:
-            cell = Cell(str(raw["city"]), int(raw["year"]), str(raw["mode"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad cell entry {raw!r}: {exc}") from exc
-        if cell.mode not in ("detected", "reported"):
-            raise ConfigError(f"bad mode in cell {raw!r}")
-        cells.append(cell)
-    seed = int(config.get("seed", 0))
+def _parse_cell(raw) -> Cell:
     try:
-        sim_cfg = _dict_to_sim_cfg(config.get("sim", {}), seed)
-        train_cfg = _dict_to_train_cfg(config.get("train", {}), seed)
-    except ValueError as exc:
+        cell = Cell(str(raw["city"]), int(raw["year"]), str(raw["mode"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad cell entry {raw!r}: {exc}") from exc
+    if cell.mode not in ("detected", "reported"):
+        raise ConfigError(f"bad mode in cell {raw!r}")
+    return cell
+
+
+def build_plan(config: dict) -> ExperimentPlan:
+    cells = [_parse_cell(raw) for raw in config.get("cells", [])]
+    try:
+        seed = int(config.get("seed", 0))
+        replicates = int(config.get("replicates", 1))
+        sim_cfg = _dict_to_cfg(SimConfig, config.get("sim", {}), seed)
+        train_cfg = _dict_to_cfg(TrainConfig, config.get("train", {}), seed)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    replicates = int(config.get("replicates", 1))
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
     return ExperimentPlan(cells, replicates, sim_cfg, train_cfg,
@@ -204,15 +201,14 @@ def load_city_year(config: dict, city: str, year: int) -> CityYearData:
     return CityYearData(slices, {nb.id: nb for nb in nbs}, bbox, checksum)
 
 
-# --- grid execution -------------------------------------------------------
+# --- month-run execution --------------------------------------------------
 
 def _run_one_month(cell: Cell, slice_: MonthSlice,
                    neighborhoods: dict[str, Neighborhood], bbox: BoundingBox,
                    train_cfg: TrainConfig, sim_cfg: SimConfig,
                    replicate: int) -> tuple[simulate.MonthRunResult,
                                             metrics.MonthlyBiasRecord]:
-    cfg = replace(sim_cfg, mode=cell.mode,
-                  seed=derive_seed(sim_cfg.seed, "rep", replicate))
+    cfg = replace(sim_cfg, seed=derive_seed(sim_cfg.seed, "rep", replicate))
     if cell.mode == "detected":
         result = simulate.run_month_detected(slice_, neighborhoods, train_cfg,
                                              cfg, bbox)
@@ -224,82 +220,116 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
     return result, record
 
 
+def _run_key(cell: Cell, month: int, replicate: int) -> str:
+    return f"{cell.city}/{cell.year}/{month}/{cell.mode}/r{replicate}"
+
+
 def _task(args):
-    return args[0], _run_one_month(*args[1])
+    """One month-run; an exception becomes its "ExcType: message" so that
+    the other month-runs still finish."""
+    try:
+        return _run_one_month(*args)
+    except Exception as exc:  # noqa: BLE001 - recorded per run, exit 3
+        log.exception("month-run %s failed",
+                      _run_key(args[0], args[1].month, args[-1]))
+        return f"{type(exc).__name__}: {exc}"
 
 
-def run_grid(plan: ExperimentPlan, jobs: int = 1,
-             ) -> tuple[list[metrics.MonthlyBiasRecord],
-                        list[metrics.AnnualSummary],
-                        list[simulate.MonthRunResult],
-                        dict[str, Neighborhood], int]:
-    """Execute every (cell, month, replicate) and write monthly/annual CSVs.
+@dataclass
+class MonthRuns:
+    """What `run_months` ran. `results[i]`, `records[i]` and `failed[i]`
+    belong to the i-th sim config, in (cell, month, replicate) order;
+    `attempted` lists the (cell, month, replicate) runs of each sim config."""
+    results: list[list[simulate.MonthRunResult]]
+    records: list[list[metrics.MonthlyBiasRecord]]
+    failed: list[dict[str, str]]
+    attempted: list[tuple[Cell, int, int]]
+    loaded: dict[tuple[str, int], CityYearData]
+    skipped: list[str]
+    failures: int
 
-    Results merge in deterministic (cell, month, replicate) order regardless
-    of completion order. Per-cell failures are logged and the grid continues;
-    the returned failure count drives the process exit code.
+
+def run_months(plan: ExperimentPlan, cells: list[Cell],
+               sim_cfgs: list[SimConfig], jobs: int) -> MonthRuns:
+    """Run every (sim config, cell, month, replicate), serially or on `jobs`
+    processes; results keep that order whatever `jobs` is.
+
+    Each distinct (city, year) loads once. A cell that fails to load and a
+    month-run that raises count as failures; every other run still runs.
     """
-    os.makedirs(plan.out_dir, exist_ok=True)
-    tasks = []
-    all_neighborhoods: dict[str, Neighborhood] = {}
-    manifest_data: dict[str, str] = {}
-    failures = 0
-    skipped: list[str] = []
-    for ci, cell in enumerate(plan.cells):
+    loaded: dict[tuple[str, int], CityYearData] = {}
+    for key in dict.fromkeys((c.city, c.year) for c in cells):
         try:
-            data = load_city_year(plan.config, cell.city, cell.year)
+            loaded[key] = load_city_year(plan.config, *key)
         except (IngestError, OSError) as exc:
-            log.error("cell %s failed to load: %s", cell, exc)
-            failures += 1
+            log.error("%s %s failed to load: %s", *key, exc)
+    skipped: list[str] = []
+    inputs = []
+    for cell in cells:
+        data = loaded.get((cell.city, cell.year))
+        if data is None:
             continue
-        all_neighborhoods.update(data.neighborhoods)
-        manifest_data[f"{cell.city}-{cell.year}"] = data.checksum
         by_month = {s.month: s for s in data.slices if s.incidents}
         for month in range(2, 13):
             if month not in by_month:
                 skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
                 continue
-            for rep in range(plan.replicates):
-                tasks.append(((ci, month, rep),
-                              (cell, by_month[month], data.neighborhoods,
-                               data.bbox, plan.train_cfg, plan.sim_cfg, rep)))
+            inputs += [(cell, by_month[month], data, rep)
+                       for rep in range(plan.replicates)]
 
-    outputs: dict[tuple, tuple] = {}
+    tasks = [(cell, slice_, data.neighborhoods, data.bbox, plan.train_cfg,
+              sim_cfg, rep)
+             for sim_cfg in sim_cfgs for cell, slice_, data, rep in inputs]
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, value in pool.map(_task, tasks):
-                outputs[key] = value
+            outputs = list(pool.map(_task, tasks))
     else:
-        for task in tasks:
-            key, value = _task(task)
-            outputs[key] = value
+        outputs = [_task(task) for task in tasks]
 
-    records: list[metrics.MonthlyBiasRecord] = []
-    results: list[simulate.MonthRunResult] = []
-    for key in sorted(outputs):
-        result, record = outputs[key]
-        results.append(result)
-        records.append(record)
+    attempted = [(cell, slice_.month, rep) for cell, slice_, _, rep in inputs]
+    results, records, failed = [], [], []
+    for k in range(len(sim_cfgs)):
+        outs = outputs[k * len(inputs):(k + 1) * len(inputs)]
+        failed.append({_run_key(*run): out for run, out in zip(attempted, outs)
+                       if isinstance(out, str)})
+        ran = [out for out in outs if not isinstance(out, str)]
+        results.append([result for result, _ in ran])
+        records.append([record for _, record in ran])
+    load_failures = sum((c.city, c.year) not in loaded for c in cells)
+    return MonthRuns(results, records, failed, attempted, loaded, skipped,
+                     load_failures + sum(map(len, failed)))
 
+
+def _annual_summaries(cells: list[Cell], replicates: int,
+                      records: list[metrics.MonthlyBiasRecord],
+                      ) -> list[metrics.AnnualSummary]:
     summaries = []
-    for cell in plan.cells:
-        for rep in range(plan.replicates):
+    for cell in cells:
+        for rep in range(replicates):
             cell_records = [r for r in records
                             if (r.city, r.year, r.mode, r.replicate)
                             == (cell.city, cell.year, cell.mode, rep)]
             if cell_records:
                 summaries.append(metrics.annual_summary(cell_records))
+    return summaries
 
+
+def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
+    """Run every (cell, month, replicate) of the plan and write monthly.csv,
+    annual.csv and manifest.json."""
+    runs = run_months(plan, plan.cells, [plan.sim_cfg], jobs)
+    os.makedirs(plan.out_dir, exist_ok=True)
     if plan.cells:
+        summaries = _annual_summaries(plan.cells, plan.replicates,
+                                      runs.records[0])
         _write_lines(os.path.join(plan.out_dir, "monthly.csv"),
                      [metrics.MONTHLY_CSV_HEADER]
-                     + [metrics.monthly_csv_row(r) for r in records])
+                     + [metrics.monthly_csv_row(r) for r in runs.records[0]])
         _write_lines(os.path.join(plan.out_dir, "annual.csv"),
                      [metrics.ANNUAL_CSV_HEADER]
                      + [metrics.annual_csv_row(s) for s in summaries])
-        _write_manifest(plan, manifest_data, skipped,
-                        [(plan.cells[ci], m, rep) for (ci, m, rep), _ in tasks])
-    return records, summaries, results, all_neighborhoods, failures
+        _write_manifest(plan, runs)
+    return runs
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -307,22 +337,22 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_manifest(plan: ExperimentPlan, data_checksums: dict[str, str],
-                    skipped: list[str], runs: list[tuple[Cell, int, int]],
-                    ) -> None:
+def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
     from . import __version__
     manifest = {
         "version": __version__,
         "seed": int(plan.config.get("seed", 0)),
         "replicates": plan.replicates,
         "cells": [[c.city, c.year, c.mode] for c in plan.cells],
-        "data_checksums": data_checksums,
-        "skipped_month_runs": skipped,
+        "data_checksums": {f"{city}-{year}": data.checksum
+                           for (city, year), data in runs.loaded.items()},
+        "skipped_month_runs": runs.skipped,
+        "failed_month_runs": runs.failed[0],
         "per_run_seeds": {
-            f"{c.city}/{c.year}/{m}/{c.mode}/r{rep}": derive_seed(
+            _run_key(c, m, rep): derive_seed(
                 derive_seed(plan.sim_cfg.seed, "rep", rep),
                 c.city, c.year, m, c.mode)
-            for c, m, rep in runs
+            for c, m, rep in runs.attempted
         },
     }
     with open(os.path.join(plan.out_dir, "manifest.json"), "w",
@@ -344,33 +374,32 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     if parameter not in SENSITIVITY_PARAMS:
         raise ConfigError(f"sensitivity parameter must be one of {SENSITIVITY_PARAMS}")
     values = spec.get("values") or []
-    if not values or any(float(v) <= 0 for v in values):
-        raise ConfigError("sensitivity values must be positive and non-empty")
+    if not values:
+        raise ConfigError("sensitivity values must be non-empty")
     base = spec.get("base_cell")
     if not base:
         raise ConfigError("sensitivity block needs base_cell")
-    cell = Cell(str(base["city"]), int(base["year"]), str(base["mode"]))
+    cell = _parse_cell(base)
+    try:
+        sim_cfgs = [_dict_to_cfg(SimConfig, {**plan.config.get("sim", {}),
+                                             parameter: value},
+                                 plan.sim_cfg.seed)
+                    for value in values]
+    except ValueError as exc:
+        raise ConfigError(f"bad sensitivity value: {exc}") from exc
 
+    runs = run_months(plan, [cell], sim_cfgs, jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
     lines = ["parameter,value,avg_dir,max_dir,avg_parity_gap,avg_gini,"
              "total_detected,months_counted"]
-    failures = 0
-    for value in values:
-        sim_dict = dict(plan.config["sim"])
-        sim_dict[parameter] = value
-        sub = copy.deepcopy(plan.config)
-        sub["sim"] = sim_dict
-        sub["cells"] = [{"city": cell.city, "year": cell.year, "mode": cell.mode}]
-        sub_plan = build_plan(sub)
-        sub_plan.out_dir = os.path.join(plan.out_dir, f"_sens_{parameter}_{value}")
-        records, summaries, results, _, fail = run_grid(sub_plan, jobs)
-        failures += fail
+    for value, results, records in zip(values, runs.results, runs.records):
+        summaries = _annual_summaries([cell], plan.replicates, records)
         if not summaries:
             continue
         s = summaries[0]
         total_detected = sum(
             (sum(o.detection_prob for o in r.outcomes)
-             if sub_plan.sim_cfg.expected_value
+             if plan.sim_cfg.expected_value
              else sum(o.detected for o in r.outcomes))
             for r in results)
         lines.append(",".join([
@@ -381,7 +410,7 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
             "" if s.avg_gini is None else repr(s.avg_gini),
             repr(float(total_detected)), str(s.months_counted)]))
     _write_lines(os.path.join(plan.out_dir, "sensitivity.csv"), lines)
-    return failures
+    return runs.failures
 
 
 # --- debias experiment ----------------------------------------------------
@@ -456,18 +485,18 @@ def _evaluate_condition(labeled, patrols, sim_cfg: SimConfig,
 # --- stats ----------------------------------------------------------------
 
 def run_stats(plan: ExperimentPlan, jobs: int = 1,
-              results: list[simulate.MonthRunResult] | None = None,
-              neighborhoods: dict[str, Neighborhood] | None = None) -> int:
+              runs: MonthRuns | None = None) -> int:
     """Neighborhood dataset, OLS regression, and correlations.
 
     Re-runs the grid deterministically when invoked standalone; `all`
-    passes the in-memory results through.
+    passes the grid's month-runs through.
     """
-    failures = 0
-    if results is None:
-        _, _, results, neighborhoods, failures = run_grid(plan, jobs)
+    if runs is None:
+        runs = run_grid(plan, jobs)
+    neighborhoods = {nb_id: nb for data in runs.loaded.values()
+                     for nb_id, nb in data.neighborhoods.items()}
     observations, excluded = stats.build_neighborhood_dataset(
-        results, neighborhoods or {}, expected=plan.sim_cfg.expected_value)
+        runs.results[0], neighborhoods, expected=plan.sim_cfg.expected_value)
     os.makedirs(plan.out_dir, exist_ok=True)
 
     obs_lines = ["neighborhood_id,city,year,mode,detection_rate,pct_black,"
@@ -494,12 +523,13 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
             fh.write(stats.correlations_csv(observations))
     except ValueError as exc:
         log.warning("correlations skipped: %s", exc)
-    return failures
+    return runs.failures
 
 
 # --- subcommand wiring ----------------------------------------------------
+# Each command returns its failure count; main maps a nonzero count to exit 3.
 
-def cmd_ingest(plan: ExperimentPlan, jobs: int) -> int:
+def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
     summary = {}
     for cell in {(c.city, c.year) for c in plan.cells}:
         data = load_city_year(plan.config, cell[0], cell[1])
@@ -517,53 +547,33 @@ def cmd_ingest(plan: ExperimentPlan, jobs: int) -> int:
     return 0
 
 
-def cmd_grid(plan: ExperimentPlan, jobs: int) -> int:
-    _, _, _, _, failures = run_grid(plan, jobs)
-    return EXIT_RUN if failures else EXIT_OK
-
-
-def cmd_sensitivity(plan: ExperimentPlan, jobs: int) -> int:
-    return EXIT_RUN if run_sensitivity(plan, jobs) else EXIT_OK
-
-
-def cmd_debias(plan: ExperimentPlan, jobs: int) -> int:
-    return EXIT_RUN if run_debias_experiment(plan) else EXIT_OK
-
-
-def cmd_stats(plan: ExperimentPlan, jobs: int) -> int:
-    return EXIT_RUN if run_stats(plan, jobs) else EXIT_OK
-
-
-def cmd_plots(plan: ExperimentPlan, jobs: int) -> int:
+def run_plots(plan: ExperimentPlan, jobs: int) -> int:
     monthly = os.path.join(plan.out_dir, "monthly.csv")
     if not os.path.exists(monthly):
         log.warning("no monthly.csv in %s; nothing to plot", plan.out_dir)
-        return EXIT_OK
+        return 0
     y_max = plan.config.get("plot_y_max", 100.0)
     plots.emit_plots(monthly, os.path.join(plan.out_dir, "plots"),
                      os.path.join(plan.out_dir, "observations.csv"),
                      y_max=y_max)
-    return EXIT_OK
+    return 0
 
 
-def cmd_all(plan: ExperimentPlan, jobs: int) -> int:
-    records, summaries, results, neighborhoods, failures = run_grid(plan, jobs)
-    if plan.config.get("debias"):
-        failures += run_debias_experiment(plan)
-    failures += run_stats(plan, jobs, results=results,
-                          neighborhoods=neighborhoods)
-    cmd_plots(plan, jobs)
-    return EXIT_RUN if failures else EXIT_OK
+def run_all(plan: ExperimentPlan, jobs: int) -> int:
+    runs = run_grid(plan, jobs)
+    failures = run_debias_experiment(plan) if plan.config.get("debias") else 0
+    failures += run_stats(plan, jobs, runs)
+    return failures + run_plots(plan, jobs)
 
 
 COMMANDS = {
-    "ingest": cmd_ingest,
-    "grid": cmd_grid,
-    "sensitivity": cmd_sensitivity,
-    "debias": cmd_debias,
-    "stats": cmd_stats,
-    "plots": cmd_plots,
-    "all": cmd_all,
+    "ingest": run_ingest,
+    "grid": lambda plan, jobs: run_grid(plan, jobs).failures,
+    "sensitivity": run_sensitivity,
+    "debias": lambda plan, jobs: run_debias_experiment(plan),
+    "stats": run_stats,
+    "plots": run_plots,
+    "all": run_all,
 }
 
 
@@ -584,14 +594,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        config = load_config(args.config,
-                             {"seed": args.seed, "output_dir": args.out})
-        plan = build_plan(config)
-    except ConfigError as exc:
-        log.error("config error: %s", exc)
-        return EXIT_CONFIG
-    try:
-        return COMMANDS[args.command](plan, max(1, args.jobs))
+        plan = build_plan(load_config(args.config, {"seed": args.seed,
+                                                    "output_dir": args.out}))
+        failures = COMMANDS[args.command](plan, max(1, args.jobs))
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
@@ -601,6 +606,7 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 - run failures map to exit 3
         log.exception("run failure: %s", exc)
         return EXIT_RUN
+    return EXIT_RUN if failures else EXIT_OK
 
 
 if __name__ == "__main__":

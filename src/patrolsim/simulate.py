@@ -11,7 +11,7 @@ as a detection).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ class SimConfig:
     radius_ft: float = 700.0
     p_officer: float = 0.85
     reporting_prob: float = 0.521
-    mode: str = "detected"
     seed: int = 0
     expected_value: bool = False
     reported_mode_semantics: str = PATROL_FROM_REPORTS
@@ -47,8 +46,6 @@ class SimConfig:
             raise ValueError("p_officer must be in (0, 1]")
         if not 0.0 < self.reporting_prob <= 1.0:
             raise ValueError("reporting_prob must be in (0, 1]")
-        if self.mode not in ("detected", "reported"):
-            raise ValueError(f"unknown mode: {self.mode!r}")
         if self.reported_mode_semantics not in (PATROL_FROM_REPORTS,
                                                 REPORT_IS_DETECTION):
             raise ValueError("bad reported_mode_semantics")
@@ -74,7 +71,6 @@ class MonthRunResult:
     outcomes: list[DetectionOutcome]
     patrol_points: list[LatLon]
     mode_collapsed: bool = False
-    group_counts: dict[str, int] = field(default_factory=dict)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -135,13 +131,6 @@ def _evaluate_detections(slice_: MonthSlice,
     return outcomes
 
 
-def _group_counts(outcomes: list[DetectionOutcome]) -> dict[str, int]:
-    counts = {g: 0 for g in RACE_GROUPS}
-    for o in outcomes:
-        counts[o.group] += 1
-    return counts
-
-
 def run_month_detected(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
                        gan_cfg: TrainConfig, sim_cfg: SimConfig,
@@ -166,8 +155,7 @@ def run_month_detected(slice_: MonthSlice,
     outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
                                     rng)
     return MonthRunResult(slice_.city, slice_.year, slice_.month, "detected",
-                          outcomes, patrols, mode_collapsed,
-                          _group_counts(outcomes))
+                          outcomes, patrols, mode_collapsed)
 
 
 def run_month_reported(slice_: MonthSlice,
@@ -193,8 +181,7 @@ def run_month_reported(slice_: MonthSlice,
                 detection_prob=sim_cfg.reporting_prob,
                 detected=rep, reported=rep))
         return MonthRunResult(slice_.city, slice_.year, slice_.month,
-                              "reported", outcomes, [], False,
-                              _group_counts(outcomes))
+                              "reported", outcomes, [])
 
     reported_locs = [inc.location for inc in slice_.incidents
                      if reported[inc.id]]
@@ -207,4 +194,4 @@ def run_month_reported(slice_: MonthSlice,
     outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
                                     rng, reported)
     return MonthRunResult(slice_.city, slice_.year, slice_.month, "reported",
-                          outcomes, patrols, False, _group_counts(outcomes))
+                          outcomes, patrols)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from patrolsim import cli
+from patrolsim import cli, simulate
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
 
@@ -22,6 +22,18 @@ def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
     return str(path)
+
+
+def count_loads(monkeypatch):
+    """Record each (city, year) that cli.load_city_year is asked for."""
+    calls = []
+    real = cli.load_city_year
+
+    def counting(config, city, year):
+        calls.append((city, year))
+        return real(config, city, year)
+    monkeypatch.setattr(cli, "load_city_year", counting)
+    return calls
 
 
 def synth_config(tmp_path, out_dir, **overrides):
@@ -49,11 +61,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_plan(dict(SYNTH_CONFIG, replicates=0))
 
+    def test_non_numeric_seed_exit_code(self, tmp_path):
+        config = dict(SYNTH_CONFIG, seed="abc")
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
+
     def test_seed_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, SYNTH_CONFIG)
         config = load_config(path, {"seed": 42, "output_dir": None})
         assert config["seed"] == 42
         assert config["output_dir"] == "out"
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("sim", "radius", 300.0),             # typo of radius_ft
+        ("sim", "expected_value", "false"),   # bool("false") is True
+        ("sim", "n_officers", 2.5),
+        ("sim", "radius_ft", "700"),
+        ("train", "epochs", 2.5),
+        ("train", "batch_size", 2.5),
+    ])
+    def test_strict_blocks(self, tmp_path, block, key, value):
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config[block][key] = value
+        config["output_dir"] = str(tmp_path / "out")
+        with pytest.raises(ConfigError):
+            build_plan(config)
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_defaults_filled(self, tmp_path):
         path = write_config(tmp_path, {})
@@ -127,12 +160,43 @@ class TestGrid:
         full = cli.load_city_year(plan.config, "Synth", 2020)
         no_may = replace(full, slices=[s for s in full.slices if s.month != 5])
         monkeypatch.setattr(cli, "load_city_year", lambda *args: no_may)
-        assert run_grid(plan)[4] == 0
+        assert run_grid(plan).failures == 0
         with open(tmp_path / "out" / "manifest.json", encoding="utf-8") as fh:
             manifest = json.load(fh)
         assert manifest["skipped_month_runs"] == ["Synth/2020/5/detected"]
+        assert manifest["failed_month_runs"] == {}
         assert sorted(manifest["per_run_seeds"]) == sorted(
             f"Synth/2020/{m}/detected/r0" for m in range(2, 13) if m != 5)
+
+    def test_failed_month_keeps_other_runs(self, tmp_path, monkeypatch):
+        real = simulate.run_month_detected
+
+        def diverge_in_may(slice_, *args, **kwargs):
+            if slice_.month == 5:
+                raise FloatingPointError("overflow in GAN loss")
+            return real(slice_, *args, **kwargs)
+        monkeypatch.setattr(simulate, "run_month_detected", diverge_in_may)
+        out = tmp_path / "out"
+        assert main(["grid", "--config", synth_config(tmp_path, out)]) == 3
+        with open(out / "monthly.csv", encoding="utf-8") as fh:
+            rows = fh.read().strip().split("\n")[1:]
+        assert [int(r.split(",")[2]) for r in rows] == [2, 3, 4] + list(range(6, 13))
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["failed_month_runs"] == {
+            "Synth/2020/5/detected/r0": "FloatingPointError: overflow in GAN loss"}
+        assert (out / "annual.csv").exists()
+
+    def test_city_year_loads_once(self, tmp_path, monkeypatch):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out, cells=[
+            {"city": "Synth", "year": 2020, "mode": "detected"},
+            {"city": "Synth", "year": 2020, "mode": "reported"}])
+        assert main(["grid", "--config", path]) == 0
+        assert calls == [("Synth", 2020)]
+        with open(out / "monthly.csv", encoding="utf-8") as fh:
+            assert len(fh.read().strip().split("\n")) == 1 + 22
 
     def test_empty_plan_succeeds(self, tmp_path):
         config = dict(SYNTH_CONFIG, cells=[])
@@ -179,6 +243,33 @@ class TestSensitivity:
         assert len(lines) == 4
         totals = [float(line.split(",")[6]) for line in lines[1:]]
         assert totals == sorted(totals)  # larger radius detects more
+
+    def test_sweep_loads_once_and_writes_no_subgrids(self, tmp_path,
+                                                     monkeypatch):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        path = self.base_config(tmp_path, out, [300, 700, 1500])
+        assert main(["sensitivity", "--config", path]) == 0
+        assert calls == [("Synth", 2020)]
+        assert sorted(p.name for p in out.iterdir()) == ["sensitivity.csv"]
+
+    def test_jobs_flag_same_output(self, tmp_path):
+        out1, out2 = tmp_path / "serial", tmp_path / "par"
+        assert main(["sensitivity", "--config",
+                     self.base_config(tmp_path, out1, [300, 1500])]) == 0
+        assert main(["sensitivity", "--config",
+                     self.base_config(tmp_path, out2, [300, 1500]),
+                     "--jobs", "2"]) == 0
+        assert (out1 / "sensitivity.csv").read_bytes() == \
+            (out2 / "sensitivity.csv").read_bytes()
+
+    def test_non_integral_officer_sweep_fatal(self):
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config["sensitivity"] = {"parameter": "n_officers", "values": [30, 2.5],
+                                 "base_cell": {"city": "Synth", "year": 2020,
+                                               "mode": "detected"}}
+        with pytest.raises(ConfigError):
+            run_sensitivity(build_plan(config))
 
     def test_missing_block_fatal(self, tmp_path):
         out = tmp_path / "out"
@@ -258,8 +349,9 @@ class TestRunGridApi:
         config = json.loads(json.dumps(SYNTH_CONFIG))
         config["output_dir"] = str(tmp_path / "out")
         plan = build_plan(load_config(write_config(tmp_path, config)))
-        records, summaries, results, neighborhoods, failures = run_grid(plan)
-        assert failures == 0
-        assert [r.month for r in records] == list(range(2, 13))
-        assert len(summaries) == 1
-        assert set(neighborhoods) == {"A", "B"}
+        runs = run_grid(plan)
+        assert runs.failures == 0
+        assert [r.month for r in runs.records[0]] == list(range(2, 13))
+        assert [r.month for r in runs.results[0]] == list(range(2, 13))
+        assert runs.failed == [{}]
+        assert set(runs.loaded["Synth", 2020].neighborhoods) == {"A", "B"}

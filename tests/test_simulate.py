@@ -6,6 +6,7 @@ import pytest
 from patrolsim.gan import TrainConfig, denormalize_coords
 from patrolsim.geodata import LatLon
 from patrolsim.ingest import CrimeIncident, MonthSlice, Neighborhood, Polygon
+from patrolsim.metrics import group_rates
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
                                 SimConfig, assign_race, derive_seed, noisy_or,
                                 run_month_detected, run_month_reported)
@@ -165,7 +166,7 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         result = run_month_detected(slice_, nbs, TrainConfig(epochs=0),
                                     SimConfig(seed=3), BBOX)
-        assert sum(result.group_counts.values()) == 50
+        assert sum(group_rates(result.outcomes).total.values()) == 50
         assert len(result.outcomes) == 50
 
     def test_concentrated_history_biases_detection(self):
@@ -196,7 +197,7 @@ class TestRunMonthDetected:
 class TestRunMonthReported:
     def test_full_reporting_full_coverage(self):
         slice_ = co_located_slice(40)
-        cfg = SimConfig(mode="reported", p_officer=1.0, reporting_prob=1.0,
+        cfg = SimConfig(p_officer=1.0, reporting_prob=1.0,
                         radius_ft=1e6, n_officers=60, seed=4)
         result = run_month_reported(slice_, NBS, cfg)
         assert all(o.detected for o in result.outcomes)
@@ -204,7 +205,7 @@ class TestRunMonthReported:
 
     def test_low_reporting_few_detections(self):
         slice_ = co_located_slice(200)
-        cfg = SimConfig(mode="reported", reporting_prob=0.01, seed=5)
+        cfg = SimConfig(reporting_prob=0.01, seed=5)
         result = run_month_reported(slice_, NBS, cfg)
         reported = sum(bool(o.reported) for o in result.outcomes)
         assert reported < 20
@@ -214,7 +215,7 @@ class TestRunMonthReported:
         # With reporting_prob tiny and few crimes, a no-report month happens;
         # find a seed where it does.
         for seed in range(50):
-            cfg = SimConfig(mode="reported", reporting_prob=0.001, seed=seed)
+            cfg = SimConfig(reporting_prob=0.001, seed=seed)
             result = run_month_reported(slice_, NBS, cfg)
             if not any(o.reported for o in result.outcomes):
                 assert not any(o.detected for o in result.outcomes)
@@ -224,7 +225,7 @@ class TestRunMonthReported:
 
     def test_report_is_detection_semantics(self):
         slice_ = co_located_slice(100)
-        cfg = SimConfig(mode="reported", reporting_prob=0.5, seed=6,
+        cfg = SimConfig(reporting_prob=0.5, seed=6,
                         reported_mode_semantics=REPORT_IS_DETECTION)
         result = run_month_reported(slice_, NBS, cfg)
         for o in result.outcomes:
@@ -233,14 +234,14 @@ class TestRunMonthReported:
 
     def test_patrol_count_capped_by_reports(self):
         slice_ = co_located_slice(10)
-        cfg = SimConfig(mode="reported", reporting_prob=1.0, n_officers=60,
+        cfg = SimConfig(reporting_prob=1.0, n_officers=60,
                         seed=7, reported_mode_semantics=PATROL_FROM_REPORTS)
         result = run_month_reported(slice_, NBS, cfg)
         assert len(result.patrol_points) == 10
 
     def test_determinism(self):
         slice_ = co_located_slice(50)
-        cfg = SimConfig(mode="reported", seed=8)
+        cfg = SimConfig(seed=8)
         r1 = run_month_reported(slice_, NBS, cfg)
         r2 = run_month_reported(slice_, NBS, cfg)
         assert r1.outcomes == r2.outcomes
@@ -263,7 +264,7 @@ class TestSeedDerivation:
 class TestSimConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"n_officers": 0}, {"radius_ft": 0}, {"p_officer": 0.0},
-        {"p_officer": 1.5}, {"reporting_prob": 0.0}, {"mode": "other"},
+        {"p_officer": 1.5}, {"reporting_prob": 0.0},
         {"reported_mode_semantics": "bogus"},
     ])
     def test_rejects_bad_values(self, kwargs):
