@@ -111,9 +111,12 @@ def _parse_cell(raw) -> Cell:
 
 def build_plan(config: dict) -> ExperimentPlan:
     cells = [_parse_cell(raw) for raw in config.get("cells", [])]
+    seed = config.get("seed", 0)
+    replicates = config.get("replicates", 1)
+    for key, value in (("seed", seed), ("replicates", replicates)):
+        if type(value) is not int:
+            raise ConfigError(f"{key} must be an int, got {value!r}")
     try:
-        seed = int(config.get("seed", 0))
-        replicates = int(config.get("replicates", 1))
         sim_cfg = _dict_to_cfg(SimConfig, config.get("sim", {}), seed)
         train_cfg = _dict_to_cfg(TrainConfig, config.get("train", {}), seed)
     except (TypeError, ValueError) as exc:
@@ -373,9 +376,9 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     parameter = spec.get("parameter")
     if parameter not in SENSITIVITY_PARAMS:
         raise ConfigError(f"sensitivity parameter must be one of {SENSITIVITY_PARAMS}")
-    values = spec.get("values") or []
-    if not values:
-        raise ConfigError("sensitivity values must be non-empty")
+    values = spec.get("values")
+    if not isinstance(values, list) or not values:
+        raise ConfigError("sensitivity values must be a non-empty list")
     base = spec.get("base_cell")
     if not base:
         raise ConfigError("sensitivity block needs base_cell")

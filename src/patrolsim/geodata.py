@@ -92,47 +92,48 @@ class Polygon:
     """Exterior ring plus optional hole rings, vertices as LatLon.
 
     Rings may be given open or closed (first vertex repeated at the end).
+    The edges of every ring and the bounding box of all rings are computed
+    once here; `points_in_polygon` reads nothing else.
     """
 
     def __init__(self, exterior: list[LatLon], holes: list[list[LatLon]] | None = None):
-        self.exterior = _normalize_ring(exterior)
-        self.holes = [_normalize_ring(h) for h in (holes or [])]
-
-    def bounds(self) -> BoundingBox:
-        lats = [v.lat for v in self.exterior]
-        lons = [v.lon for v in self.exterior]
-        return BoundingBox(min(lats), max(lats), min(lons), max(lons))
+        rings = [_normalize_ring(r) for r in [exterior, *(holes or [])]]
+        lats = [v.lat for ring in rings for v in ring]
+        lons = [v.lon for ring in rings for v in ring]
+        self.bbox = BoundingBox(min(lats), max(lats), min(lons), max(lons))
+        # (y1, y2, y2 - y1, x1, x2 - x1) per edge; a horizontal edge is
+        # never crossed by the +lon ray, so it is left out.
+        self.edges = [(a.lat, b.lat, b.lat - a.lat, a.lon, b.lon - a.lon)
+                      for ring in rings
+                      for a, b in zip(ring, ring[1:] + ring[:1])
+                      if a.lat != b.lat]
 
 
 def _normalize_ring(ring: list[LatLon]) -> list[LatLon]:
     if len(ring) >= 2 and ring[0] == ring[-1]:
         ring = ring[:-1]
-    if len(ring) < 3:
+    if len(set(ring)) < 3:
         raise ValueError("polygon ring needs at least 3 distinct vertices")
     return list(ring)
 
 
-def _ring_crossings(p: LatLon, ring: list[LatLon]) -> int:
-    """Count ray crossings from p towards +lon, half-open rule on vertices."""
-    x, y = p.lon, p.lat
-    n = len(ring)
-    crossings = 0
-    for i in range(n):
-        a = ring[i]
-        b = ring[(i + 1) % n]
-        y1, y2 = a.lat, b.lat
-        if (y1 > y) != (y2 > y):
-            # lon of the edge at latitude y
-            t = (y - y1) / (y2 - y1)
-            x_cross = a.lon + t * (b.lon - a.lon)
-            if x_cross > x:
-                crossings += 1
-    return crossings
+def points_in_polygon(lat: np.ndarray, lon: np.ndarray,
+                      poly: Polygon) -> np.ndarray:
+    """Ray-casting parity test in the (lon, lat) plane for many points.
+
+    Loops over the edges of every ring and vectorizes over points; a ray
+    from each point towards +lon crosses an edge when the edge straddles
+    the point's latitude (half-open on vertices) and meets it east of the
+    point. Crossings of hole rings count too, so holes are outside.
+    """
+    inside = np.zeros(len(lat), dtype=bool)
+    for y1, y2, dy, x1, dx in poly.edges:
+        t = (lat - y1) / dy
+        inside ^= ((y1 > lat) != (y2 > lat)) & (x1 + t * dx > lon)
+    return inside
 
 
 def point_in_polygon(p: LatLon, poly: Polygon) -> bool:
-    """Ray-casting parity test in the (lon, lat) plane; holes count as outside."""
-    crossings = _ring_crossings(p, poly.exterior)
-    for hole in poly.holes:
-        crossings += _ring_crossings(p, hole)
-    return crossings % 2 == 1
+    """`points_in_polygon` for one point."""
+    return bool(points_in_polygon(np.array([p.lat]), np.array([p.lon]),
+                                  poly)[0])

@@ -14,7 +14,10 @@ import logging
 from dataclasses import dataclass, replace
 from datetime import datetime
 
-from .geodata import BoundingBox, LatLon, Polygon, point_in_polygon
+import numpy as np
+
+from .geodata import (BoundingBox, LatLon, Polygon, point_in_polygon,
+                      points_in_polygon)
 
 log = logging.getLogger(__name__)
 
@@ -224,6 +227,10 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
         if fid not in demo:
             log.warning("boundary id %r has no demographics row; dropped", fid)
             continue
+        try:
+            polygons = tuple(_geojson_polygons(feature["geometry"]))
+        except ValueError as exc:
+            raise IngestError(f"boundary feature {fid!r}: {exc}") from exc
         row = demo[fid]
         pct_black = _share(row, "pct_black", divisors)
         pct_white = _share(row, "pct_white", divisors)
@@ -234,7 +241,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
         out.append(Neighborhood(
             id=fid,
             name=str(props.get("name", fid)),
-            polygons=tuple(_geojson_polygons(feature["geometry"])),
+            polygons=polygons,
             pct_black=pct_black,
             pct_white=pct_white,
             pct_neither=pct_neither,
@@ -249,19 +256,29 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
                          ) -> tuple[list[CrimeIncident], int]:
     """Set neighborhood_id by point-in-polygon; first match in input order wins.
 
+    Neighborhoods and their polygons are walked in order; each polygon tests
+    only the incidents still unassigned that lie in its bounding box. The
+    box decides nothing the ray cast would not: outside it, no edge
+    straddles the point's latitude, or every crossing (which lies between
+    its edge's end longitudes) is on the same side of the point, an even
+    count per ring.
     Incidents contained by no polygon are dropped and counted.
     """
     if not neighborhoods:
         raise IngestError("assign_neighborhoods requires at least one neighborhood")
-    assigned: list[CrimeIncident] = []
-    dropped = 0
-    for inc in incidents:
-        for nb in neighborhoods:
-            if nb.contains(inc.location):
-                assigned.append(replace(inc, neighborhood_id=nb.id))
-                break
-        else:
-            dropped += 1
+    lat = np.array([inc.location.lat for inc in incidents], dtype=float)
+    lon = np.array([inc.location.lon for inc in incidents], dtype=float)
+    owner = np.full(len(incidents), -1)
+    for k, nb in enumerate(neighborhoods):
+        for poly in nb.polygons:
+            box = poly.bbox
+            near = np.flatnonzero((owner < 0)
+                                  & (lat >= box.lat_min) & (lat <= box.lat_max)
+                                  & (lon >= box.lon_min) & (lon <= box.lon_max))
+            owner[near[points_in_polygon(lat[near], lon[near], poly)]] = k
+    assigned = [replace(inc, neighborhood_id=neighborhoods[k].id)
+                for inc, k in zip(incidents, owner.tolist()) if k >= 0]
+    dropped = len(incidents) - len(assigned)
     if dropped:
         log.info("assign_neighborhoods: %d incidents outside all polygons", dropped)
     return assigned, dropped
@@ -288,7 +305,7 @@ def hull_bbox(neighborhoods: list[Neighborhood], pad: float = 0.01) -> BoundingB
 
     Used as the validity box for cities whose box is not configured.
     """
-    boxes = [poly.bounds() for nb in neighborhoods for poly in nb.polygons]
+    boxes = [poly.bbox for nb in neighborhoods for poly in nb.polygons]
     return BoundingBox(
         min(b.lat_min for b in boxes) - pad,
         max(b.lat_max for b in boxes) + pad,

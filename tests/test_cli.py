@@ -65,6 +65,18 @@ class TestConfig:
         config = dict(SYNTH_CONFIG, seed="abc")
         assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("replicates", 2.5), ("replicates", "2"), ("replicates", True),
+        ("seed", 7.5), ("seed", True),
+    ])
+    def test_strict_top_level_ints(self, tmp_path, key, value):
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"))
+        config[key] = value
+        with pytest.raises(ConfigError):
+            build_plan(config)
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_seed_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, SYNTH_CONFIG)
         config = load_config(path, {"seed": 42, "output_dir": None})
@@ -211,6 +223,41 @@ class TestGrid:
         # run exits 3 so callers can tell a degraded grid from success.
         assert main(["grid", "--config", path]) == 3
 
+    @pytest.mark.parametrize("ring", [
+        # Two distinct vertices once the ring is closed.
+        [[-76.60, 39.30], [-76.58, 39.31], [-76.60, 39.30], [-76.60, 39.30]],
+        # Zero height: every vertex on one latitude.
+        [[-76.60, 39.30], [-76.58, 39.30], [-76.59, 39.30], [-76.60, 39.30]],
+    ])
+    def test_bad_boundary_ring_is_data_error(self, tmp_path, caplog, ring):
+        good = [[-76.65, 39.28], [-76.65, 39.33], [-76.60, 39.33],
+                [-76.60, 39.28], [-76.65, 39.28]]
+        features = [{"type": "Feature", "properties": {"id": fid},
+                     "geometry": {"type": "Polygon", "coordinates": [coords]}}
+                    for fid, coords in (("Good", good), ("Flat", ring))]
+        (tmp_path / "bounds.geojson").write_text(json.dumps(
+            {"type": "FeatureCollection", "features": features}))
+        (tmp_path / "demo.csv").write_text(
+            "id,pct_black,pct_white,median_income,poverty_rate\n"
+            "Good,0.5,0.4,40000,0.2\nFlat,0.5,0.4,40000,0.2\n")
+        (tmp_path / "crime.csv").write_text(
+            "id,lat,lon,date,type\n1,39.30,-76.62,2019-03-15 14:30,THEFT\n")
+        binding = {"boundaries": "bounds.geojson", "demographics": "demo.csv",
+                   "crime_csv": "crime.csv"}
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                      data_dir=str(tmp_path),
+                      data={"cities": {"Gen": binding}},
+                      cells=[{"city": "Gen", "year": 2019, "mode": "reported"}])
+        path = write_config(tmp_path, config)
+        assert main(["ingest", "--config", path]) == 2
+        assert "'Flat'" in caplog.text and "Traceback" not in caplog.text
+        caplog.clear()
+        # In a grid, a cell that fails to load is a run failure, logged
+        # with its cause while the other cells still run.
+        assert main(["grid", "--config", path]) == 3
+        assert "Gen 2019 failed to load" in caplog.text
+        assert "'Flat'" in caplog.text and "Traceback" not in caplog.text
+
     def test_reported_mode_runs(self, tmp_path):
         out = tmp_path / "out"
         config = json.loads(json.dumps(SYNTH_CONFIG))
@@ -270,6 +317,12 @@ class TestSensitivity:
                                                "mode": "detected"}}
         with pytest.raises(ConfigError):
             run_sensitivity(build_plan(config))
+
+    def test_values_must_be_a_list(self, tmp_path):
+        out = tmp_path / "out"
+        path = self.base_config(tmp_path, out, 300)
+        assert main(["sensitivity", "--config", path]) == 1
+        assert not out.exists()
 
     def test_missing_block_fatal(self, tmp_path):
         out = tmp_path / "out"

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from patrolsim.geodata import (BALTIMORE_BBOX, FEET_PER_DEGREE_LAT, BoundingBox,
                                LatLon, Polygon, count_within, distance_feet,
-                               point_in_polygon)
+                               point_in_polygon, points_in_polygon)
 
 
 def haversine_feet(a: LatLon, b: LatLon) -> float:
@@ -67,6 +67,77 @@ class TestDistance:
             LatLon(0.0, 181.0)
 
 
+def oracle_ring_crossings(p: LatLon, ring: list[LatLon]) -> int:
+    """Scalar ray cast from p towards +lon, half-open rule on vertices."""
+    if ring[0] == ring[-1]:
+        ring = ring[:-1]
+    x, y = p.lon, p.lat
+    n = len(ring)
+    crossings = 0
+    for i in range(n):
+        a = ring[i]
+        b = ring[(i + 1) % n]
+        y1, y2 = a.lat, b.lat
+        if (y1 > y) != (y2 > y):
+            t = (y - y1) / (y2 - y1)
+            x_cross = a.lon + t * (b.lon - a.lon)
+            if x_cross > x:
+                crossings += 1
+    return crossings
+
+
+def oracle_point_in_polygon(p: LatLon, rings: list[list[LatLon]]) -> bool:
+    """Pure-Python parity test over an exterior ring and its holes."""
+    return sum(oracle_ring_crossings(p, ring) for ring in rings) % 2 == 1
+
+
+def star_ring(rng, lat0, lon0, radius, n, step=None):
+    """Star-shaped ring around (lat0, lon0): one vertex at a random angle in
+    each of n equal sectors, at a random radius.
+
+    With a step, offsets are rounded to multiples of it, so vertices share
+    latitudes and some edges are horizontal; with n >= 6 and a step of at
+    most radius / 4 the ring keeps 3 distinct vertices and nonzero height.
+    """
+    angles = (np.arange(n) + rng.uniform(0.0, 1.0, n)) * (2 * math.pi / n)
+    radii = rng.uniform(0.3, 1.0, n) * radius
+    offsets = [(r * math.sin(a), r * math.cos(a)) for a, r in zip(angles, radii)]
+    if step:
+        offsets = [(round(dy / step) * step, round(dx / step) * step)
+                   for dy, dx in offsets]
+    return [LatLon(lat0 + dy, lon0 + dx) for dy, dx in offsets]
+
+
+def probe_points(rng, rings, n):
+    """Random points around the rings, plus points snapped onto vertices,
+    onto vertex latitudes and onto the edges of the rings' bounding box or
+    the next float outside it."""
+    verts = [v for ring in rings for v in ring]
+    lats = [v.lat for v in verts]
+    lons = [v.lon for v in verts]
+    lo_lat, hi_lat, lo_lon, hi_lon = min(lats), max(lats), min(lons), max(lons)
+    pad = 0.2 * (hi_lat - lo_lat)
+    lat_edges = [lo_lat, hi_lat, np.nextafter(lo_lat, -90), np.nextafter(hi_lat, 90)]
+    lon_edges = [lo_lon, hi_lon, np.nextafter(lo_lon, -180), np.nextafter(hi_lon, 180)]
+    points = [LatLon(rng.uniform(lo_lat - pad, hi_lat + pad),
+                     rng.uniform(lo_lon - pad, hi_lon + pad)) for _ in range(n)]
+    points += [verts[i] for i in rng.integers(len(verts), size=max(1, n // 4))]
+    points += [LatLon(lats[i], rng.uniform(lo_lon - pad, hi_lon + pad))
+               for i in rng.integers(len(verts), size=max(1, n // 4))]
+    for _ in range(max(1, n // 8)):
+        points.append(LatLon(float(rng.choice(lat_edges)),
+                             rng.uniform(lo_lon, hi_lon)))
+        points.append(LatLon(rng.uniform(lo_lat, hi_lat),
+                             float(rng.choice(lon_edges))))
+    return points
+
+
+def kernel(points, poly):
+    lat = np.array([p.lat for p in points])
+    lon = np.array([p.lon for p in points])
+    return points_in_polygon(lat, lon, poly).tolist()
+
+
 UNIT_SQUARE = Polygon([LatLon(0, 0), LatLon(0, 1), LatLon(1, 1), LatLon(1, 0)])
 
 
@@ -116,6 +187,41 @@ class TestPointInPolygon:
             if min(abs(s) for s in _edge_dists(p, verts)) < 1e-9:
                 continue  # skip exact-boundary points, convention differs
             assert point_in_polygon(p, hexagon) == halfplane_inside(p)
+
+    def test_degenerate_rings_rejected(self):
+        a, b = LatLon(39.30, -76.60), LatLon(39.31, -76.59)
+        with pytest.raises(ValueError):
+            Polygon([a, b, a, a])  # two distinct vertices
+        with pytest.raises(ValueError):  # zero height
+            Polygon([LatLon(39.30, -76.60), LatLon(39.30, -76.58),
+                     LatLon(39.30, -76.59), LatLon(39.30, -76.60)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 14),
+           st.integers(0, 2), st.integers(1, 3))
+    def test_kernel_matches_oracle(self, seed, n_verts, n_holes, n_parts):
+        # Star-shaped rings with holes; n_parts polygons share the points,
+        # as the parts of a MultiPolygon do.
+        rng = np.random.default_rng(seed)
+        parts = []
+        for _ in range(n_parts):
+            lat0, lon0 = rng.uniform(39.2, 39.37), rng.uniform(-76.71, -76.53)
+            radius = rng.uniform(0.002, 0.03)
+            step = radius / 4 if rng.random() < 0.5 else None
+            rings = [star_ring(rng, lat0, lon0, radius, max(n_verts, 6), step)]
+            rings += [star_ring(rng, lat0, lon0, 0.3 * radius,
+                                int(rng.integers(3, 8)))
+                      for _ in range(n_holes)]
+            if rng.random() < 0.5:
+                rings[0] = rings[0] + rings[0][:1]  # closed ring
+            parts.append(rings)
+        all_rings = [ring for rings in parts for ring in rings]
+        points = probe_points(rng, all_rings, 120)
+        for rings in parts:
+            poly = Polygon(rings[0], rings[1:])
+            expected = [oracle_point_in_polygon(p, rings) for p in points]
+            assert kernel(points, poly) == expected
+            assert [point_in_polygon(p, poly) for p in points] == expected
 
 
 def _edge_dists(p, verts):

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
+from test_geodata import oracle_point_in_polygon, probe_points, star_ring
 
-from patrolsim.geodata import BALTIMORE_BBOX, LatLon
-from patrolsim.ingest import (IngestError, assign_neighborhoods, filter_valid,
+from patrolsim.geodata import BALTIMORE_BBOX, LatLon, Polygon
+from patrolsim.ingest import (IngestError, Neighborhood, assign_neighborhoods,
+                              filter_valid,
                               hull_bbox, load_neighborhoods, parse_crime_csv,
                               partition_by_month)
 
@@ -222,6 +225,58 @@ class TestAssignNeighborhoods:
     def test_empty_neighborhoods_fatal(self):
         with pytest.raises(IngestError):
             assign_neighborhoods([make_incident(39.3, -76.6, 3)], [])
+
+
+    def test_matches_first_match_oracle(self):
+        # A few hundred overlapping star-shaped polygons, some with holes or
+        # a second part; every 10th neighborhood repeats an earlier one under
+        # a new id, so input order alone decides which of the two wins.
+        rng = np.random.default_rng(4)
+        parts_of, neighborhoods = [], []
+        for k in range(200):
+            if k % 10 == 9:
+                parts = parts_of[int(rng.integers(k))]
+            else:
+                parts = []
+                for _ in range(1 + (k % 7 == 0)):
+                    lat0 = rng.uniform(39.25, 39.32)
+                    lon0 = rng.uniform(-76.66, -76.57)
+                    radius = rng.uniform(0.004, 0.02)
+                    rings = [star_ring(rng, lat0, lon0, radius,
+                                       int(rng.integers(3, 16)))]
+                    if k % 5 == 0:
+                        rings.append(star_ring(rng, lat0, lon0, 0.3 * radius, 5))
+                    parts.append(rings)
+            parts_of.append(parts)
+            neighborhoods.append(Neighborhood(
+                id=f"N{k}", name=f"N{k}",
+                polygons=tuple(Polygon(r[0], r[1:]) for r in parts),
+                pct_black=0.3, pct_white=0.6, pct_neither=0.1,
+                median_income=50_000.0, poverty_rate=0.1))
+        # Points around all the polygons, and around each neighborhood's
+        # first part, snapped onto its bounding box among others.
+        all_rings = [ring for parts in parts_of for rings in parts
+                     for ring in rings]
+        points = probe_points(rng, all_rings, 300)
+        for parts in parts_of:
+            points += probe_points(rng, parts[0], 4)
+        incidents = [make_incident(p.lat, p.lon, 3) for p in points]
+
+        expected = []
+        for inc in incidents:
+            for nb, parts in zip(neighborhoods, parts_of):
+                if any(oracle_point_in_polygon(inc.location, rings)
+                       for rings in parts):
+                    expected.append(nb.id)
+                    break
+        assigned, dropped = assign_neighborhoods(incidents, neighborhoods)
+        assert [inc.neighborhood_id for inc in assigned] == expected
+        assert dropped == len(incidents) - len(expected)
+        assert 0 < dropped < len(incidents)
+
+    def test_no_incidents(self, boundary_files):
+        nbs = load_neighborhoods(*boundary_files)
+        assert assign_neighborhoods([], nbs) == ([], 0)
 
 
 class TestPartitionByMonth:
