@@ -44,6 +44,13 @@ class Cell:
     mode: str
 
 
+@dataclass(frozen=True)
+class DebiasSpec:
+    city: str
+    year: int
+    replace_fraction: float
+
+
 @dataclass
 class ExperimentPlan:
     cells: list[Cell]
@@ -52,6 +59,7 @@ class ExperimentPlan:
     train_cfg: TrainConfig
     out_dir: str
     config: dict
+    debias: DebiasSpec | None
 
 
 def _dict_to_cfg(cls: type, d: dict, seed: int):
@@ -109,6 +117,25 @@ def _parse_cell(raw) -> Cell:
     return cell
 
 
+def _parse_debias(raw) -> DebiasSpec:
+    """The `debias` block: a string `city`, an integer `year` and an
+    optional `replace_fraction` (a number in [0, 1), default 0.30)."""
+    kinds = {"city": (str,), "year": (int,), "replace_fraction": (int, float)}
+    if (not isinstance(raw, dict) or set(raw) - set(kinds)
+            or not {"city", "year"} <= set(raw)):
+        raise ConfigError(f"debias block {raw!r} needs the keys city and year "
+                          f"and may only have the keys {sorted(kinds)}")
+    for key, value in raw.items():
+        if type(value) not in kinds[key]:
+            raise ConfigError(f"debias {key} must be a "
+                              f"{kinds[key][-1].__name__}, got {value!r}")
+    fraction = float(raw.get("replace_fraction", 0.30))
+    if not 0.0 <= fraction < 1.0:
+        raise ConfigError(f"debias replace_fraction must be in [0, 1), "
+                          f"got {fraction!r}")
+    return DebiasSpec(raw["city"], raw["year"], fraction)
+
+
 def build_plan(config: dict) -> ExperimentPlan:
     cells = [_parse_cell(raw) for raw in config.get("cells", [])]
     seed = config.get("seed", 0)
@@ -123,8 +150,9 @@ def build_plan(config: dict) -> ExperimentPlan:
         raise ConfigError(str(exc)) from exc
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
+    debias = _parse_debias(config["debias"]) if "debias" in config else None
     return ExperimentPlan(cells, replicates, sim_cfg, train_cfg,
-                          str(config.get("output_dir", "out")), config)
+                          str(config.get("output_dir", "out")), config, debias)
 
 
 # --- data resolution ------------------------------------------------------
@@ -427,11 +455,9 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
     points, and retrains the patrol GAN on the result. Both conditions are
     evaluated against the same crimes.
     """
-    spec = plan.config.get("debias")
-    if not spec:
+    if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
-    city, year = str(spec["city"]), int(spec["year"])
-    replace_fraction = float(spec.get("replace_fraction", 0.30))
+    city, year = plan.debias.city, plan.debias.year
     data = load_city_year(plan.config, city, year)
     incidents = [inc for s in data.slices for inc in s.incidents]
     if not incidents:
@@ -449,7 +475,7 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
                                     data.bbox)
     cond_model, _ = gan.train_conditional_gan(labeled, train_cfg, data.bbox)
     rebalanced = gan.rebalance_training_set(labeled, cond_model, rng,
-                                            replace_fraction)
+                                            plan.debias.replace_fraction)
     debiased_model, _ = gan.train_gan([p for p, _ in rebalanced], train_cfg,
                                       data.bbox)
 
@@ -564,7 +590,7 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
 
 def run_all(plan: ExperimentPlan, jobs: int) -> int:
     runs = run_grid(plan, jobs)
-    failures = run_debias_experiment(plan) if plan.config.get("debias") else 0
+    failures = run_debias_experiment(plan) if plan.debias else 0
     failures += run_stats(plan, jobs, runs)
     return failures + run_plots(plan, jobs)
 

@@ -123,8 +123,10 @@ class GanModel:
 def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
                 cfg: TrainConfig) -> LossHistory:
     n = real.shape[0]
-    if n == 0:
-        raise ValueError("cannot train GAN on empty data")
+    if n < 2:
+        # Batch norm needs batches of >= 2 rows, so fewer points would
+        # train zero steps and leave the model at its random weights.
+        raise ValueError(f"cannot train GAN on {n} point(s), need >= 2")
     batch = cfg.batch_size
     if n < 2 * batch:
         batch = max(2, n // 2)
@@ -171,8 +173,9 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
             p_fake = model.discriminator.forward(d_fake_in, training=True, rng=rng)
             loss_f, grad_f = bce_loss(p_fake, np.zeros_like(p_fake))
             model.discriminator.backward(grad_f)
-            d_opt.step([gr + gf for gr, gf in
-                        zip(grads_r, model.discriminator.gradients())])
+            for gr, gf in zip(grads_r, model.discriminator.gradients()):
+                gr += gf
+            d_opt.step(grads_r)
             d_losses.append(loss_r + loss_f)
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
@@ -182,16 +185,18 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
             d_in = np.hstack([fake, cond]) if cond is not None else fake
             p = model.discriminator.forward(d_in, training=True, rng=rng)
             g_loss, grad_p = bce_loss(p, np.ones_like(p))
-            grad_fake = model.discriminator.backward(grad_p)
+            # Input gradient only: the next discriminator step overwrites
+            # every discriminator gradient before Adam reads one.
+            grad_fake = model.discriminator.backward(grad_p, param_grads=False)
             if cond is not None:
                 grad_fake = grad_fake[:, :2]
             model.generator.backward(grad_fake)
             g_opt.step(model.generator.gradients())
             g_losses.append(g_loss)
 
-        eg = float(np.mean(g_losses)) if g_losses else float("nan")
-        ed = float(np.mean(d_losses)) if d_losses else float("nan")
-        if g_losses and not (np.isfinite(eg) and np.isfinite(ed)):
+        eg = float(np.mean(g_losses))
+        ed = float(np.mean(d_losses))
+        if not (np.isfinite(eg) and np.isfinite(ed)):
             raise FloatingPointError(f"non-finite GAN loss at epoch {epoch}")
         history.g_loss.append(eg)
         history.d_loss.append(ed)

@@ -31,7 +31,10 @@ class Layer:
     def forward(self, x: np.ndarray, training: bool, rng=None) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
+        """Gradient w.r.t. the input. With `param_grads` False the
+        parameter gradients are not computed and `grads` keeps its values."""
         raise NotImplementedError
 
     def state(self) -> dict:
@@ -60,9 +63,10 @@ class Dense(Layer):
         self._x = x
         return x @ self.w + self.b
 
-    def backward(self, grad_out):
-        self.grads[0][...] = self._x.T @ grad_out
-        self.grads[1][...] = grad_out.sum(axis=0)
+    def backward(self, grad_out, param_grads=True):
+        if param_grads:
+            self.grads[0][...] = self._x.T @ grad_out
+            self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.w.T
 
     def state(self):
@@ -99,11 +103,12 @@ class BatchNorm(Layer):
         self._cache = (x_hat, inv_std)
         return self.gamma * x_hat + self.beta
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         x_hat, inv_std = self._cache
         n = grad_out.shape[0]
-        self.grads[0][...] = (grad_out * x_hat).sum(axis=0)
-        self.grads[1][...] = grad_out.sum(axis=0)
+        if param_grads:
+            self.grads[0][...] = (grad_out * x_hat).sum(axis=0)
+            self.grads[1][...] = grad_out.sum(axis=0)
         dx_hat = grad_out * self.gamma
         # Batch-statistics backward (mean and variance both depend on x).
         return inv_std / n * (
@@ -136,7 +141,7 @@ class LeakyReLU(Layer):
         self._mask = x >= 0
         return np.where(self._mask, x, self.slope * x)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         return np.where(self._mask, grad_out, self.slope * grad_out)
 
 
@@ -160,7 +165,7 @@ class Dropout(Layer):
         self._mask = (rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
@@ -171,7 +176,7 @@ class Tanh(Layer):
         self._y = np.tanh(x)
         return self._y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         return grad_out * (1.0 - self._y ** 2)
 
 
@@ -182,7 +187,7 @@ class Sigmoid(Layer):
                            np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))))
         return self._y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True):
         return grad_out * self._y * (1.0 - self._y)
 
 
@@ -200,9 +205,11 @@ class Network:
             raise FloatingPointError("non-finite activations in forward pass")
         return x
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+    def backward(self, grad_out: np.ndarray,
+                 param_grads: bool = True) -> np.ndarray:
+        """Backpropagate to the input; see `Layer.backward` for `param_grads`."""
         for layer in reversed(self.layers):
-            grad_out = layer.backward(grad_out)
+            grad_out = layer.backward(grad_out, param_grads)
         return grad_out
 
     def parameters(self) -> list[np.ndarray]:
@@ -250,15 +257,30 @@ class Adam:
         self.t = 0
 
     def step(self, grads: list[np.ndarray]) -> None:
+        """One Adam update (Kingma & Ba 2015, Algorithm 1), in place.
+
+        Rounds as `p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)` does, so the
+        bias corrections stay divisions of the moments rather than one folded
+        scalar; two temporaries per parameter, freed on return.
+        """
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += step
+            np.multiply(g, 1.0 - self.beta2, out=step)
+            step *= g
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            v += step
+            np.divide(m, b1t, out=step)
+            step *= self.lr
+            denom = np.divide(v, b2t)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p -= step
 
 
 def save_checkpoint(path: str, networks: dict[str, Network],

@@ -100,6 +100,26 @@ class TestConfig:
         assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block", [
+        {"year": 2020},                                   # no city
+        {"city": "Synth", "year": "2020x"},
+        {"city": "Synth", "year": 2020, "replace_fraction": 1.5},
+        {"city": "Synth", "year": 2020, "cty": 1},        # unknown key
+    ])
+    def test_strict_debias_block(self, tmp_path, block):
+        config = dict(SYNTH_CONFIG, debias=block,
+                      output_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError):
+            build_plan(config)
+        assert main(["debias", "--config", write_config(tmp_path, config)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_debias_block_defaults(self):
+        plan = build_plan(dict(SYNTH_CONFIG,
+                               debias={"city": "Synth", "year": 2020}))
+        assert plan.debias == cli.DebiasSpec("Synth", 2020, 0.30)
+        assert build_plan(SYNTH_CONFIG).debias is None
+
     def test_defaults_filled(self, tmp_path):
         path = write_config(tmp_path, {})
         config = load_config(path)
@@ -198,6 +218,20 @@ class TestGrid:
         assert manifest["failed_month_runs"] == {
             "Synth/2020/5/detected/r0": "FloatingPointError: overflow in GAN loss"}
         assert (out / "annual.csv").exists()
+
+    def test_one_incident_month_fails(self, tmp_path):
+        # One incident cannot fill a batch-norm batch, so the GAN would
+        # place patrols from its random initial weights.
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out, data={
+            "synthetic": {"incidents_per_month": 1, "seed": 7}})
+        assert main(["grid", "--config", path]) == 3
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            failed = json.load(fh)["failed_month_runs"]
+        assert sorted(failed) == sorted(f"Synth/2020/{m}/detected/r0"
+                                        for m in range(2, 13))
+        assert all(v.startswith("ValueError: cannot train GAN on 1 point")
+                   for v in failed.values())
 
     def test_city_year_loads_once(self, tmp_path, monkeypatch):
         calls = count_loads(monkeypatch)

@@ -48,6 +48,18 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_gan([], TrainConfig(epochs=1, seed=0), BBOX)
 
+    def test_one_point_fatal(self):
+        # Batch norm needs two rows per batch: one point would train no
+        # step and return the model at its random initial weights.
+        pts = gaussian_points((0.0, 0.0), 0.1, 1, 2)
+        with pytest.raises(ValueError, match="1 point"):
+            train_gan(pts, TrainConfig(epochs=3, seed=4), BBOX)
+
+    def test_two_points_train(self):
+        pts = gaussian_points((0.0, 0.0), 0.1, 2, 2)
+        _, history = train_gan(pts, TrainConfig(epochs=2, seed=4), BBOX)
+        assert all(np.isfinite(v) for v in history.g_loss + history.d_loss)
+
     def test_small_data_shrinks_batch(self):
         pts = gaussian_points((0.0, 0.0), 0.1, 20, 2)
         model, history = train_gan(pts, TrainConfig(epochs=3, seed=4), BBOX)

@@ -243,7 +243,38 @@ class TestBceLoss:
             assert max_rel_error(grad, fd) < 1e-6
 
 
+def oracle_adam_step(opt, grads):
+    """Adam update written as one expression per moment and per parameter,
+    the reference that the in-place `Adam.step` must match bit for bit."""
+    opt.t += 1
+    b1t = 1.0 - opt.beta1 ** opt.t
+    b2t = 1.0 - opt.beta2 ** opt.t
+    for p, g, m, v in zip(opt.params, grads, opt.m, opt.v):
+        m *= opt.beta1
+        m += (1.0 - opt.beta1) * g
+        v *= opt.beta2
+        v += (1.0 - opt.beta2) * g * g
+        p -= opt.lr * (m / b1t) / (np.sqrt(v / b2t) + opt.eps)
+
+
 class TestAdam:
+    @pytest.mark.parametrize("hyper", [{}, {"lr": 1e-2, "beta1": 0.9}])
+    def test_matches_oracle_bitwise(self, hyper):
+        rng = np.random.default_rng(12)
+        shapes = [(3,), (4, 5), (256, 512)]
+        params = [rng.standard_normal(s) for s in shapes]
+        opt = Adam(params, **hyper)
+        ref = Adam([p.copy() for p in params], **hyper)
+        for _ in range(6):
+            # Gradients spanning many magnitudes, zeros included.
+            grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3, s)
+                     * (rng.random(s) < 0.9) for s in shapes]
+            opt.step(grads)
+            oracle_adam_step(ref, grads)
+            for got, want in zip(opt.params + opt.m + opt.v,
+                                 ref.params + ref.m + ref.v):
+                assert np.array_equal(got, want)
+
     def test_first_step_bias_correction(self):
         p = np.array([1.0])
         opt = Adam([p], lr=2e-4)
@@ -270,6 +301,24 @@ class TestAdam:
 
 
 class TestNetwork:
+    def test_input_only_backward(self):
+        rng = np.random.default_rng(13)
+        net = Network([Dense(3, 16, rng), BatchNorm(16), LeakyReLU(0.2),
+                       Dropout(0.3), Dense(16, 8, rng), Tanh(),
+                       Dense(8, 1, rng), Sigmoid()])
+        net.forward(rng.standard_normal((32, 3)), training=True, rng=rng)
+        grad_out = rng.standard_normal((32, 1))
+        full = net.backward(grad_out)
+        assert np.any(full != 0.0)
+        before = [g.copy() for g in net.gradients()]
+        for g in net.gradients():
+            g.fill(7.0)
+        assert np.array_equal(net.backward(grad_out, param_grads=False), full)
+        assert all(np.all(g == 7.0) for g in net.gradients())
+        assert np.array_equal(net.backward(grad_out), full)
+        for got, want in zip(net.gradients(), before):
+            assert np.array_equal(got, want)
+
     def test_inference_deterministic_and_pure(self):
         rng = np.random.default_rng(9)
         net = Network([Dense(3, 8, rng), LeakyReLU(0.2), Dropout(0.3),
