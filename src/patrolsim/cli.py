@@ -14,7 +14,8 @@ import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -23,7 +24,8 @@ from .gan import TrainConfig
 from .geodata import BALTIMORE_BBOX, BoundingBox
 from .ingest import IngestError, MonthSlice, Neighborhood
 from .simulate import SimConfig, derive_seed
-from .synthetic import SyntheticCityConfig, synthetic_neighborhoods, synthetic_year
+from .synthetic import (SYNTH_BBOX, SyntheticCityConfig,
+                        synthetic_neighborhoods, synthetic_year)
 
 log = logging.getLogger("patrolsim")
 
@@ -43,44 +45,97 @@ class Cell:
     year: int
     mode: str
 
+    def __post_init__(self):
+        if self.mode not in ("detected", "reported"):
+            raise ValueError(f"mode must be detected or reported, "
+                             f"got {self.mode!r}")
+
 
 @dataclass(frozen=True)
 class DebiasSpec:
     city: str
     year: int
-    replace_fraction: float
+    replace_fraction: float = 0.30
+
+    def __post_init__(self):
+        if not 0.0 <= self.replace_fraction < 1.0:
+            raise ValueError(f"replace_fraction must be in [0, 1), "
+                             f"got {self.replace_fraction!r}")
+
+
+SENSITIVITY_PARAMS = ("radius_ft", "n_officers", "reporting_prob")
+
+
+@dataclass
+class Sensitivity:
+    """The `sensitivity` block: `parameter` takes each of `values` on
+    `base_cell`. `values` stay as written, for sensitivity.csv."""
+    parameter: str
+    values: list
+    base_cell: Cell
+    # The plan's sim config with each value in turn; set by build_plan.
+    sim_cfgs: list[SimConfig] = field(default_factory=list, init=False)
+
+    def __post_init__(self):
+        if self.parameter not in SENSITIVITY_PARAMS:
+            raise ValueError(f"parameter must be one of {SENSITIVITY_PARAMS}")
+        if not self.values:
+            raise ValueError("values must be a non-empty list")
 
 
 @dataclass
 class ExperimentPlan:
+    seed: int
     cells: list[Cell]
     replicates: int
     sim_cfg: SimConfig
     train_cfg: TrainConfig
+    synthetic: SyntheticCityConfig | None
+    debias: DebiasSpec | None
+    sensitivity: Sensitivity | None
+    plot_y_max: float
     out_dir: str
     config: dict
-    debias: DebiasSpec | None
 
 
-def _dict_to_cfg(cls: type, d: dict, seed: int):
-    """Build a SimConfig or TrainConfig from its config block.
+_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+               bool: "true or false", list: "a list", dict: "an object"}
 
-    Every key must name a field, and each value must have the type of that
-    field's default; an integer is also taken where a float is expected.
+
+def _json_value(name: str, value, kind: type):
+    """`value` checked to be of the JSON type `kind`: an integer is taken
+    (as a float) for a float, a bool is never a number, and a dict for a
+    dataclass is parsed by `parse_block`."""
+    if is_dataclass(kind):
+        return parse_block(kind, name, value)
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
+def parse_block(cls: type, name: str, raw, **fixed):
+    """Build the config dataclass `cls` from its JSON block `raw`.
+
+    Every key must name a field other than those in `fixed` (which are
+    passed as given), and each value must have the JSON type of its field's
+    annotation. A field without a default is required (a TypeError from
+    `cls`), and `cls` checks ranges in `__post_init__` (a ValueError); both
+    are raised as ConfigError.
     """
-    defaults = {f.name: f.default for f in fields(cls) if f.name != "seed"}
-    if not isinstance(d, dict) or set(d) - set(defaults):
-        raise ConfigError(f"{cls.__name__} block {d!r} may only have the keys "
-                          f"{sorted(defaults)}")
-    values = {}
-    for key, value in d.items():
-        kind = type(defaults[key])
-        if kind is float and type(value) is int:
-            value = float(value)
-        if type(value) is not kind:
-            raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}")
-        values[key] = value
-    return cls(**values, seed=seed)
+    kinds = get_type_hints(cls)
+    keys = sorted(f.name for f in fields(cls)
+                  if f.init and f.name not in fixed)
+    unknown = sorted(set(_json_value(name, raw, dict)) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}, expected {keys}")
+    values = {key: _json_value(f"{name} {key}", value, kinds[key])
+              for key, value in raw.items()}
+    try:
+        return cls(**values, **fixed)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
@@ -107,52 +162,42 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return config
 
 
-def _parse_cell(raw) -> Cell:
-    try:
-        cell = Cell(str(raw["city"]), int(raw["year"]), str(raw["mode"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad cell entry {raw!r}: {exc}") from exc
-    if cell.mode not in ("detected", "reported"):
-        raise ConfigError(f"bad mode in cell {raw!r}")
-    return cell
-
-
-def _parse_debias(raw) -> DebiasSpec:
-    """The `debias` block: a string `city`, an integer `year` and an
-    optional `replace_fraction` (a number in [0, 1), default 0.30)."""
-    kinds = {"city": (str,), "year": (int,), "replace_fraction": (int, float)}
-    if (not isinstance(raw, dict) or set(raw) - set(kinds)
-            or not {"city", "year"} <= set(raw)):
-        raise ConfigError(f"debias block {raw!r} needs the keys city and year "
-                          f"and may only have the keys {sorted(kinds)}")
-    for key, value in raw.items():
-        if type(value) not in kinds[key]:
-            raise ConfigError(f"debias {key} must be a "
-                              f"{kinds[key][-1].__name__}, got {value!r}")
-    fraction = float(raw.get("replace_fraction", 0.30))
-    if not 0.0 <= fraction < 1.0:
-        raise ConfigError(f"debias replace_fraction must be in [0, 1), "
-                          f"got {fraction!r}")
-    return DebiasSpec(raw["city"], raw["year"], fraction)
-
-
 def build_plan(config: dict) -> ExperimentPlan:
-    cells = [_parse_cell(raw) for raw in config.get("cells", [])]
-    seed = config.get("seed", 0)
-    replicates = config.get("replicates", 1)
-    for key, value in (("seed", seed), ("replicates", replicates)):
-        if type(value) is not int:
-            raise ConfigError(f"{key} must be an int, got {value!r}")
-    try:
-        sim_cfg = _dict_to_cfg(SimConfig, config.get("sim", {}), seed)
-        train_cfg = _dict_to_cfg(TrainConfig, config.get("train", {}), seed)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    """Check the whole config and build the plan from it; loads no data."""
+    seed = _json_value("seed", config.get("seed", 0), int)
+    replicates = _json_value("replicates", config.get("replicates", 1), int)
     if replicates < 1:
         raise ConfigError("replicates must be >= 1")
-    debias = _parse_debias(config["debias"]) if "debias" in config else None
-    return ExperimentPlan(cells, replicates, sim_cfg, train_cfg,
-                          str(config.get("output_dir", "out")), config, debias)
+    y_max = _json_value("plot_y_max", config.get("plot_y_max", 100.0), float)
+    if not y_max > 0:
+        raise ConfigError(f"plot_y_max must be positive, got {y_max!r}")
+    cells = [parse_block(Cell, "cell", raw)
+             for raw in _json_value("cells", config.get("cells", []), list)]
+    sim = config.get("sim", {})
+    sim_cfg = parse_block(SimConfig, "sim", sim, seed=seed)
+    train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
+                            seed=seed)
+    data = _json_value("data", config.get("data", {}), dict)
+    synthetic = None
+    if "synthetic" in data:
+        # The synthetic city's seed defaults to the top-level seed.
+        raw = data["synthetic"]
+        synthetic = parse_block(
+            SyntheticCityConfig, "data.synthetic",
+            {"seed": seed, **raw} if isinstance(raw, dict) else raw)
+    debias = (parse_block(DebiasSpec, "debias", config["debias"])
+              if "debias" in config else None)
+    sensitivity = None
+    if "sensitivity" in config:
+        sensitivity = parse_block(Sensitivity, "sensitivity",
+                                  config["sensitivity"])
+        sensitivity.sim_cfgs = [
+            parse_block(SimConfig, "sensitivity",
+                        {**sim, sensitivity.parameter: value}, seed=seed)
+            for value in sensitivity.values]
+    return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
+                          synthetic, debias, sensitivity, y_max,
+                          str(config.get("output_dir", "out")), config)
 
 
 # --- data resolution ------------------------------------------------------
@@ -173,38 +218,28 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _data_root(config: dict) -> str:
-    return config.get("data_dir") or os.environ.get("PATROLSIM_DATA_DIR", ".")
-
-
-def load_city_year(config: dict, city: str, year: int) -> CityYearData:
+def load_city_year(plan: ExperimentPlan, city: str, year: int) -> CityYearData:
     """Resolve one (city, year) to month slices + neighborhoods.
 
     A 'synthetic' data block generates the bundled two-cluster city;
     otherwise per-city file bindings are read from data.cities.
     """
-    data = config["data"]
-    if "synthetic" in data:
-        raw = dict(data["synthetic"])
-        cfg = SyntheticCityConfig(
-            incidents_per_month=int(raw.get("incidents_per_month", 60)),
-            weight_a=float(raw.get("weight_a", 0.5)),
-            sigma=float(raw.get("sigma", 0.08)),
-            pct_black_a=float(raw.get("pct_black_a", 0.90)),
-            pct_black_b=float(raw.get("pct_black_b", 0.05)),
-            seed=int(raw.get("seed", config.get("seed", 0))))
-        from .synthetic import SYNTH_BBOX
-        neighborhoods = {nb.id: nb for nb in synthetic_neighborhoods(cfg)}
-        slices = synthetic_year(city, year, cfg)
-        checksum = "synthetic:" + hashlib.sha256(
-            json.dumps(raw, sort_keys=True).encode()).hexdigest()[:16]
+    data = plan.config.get("data", {})
+    if plan.synthetic is not None:
+        neighborhoods = {nb.id: nb
+                         for nb in synthetic_neighborhoods(plan.synthetic)}
+        slices = synthetic_year(city, year, plan.synthetic)
+        # The block as written, so the checksum ignores defaulted keys.
+        checksum = "synthetic:" + hashlib.sha256(json.dumps(
+            data["synthetic"], sort_keys=True).encode()).hexdigest()[:16]
         return CityYearData(slices, neighborhoods, SYNTH_BBOX, checksum)
 
     cities = data.get("cities", {})
     if city not in cities:
         raise IngestError(f"no data binding for city {city!r}")
     binding = cities[city]
-    root = _data_root(config)
+    root = (plan.config.get("data_dir")
+            or os.environ.get("PATROLSIM_DATA_DIR", "."))
 
     def resolve(key: str) -> str:
         try:
@@ -291,7 +326,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     loaded: dict[tuple[str, int], CityYearData] = {}
     for key in dict.fromkeys((c.city, c.year) for c in cells):
         try:
-            loaded[key] = load_city_year(plan.config, *key)
+            loaded[key] = load_city_year(plan, *key)
         except (IngestError, OSError) as exc:
             log.error("%s %s failed to load: %s", *key, exc)
     skipped: list[str] = []
@@ -372,7 +407,7 @@ def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
     from . import __version__
     manifest = {
         "version": __version__,
-        "seed": int(plan.config.get("seed", 0)),
+        "seed": plan.seed,
         "replicates": plan.replicates,
         "cells": [[c.city, c.year, c.mode] for c in plan.cells],
         "data_checksums": {f"{city}-{year}": data.checksum
@@ -393,37 +428,18 @@ def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
 
 # --- sensitivity ----------------------------------------------------------
 
-SENSITIVITY_PARAMS = ("radius_ft", "n_officers", "reporting_prob")
-
-
 def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     """Sweep one parameter over its value list on the base cell."""
-    spec = plan.config.get("sensitivity")
-    if not spec:
+    sweep = plan.sensitivity
+    if sweep is None:
         raise ConfigError("config has no 'sensitivity' block")
-    parameter = spec.get("parameter")
-    if parameter not in SENSITIVITY_PARAMS:
-        raise ConfigError(f"sensitivity parameter must be one of {SENSITIVITY_PARAMS}")
-    values = spec.get("values")
-    if not isinstance(values, list) or not values:
-        raise ConfigError("sensitivity values must be a non-empty list")
-    base = spec.get("base_cell")
-    if not base:
-        raise ConfigError("sensitivity block needs base_cell")
-    cell = _parse_cell(base)
-    try:
-        sim_cfgs = [_dict_to_cfg(SimConfig, {**plan.config.get("sim", {}),
-                                             parameter: value},
-                                 plan.sim_cfg.seed)
-                    for value in values]
-    except ValueError as exc:
-        raise ConfigError(f"bad sensitivity value: {exc}") from exc
-
-    runs = run_months(plan, [cell], sim_cfgs, jobs)
+    cell = sweep.base_cell
+    runs = run_months(plan, [cell], sweep.sim_cfgs, jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
     lines = ["parameter,value,avg_dir,max_dir,avg_parity_gap,avg_gini,"
              "total_detected,months_counted"]
-    for value, results, records in zip(values, runs.results, runs.records):
+    for value, results, records in zip(sweep.values, runs.results,
+                                       runs.records):
         summaries = _annual_summaries([cell], plan.replicates, records)
         if not summaries:
             continue
@@ -434,7 +450,7 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
              else sum(o.detected for o in r.outcomes))
             for r in results)
         lines.append(",".join([
-            parameter, str(value),
+            sweep.parameter, str(value),
             "" if s.avg_dir is None else repr(s.avg_dir),
             "" if s.max_dir is None else repr(s.max_dir),
             "" if s.avg_parity_gap is None else repr(s.avg_parity_gap),
@@ -458,7 +474,7 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
     if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
     city, year = plan.debias.city, plan.debias.year
-    data = load_city_year(plan.config, city, year)
+    data = load_city_year(plan, city, year)
     incidents = [inc for s in data.slices for inc in s.incidents]
     if not incidents:
         raise IngestError(f"no incidents for debias cell {city} {year}")
@@ -561,7 +577,7 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
 def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
     summary = {}
     for cell in {(c.city, c.year) for c in plan.cells}:
-        data = load_city_year(plan.config, cell[0], cell[1])
+        data = load_city_year(plan, cell[0], cell[1])
         summary[f"{cell[0]}-{cell[1]}"] = {
             "months": len(data.slices),
             "incidents": sum(len(s.incidents) for s in data.slices),
@@ -581,10 +597,9 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
     if not os.path.exists(monthly):
         log.warning("no monthly.csv in %s; nothing to plot", plan.out_dir)
         return 0
-    y_max = plan.config.get("plot_y_max", 100.0)
     plots.emit_plots(monthly, os.path.join(plan.out_dir, "plots"),
                      os.path.join(plan.out_dir, "observations.csv"),
-                     y_max=y_max)
+                     y_max=plan.plot_y_max)
     return 0
 
 

@@ -15,8 +15,7 @@ import numpy as np
 
 from .geodata import BoundingBox, LatLon
 from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
-                        Sigmoid, Tanh, bce_loss, load_checkpoint,
-                        save_checkpoint)
+                        Sigmoid, Tanh, bce_loss)
 
 LATENT_DIM = 100
 GROUP_LABELS = ("Black", "White", "Neither")
@@ -34,6 +33,16 @@ class TrainConfig:
     beta1: float = 0.5
     beta2: float = 0.999
     seed: int = 0
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be >= 2 (batch norm)")
+        if not self.lr > 0:
+            raise ValueError("lr must be positive")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
 
 
 @dataclass
@@ -88,7 +97,6 @@ class GanModel:
             Dense(256, 128, rng), LeakyReLU(0.2),
             Dense(128, 1, rng), Sigmoid(),
         ])
-        self.seed = seed
 
     def generate_normalized(self, n: int, rng: np.random.Generator,
                             labels: list[str] | None = None) -> np.ndarray:
@@ -99,25 +107,6 @@ class GanModel:
                 raise ValueError("conditional model needs one label per sample")
             z = np.hstack([z, _one_hot(labels)])
         return self.generator.forward(z, training=False)
-
-    def save(self, path: str) -> None:
-        save_checkpoint(path, {"generator": self.generator,
-                               "discriminator": self.discriminator},
-                        meta={"conditional": self.conditional,
-                              "seed": self.seed,
-                              "bbox": [self.bbox.lat_min, self.bbox.lat_max,
-                                       self.bbox.lon_min, self.bbox.lon_max]})
-
-    @classmethod
-    def load(cls, path: str) -> "GanModel":
-        doc = load_checkpoint(path)
-        meta = doc["meta"]
-        bbox = BoundingBox(*meta["bbox"])
-        model = cls(bbox, conditional=bool(meta["conditional"]),
-                    seed=int(meta["seed"]))
-        model.generator.load_state(doc["networks"]["generator"])
-        model.discriminator.load_state(doc["networks"]["discriminator"])
-        return model
 
 
 def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,

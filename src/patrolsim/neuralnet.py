@@ -7,11 +7,7 @@ finite-difference gradient checks and bitwise-deterministic training hold.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
-
-CHECKPOINT_MAGIC = "patrolsim-net-v1"
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -36,12 +32,6 @@ class Layer:
         """Gradient w.r.t. the input. With `param_grads` False the
         parameter gradients are not computed and `grads` keeps its values."""
         raise NotImplementedError
-
-    def state(self) -> dict:
-        return {}
-
-    def load_state(self, state: dict) -> None:
-        pass
 
 
 class Dense(Layer):
@@ -68,13 +58,6 @@ class Dense(Layer):
             self.grads[0][...] = self._x.T @ grad_out
             self.grads[1][...] = grad_out.sum(axis=0)
         return grad_out @ self.w.T
-
-    def state(self):
-        return {"w": self.w.tolist(), "b": self.b.tolist()}
-
-    def load_state(self, state):
-        self.w[...] = np.asarray(state["w"])
-        self.b[...] = np.asarray(state["b"])
 
 
 class BatchNorm(Layer):
@@ -116,17 +99,6 @@ class BatchNorm(Layer):
             - dx_hat.sum(axis=0)
             - x_hat * (dx_hat * x_hat).sum(axis=0)
         )
-
-    def state(self):
-        return {"gamma": self.gamma.tolist(), "beta": self.beta.tolist(),
-                "running_mean": self.running_mean.tolist(),
-                "running_var": self.running_var.tolist()}
-
-    def load_state(self, state):
-        self.gamma[...] = np.asarray(state["gamma"])
-        self.beta[...] = np.asarray(state["beta"])
-        self.running_mean = np.asarray(state["running_mean"], dtype=float)
-        self.running_var = np.asarray(state["running_var"], dtype=float)
 
 
 class LeakyReLU(Layer):
@@ -218,18 +190,6 @@ class Network:
     def gradients(self) -> list[np.ndarray]:
         return [g for layer in self.layers for g in layer.grads]
 
-    def state(self) -> list[dict]:
-        return [{"type": type(layer).__name__, **layer.state()}
-                for layer in self.layers]
-
-    def load_state(self, states: list[dict]) -> None:
-        if len(states) != len(self.layers):
-            raise ValueError("checkpoint layer count mismatch")
-        for layer, st in zip(self.layers, states):
-            if st["type"] != type(layer).__name__:
-                raise ValueError(f"checkpoint layer type mismatch: {st['type']}")
-            layer.load_state(st)
-
 
 def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean binary cross-entropy and its gradient w.r.t. predictions.
@@ -281,20 +241,3 @@ class Adam:
             denom += self.eps
             step /= denom
             p -= step
-
-
-def save_checkpoint(path: str, networks: dict[str, Network],
-                    meta: dict | None = None) -> None:
-    doc = {"magic": CHECKPOINT_MAGIC,
-           "meta": meta or {},
-           "networks": {name: net.state() for name, net in networks.items()}}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-
-
-def load_checkpoint(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("magic") != CHECKPOINT_MAGIC:
-        raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint: {path}")
-    return doc

@@ -36,6 +36,18 @@ class SyntheticCityConfig:
     pct_black_b: float = 0.05
     seed: int = 0
 
+    def __post_init__(self):
+        if self.incidents_per_month < 0:
+            raise ValueError("incidents_per_month must be >= 0")
+        if not 0.0 <= self.weight_a <= 1.0:
+            raise ValueError("weight_a must be in [0, 1]")
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+        # Each neighborhood's pct_white is 0.95 - pct_black.
+        for name in ("pct_black_a", "pct_black_b"):
+            if not 0.0 <= getattr(self, name) <= 0.95:
+                raise ValueError(f"{name} must be in [0, 0.95]")
+
 
 def _square_polygon(center: tuple[float, float], half: float,
                     bbox: BoundingBox) -> Polygon:

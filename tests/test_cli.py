@@ -90,10 +90,29 @@ class TestConfig:
         ("sim", "radius_ft", "700"),
         ("train", "epochs", 2.5),
         ("train", "batch_size", 2.5),
+        ("train", "batch_size", 1),           # batch norm needs 2 rows
+        ("train", "batch_size", 0),
+        ("train", "lr", -1.0),
+        ("data.synthetic", "sedd", 3),        # typo of seed
+        ("data.synthetic", "incidents_per_month", 25.7),
+        ("data.synthetic", "pct_black_a", 0.99),  # pct_white would be < 0
+        ("cells.0", "year", 2020.5),
+        ("cells.0", "year", "2020"),
+        ("", "plot_y_max", "50"),
+        ("", "sensitivity", {"parameter": "radius_ft", "values": [300],
+                             "base_cell": {"city": "Synth", "year": 2020,
+                                           "mode": "detected"},
+                             "step": 100}),   # unknown key
     ])
     def test_strict_blocks(self, tmp_path, block, key, value):
+        # `block` is the dotted path of the object that holds `key`. Every
+        # block is checked, even one the command does not use (sensitivity
+        # under grid), before any data loads.
         config = json.loads(json.dumps(SYNTH_CONFIG))
-        config[block][key] = value
+        target = config
+        for part in filter(None, block.split(".")):
+            target = target[int(part) if part.isdigit() else part]
+        target[key] = value
         config["output_dir"] = str(tmp_path / "out")
         with pytest.raises(ConfigError):
             build_plan(config)
@@ -189,7 +208,7 @@ class TestGrid:
         config = json.loads(json.dumps(SYNTH_CONFIG))
         config["output_dir"] = str(tmp_path / "out")
         plan = build_plan(config)
-        full = cli.load_city_year(plan.config, "Synth", 2020)
+        full = cli.load_city_year(plan, "Synth", 2020)
         no_may = replace(full, slices=[s for s in full.slices if s.month != 5])
         monkeypatch.setattr(cli, "load_city_year", lambda *args: no_may)
         assert run_grid(plan).failures == 0
@@ -343,6 +362,20 @@ class TestSensitivity:
                      "--jobs", "2"]) == 0
         assert (out1 / "sensitivity.csv").read_bytes() == \
             (out2 / "sensitivity.csv").read_bytes()
+
+    def test_values_written_as_given(self, tmp_path):
+        out = tmp_path / "out"
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config["output_dir"] = str(out)
+        config["sensitivity"] = {
+            "parameter": "radius_ft", "values": [300, 700.0],
+            "base_cell": {"city": "Synth", "year": 2020, "mode": "reported"}}
+        assert main(["sensitivity", "--config",
+                     write_config(tmp_path, config)]) == 0
+        with open(out / "sensitivity.csv", encoding="utf-8") as fh:
+            rows = fh.read().strip().split("\n")[1:]
+        assert [r.split(",")[:2] for r in rows] == [["radius_ft", "300"],
+                                                    ["radius_ft", "700.0"]]
 
     def test_non_integral_officer_sweep_fatal(self):
         config = json.loads(json.dumps(SYNTH_CONFIG))

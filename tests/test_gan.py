@@ -206,15 +206,3 @@ class TestRebalance:
         with pytest.raises(ValueError):
             rebalance_training_set([(BBOX.center, "Black")] * 10, model,
                                    np.random.default_rng(0))
-
-
-class TestCheckpoint:
-    def test_save_load_roundtrip(self, tmp_path):
-        pts = gaussian_points((0.0, 0.0), 0.1, 50, 8)
-        model, _ = train_gan(pts, TrainConfig(epochs=2, seed=21), BBOX)
-        path = str(tmp_path / "gan.json")
-        model.save(path)
-        loaded = GanModel.load(path)
-        a = sample_patrol(model, 20, np.random.default_rng(22))
-        b = sample_patrol(loaded, 20, np.random.default_rng(22))
-        assert a == b

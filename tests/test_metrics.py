@@ -133,8 +133,11 @@ class TestGini:
             xs = list(rng.uniform(0.0, 1.0, n))
             assert abs(gini(xs) - gini_double_loop(xs)) < 1e-12
 
+    # Subnormal inputs are left out: scaled by 0.5, [0.0, 5e-324] underflows
+    # to [0.0, 0.0], whose Gini is 0 by convention.
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    @given(st.lists(st.floats(0.0, 1.0, allow_subnormal=False), min_size=1,
+                    max_size=6),
            st.floats(0.1, 100.0))
     def test_scale_invariant(self, xs, scale):
         if sum(xs) == 0.0:

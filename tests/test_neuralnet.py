@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from patrolsim.neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU,
-                                 Network, Sigmoid, Tanh, bce_loss,
-                                 load_checkpoint, save_checkpoint)
+                                 Network, Sigmoid, Tanh, bce_loss)
 
 FD_H = 1e-5
 
@@ -327,21 +326,3 @@ class TestNetwork:
         out1 = net.forward(x, training=False)
         out2 = net.forward(x, training=False)
         assert np.array_equal(out1, out2)
-
-    def test_checkpoint_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(10)
-        net = Network([Dense(3, 4, rng), BatchNorm(4), Tanh(), Dense(4, 1, rng)])
-        net.forward(rng.standard_normal((16, 3)), training=True)
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(path, {"net": net}, meta={"seed": 10})
-        doc = load_checkpoint(path)
-        net2 = Network([Dense(3, 4), BatchNorm(4), Tanh(), Dense(4, 1)])
-        net2.load_state(doc["networks"]["net"])
-        x = rng.standard_normal((5, 3))
-        assert np.array_equal(net.forward(x, False), net2.forward(x, False))
-
-    def test_checkpoint_magic_enforced(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"magic": "other"}')
-        with pytest.raises(ValueError):
-            load_checkpoint(str(path))
