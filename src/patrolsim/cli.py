@@ -63,6 +63,37 @@ class DebiasSpec:
                              f"got {self.replace_fraction!r}")
 
 
+@dataclass(frozen=True)
+class CityBinding:
+    """One `data.cities` entry, with paths relative to the data root. Its
+    "<year>" keys, kept in `years`, name that year's crime CSV."""
+    boundaries: str
+    demographics: str
+    crime_csv: str = ""
+    id_property: str = "id"
+    column_mapping: object = "generic"  # a preset name or a column object
+    bbox: list = field(default_factory=list)
+    years: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.bbox:
+            if len(self.bbox) != 4 or any(type(v) not in (int, float)
+                                          for v in self.bbox):
+                raise ValueError("bbox must be [lat_min, lat_max, lon_min, "
+                                 f"lon_max], got {self.bbox!r}")
+            BoundingBox(*self.bbox)
+        mapping = self.column_mapping
+        if type(mapping) is str:
+            mapping = ingest.COLUMN_PRESETS.get(mapping)
+        if type(mapping) is not dict or any(
+                type(mapping.get(key)) is not str
+                for key in ("id", "lat", "lon", "date")):
+            raise ValueError(f"column_mapping must be one of "
+                             f"{sorted(ingest.COLUMN_PRESETS)} or name the id, "
+                             f"lat, lon and date columns, "
+                             f"got {self.column_mapping!r}")
+
+
 SENSITIVITY_PARAMS = ("radius_ft", "n_officers", "reporting_prob")
 
 
@@ -91,6 +122,7 @@ class ExperimentPlan:
     sim_cfg: SimConfig
     train_cfg: TrainConfig
     synthetic: SyntheticCityConfig | None
+    cities: dict[str, CityBinding]
     debias: DebiasSpec | None
     sensitivity: Sensitivity | None
     plot_y_max: float
@@ -105,9 +137,12 @@ _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
 def _json_value(name: str, value, kind: type):
     """`value` checked to be of the JSON type `kind`: an integer is taken
     (as a float) for a float, a bool is never a number, and a dict for a
-    dataclass is parsed by `parse_block`."""
+    dataclass is parsed by `parse_block`; `object` takes any value, for the
+    dataclass to check."""
     if is_dataclass(kind):
         return parse_block(kind, name, value)
+    if kind is object:
+        return value
     if kind is float and type(value) is int:
         return float(value)
     if type(value) is not kind:
@@ -178,6 +213,7 @@ def build_plan(config: dict) -> ExperimentPlan:
     train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
                             seed=seed)
     data = _json_value("data", config.get("data", {}), dict)
+    _json_value("data_dir", config.get("data_dir", ""), str)
     synthetic = None
     if "synthetic" in data:
         # The synthetic city's seed defaults to the top-level seed.
@@ -185,6 +221,16 @@ def build_plan(config: dict) -> ExperimentPlan:
         synthetic = parse_block(
             SyntheticCityConfig, "data.synthetic",
             {"seed": seed, **raw} if isinstance(raw, dict) else raw)
+    cities = {}
+    for city, raw in _json_value("data.cities", data.get("cities", {}),
+                                 dict).items():
+        name = f"data.cities {city}"
+        raw = _json_value(name, raw, dict)
+        cities[city] = parse_block(
+            CityBinding, name, {k: v for k, v in raw.items()
+                                if not k.isdigit()},
+            years={k: _json_value(f"{name} {k}", v, str)
+                   for k, v in raw.items() if k.isdigit()})
     debias = (parse_block(DebiasSpec, "debias", config["debias"])
               if "debias" in config else None)
     sensitivity = None
@@ -196,7 +242,7 @@ def build_plan(config: dict) -> ExperimentPlan:
                         {**sim, sensitivity.parameter: value}, seed=seed)
             for value in sensitivity.values]
     return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
-                          synthetic, debias, sensitivity, y_max,
+                          synthetic, cities, debias, sensitivity, y_max,
                           str(config.get("output_dir", "out")), config)
 
 
@@ -218,52 +264,55 @@ def _file_sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def load_city_year(plan: ExperimentPlan, city: str, year: int) -> CityYearData:
+def load_city_year(plan: ExperimentPlan, city: str, year: int,
+                   files: dict | None = None) -> CityYearData:
     """Resolve one (city, year) to month slices + neighborhoods.
 
     A 'synthetic' data block generates the bundled two-cluster city;
-    otherwise per-city file bindings are read from data.cities.
+    otherwise the city's `data.cities` binding names its files. Pass one
+    `files` dict to the loads of several years, and each city's boundaries
+    and each crime CSV are read only once.
     """
-    data = plan.config.get("data", {})
     if plan.synthetic is not None:
         neighborhoods = {nb.id: nb
                          for nb in synthetic_neighborhoods(plan.synthetic)}
         slices = synthetic_year(city, year, plan.synthetic)
         # The block as written, so the checksum ignores defaulted keys.
         checksum = "synthetic:" + hashlib.sha256(json.dumps(
-            data["synthetic"], sort_keys=True).encode()).hexdigest()[:16]
+            plan.config["data"]["synthetic"],
+            sort_keys=True).encode()).hexdigest()[:16]
         return CityYearData(slices, neighborhoods, SYNTH_BBOX, checksum)
 
-    cities = data.get("cities", {})
-    if city not in cities:
+    binding = plan.cities.get(city)
+    if binding is None:
         raise IngestError(f"no data binding for city {city!r}")
-    binding = cities[city]
     root = (plan.config.get("data_dir")
             or os.environ.get("PATROLSIM_DATA_DIR", "."))
-
-    def resolve(key: str) -> str:
-        try:
-            return os.path.join(root, binding[key])
-        except KeyError as exc:
-            raise IngestError(f"data binding for {city} missing {key!r}") from exc
-
-    crime_path = resolve(str(year)) if str(year) in binding else resolve("crime_csv")
-    nbs = ingest.load_neighborhoods(resolve("boundaries"),
-                                    resolve("demographics"),
-                                    binding.get("id_property", "id"))
-    if "bbox" in binding and binding["bbox"]:
-        bbox = BoundingBox(*binding["bbox"])
+    crime_csv = binding.years.get(str(year), binding.crime_csv)
+    if not crime_csv:
+        raise IngestError(f"data binding for {city} missing 'crime_csv'")
+    crime_path = os.path.join(root, crime_csv)
+    files = {} if files is None else files
+    if ("boundaries", city) not in files:
+        files["boundaries", city] = ingest.load_neighborhoods(
+            os.path.join(root, binding.boundaries),
+            os.path.join(root, binding.demographics), binding.id_property)
+    nbs = files["boundaries", city]
+    if binding.bbox:
+        bbox = BoundingBox(*binding.bbox)
     elif city.lower() == "baltimore":
         bbox = BALTIMORE_BBOX
     else:
         bbox = ingest.hull_bbox(nbs)
-    incidents, _ = ingest.parse_crime_csv(
-        crime_path, binding.get("column_mapping", "generic"), city)
-    incidents = [i for i in incidents if i.timestamp.year == year]
+    if ("crimes", city, crime_path) not in files:
+        files["crimes", city, crime_path] = (ingest.parse_crime_csv(
+            crime_path, binding.column_mapping, city)[0],
+            _file_sha256(crime_path))
+    parsed, checksum = files["crimes", city, crime_path]
+    incidents = [i for i in parsed if i.timestamp.year == year]
     incidents = ingest.filter_valid(incidents, bbox)
     incidents, _ = ingest.assign_neighborhoods(incidents, nbs)
     slices = ingest.partition_by_month(incidents)
-    checksum = _file_sha256(crime_path)
     return CityYearData(slices, {nb.id: nb for nb in nbs}, bbox, checksum)
 
 
@@ -274,13 +323,13 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
                    train_cfg: TrainConfig, sim_cfg: SimConfig,
                    replicate: int) -> tuple[simulate.MonthRunResult,
                                             metrics.MonthlyBiasRecord]:
-    cfg = replace(sim_cfg, seed=derive_seed(sim_cfg.seed, "rep", replicate))
     if cell.mode == "detected":
         result = simulate.run_month_detected(slice_, neighborhoods, train_cfg,
-                                             cfg, bbox)
+                                             sim_cfg, bbox, replicate)
     else:
-        result = simulate.run_month_reported(slice_, neighborhoods, cfg)
-    rates = metrics.group_rates(result.outcomes, expected=cfg.expected_value)
+        result = simulate.run_month_reported(slice_, neighborhoods, sim_cfg,
+                                             replicate)
+    rates = metrics.group_rates(result.outcomes)
     record = metrics.monthly_record(cell.city, cell.year, slice_.month,
                                     cell.mode, rates, replicate)
     return result, record
@@ -324,9 +373,10 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     month-run that raises count as failures; every other run still runs.
     """
     loaded: dict[tuple[str, int], CityYearData] = {}
+    files: dict = {}
     for key in dict.fromkeys((c.city, c.year) for c in cells):
         try:
-            loaded[key] = load_city_year(plan, *key)
+            loaded[key] = load_city_year(plan, *key, files)
         except (IngestError, OSError) as exc:
             log.error("%s %s failed to load: %s", *key, exc)
     skipped: list[str] = []
@@ -415,9 +465,8 @@ def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
         "skipped_month_runs": runs.skipped,
         "failed_month_runs": runs.failed[0],
         "per_run_seeds": {
-            _run_key(c, m, rep): derive_seed(
-                derive_seed(plan.sim_cfg.seed, "rep", rep),
-                c.city, c.year, m, c.mode)
+            _run_key(c, m, rep): simulate.month_run_seed(
+                plan.sim_cfg.seed, c.city, c.year, m, c.mode, rep)
             for c, m, rep in runs.attempted
         },
     }
@@ -444,11 +493,8 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
         if not summaries:
             continue
         s = summaries[0]
-        total_detected = sum(
-            (sum(o.detection_prob for o in r.outcomes)
-             if plan.sim_cfg.expected_value
-             else sum(o.detected for o in r.outcomes))
-            for r in results)
+        total_detected = sum(sum(o.credit for o in r.outcomes)
+                             for r in results)
         lines.append(",".join([
             sweep.parameter, str(value),
             "" if s.avg_dir is None else repr(s.avg_dir),
@@ -462,19 +508,21 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
 
 # --- debias experiment ----------------------------------------------------
 
-def run_debias_experiment(plan: ExperimentPlan) -> int:
+def run_debias_experiment(plan: ExperimentPlan,
+                          loaded: dict | None = None) -> int:
     """Biased vs rebalanced training comparison on one city-year.
 
     Biased condition trains the patrol GAN on the raw pooled incidents;
     debiased first trains the conditional GAN on race-labeled incidents,
     replaces a fraction of the training set with group-balanced synthetic
     points, and retrains the patrol GAN on the result. Both conditions are
-    evaluated against the same crimes.
+    evaluated against the same crimes. A city-year in `loaded` (the grid's,
+    under `all`) is not loaded again.
     """
     if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
     city, year = plan.debias.city, plan.debias.year
-    data = load_city_year(plan, city, year)
+    data = (loaded or {}).get((city, year)) or load_city_year(plan, city, year)
     incidents = [inc for s in data.slices for inc in s.incidents]
     if not incidents:
         raise IngestError(f"no incidents for debias cell {city} {year}")
@@ -514,17 +562,8 @@ def run_debias_experiment(plan: ExperimentPlan) -> int:
 
 def _evaluate_condition(labeled, patrols, sim_cfg: SimConfig,
                         rng: np.random.Generator) -> metrics.GroupRates:
-    detection = simulate.noisy_or([loc for loc, _ in labeled], patrols,
-                                  sim_cfg)
-    detected = {g: 0.0 for g in simulate.RACE_GROUPS}
-    total = {g: 0 for g in simulate.RACE_GROUPS}
-    for (_, group), (_, prob) in zip(labeled, detection):
-        total[group] += 1
-        if sim_cfg.expected_value:
-            detected[group] += prob
-        else:
-            detected[group] += float(rng.random() < prob)
-    return metrics.GroupRates(detected, total)
+    return metrics.group_rates(
+        simulate.evaluate_labeled(labeled, patrols, sim_cfg, rng))
 
 
 # --- stats ----------------------------------------------------------------
@@ -541,7 +580,7 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
     neighborhoods = {nb_id: nb for data in runs.loaded.values()
                      for nb_id, nb in data.neighborhoods.items()}
     observations, excluded = stats.build_neighborhood_dataset(
-        runs.results[0], neighborhoods, expected=plan.sim_cfg.expected_value)
+        runs.results[0], neighborhoods)
     os.makedirs(plan.out_dir, exist_ok=True)
 
     obs_lines = ["neighborhood_id,city,year,mode,detection_rate,pct_black,"
@@ -575,9 +614,9 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
 # Each command returns its failure count; main maps a nonzero count to exit 3.
 
 def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
-    summary = {}
+    summary, files = {}, {}
     for cell in {(c.city, c.year) for c in plan.cells}:
-        data = load_city_year(plan, cell[0], cell[1])
+        data = load_city_year(plan, cell[0], cell[1], files)
         summary[f"{cell[0]}-{cell[1]}"] = {
             "months": len(data.slices),
             "incidents": sum(len(s.incidents) for s in data.slices),
@@ -605,7 +644,7 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
 
 def run_all(plan: ExperimentPlan, jobs: int) -> int:
     runs = run_grid(plan, jobs)
-    failures = run_debias_experiment(plan) if plan.debias else 0
+    failures = run_debias_experiment(plan, runs.loaded) if plan.debias else 0
     failures += run_stats(plan, jobs, runs)
     return failures + run_plots(plan, jobs)
 

@@ -66,18 +66,14 @@ class AnnualSummary:
     months_counted: int
 
 
-def group_rates(outcomes: list[DetectionOutcome],
-                expected: bool = False) -> GroupRates:
-    """Per-group detection counts and rates.
-
-    With expected=True, 'detected' counts are the sums of per-crime
-    detection probabilities, making rates deterministic.
-    """
+def group_rates(outcomes: list[DetectionOutcome]) -> GroupRates:
+    """Per-group crime counts, and detected counts that sum the outcomes'
+    credits."""
     detected = {g: 0.0 for g in RACE_GROUPS}
     total = {g: 0 for g in RACE_GROUPS}
     for o in outcomes:
         total[o.group] += 1
-        detected[o.group] += o.detection_prob if expected else float(o.detected)
+        detected[o.group] += o.credit
     return GroupRates(detected, total)
 
 

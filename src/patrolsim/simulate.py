@@ -53,12 +53,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class DetectionOutcome:
-    incident_id: str
+    """One crime's result. `credit` is what it adds to its group's detected
+    count: its detection probability under `SimConfig.expected_value`,
+    otherwise its 0/1 Bernoulli draw."""
     neighborhood_id: str
     group: str
-    k_officers: int
-    detection_prob: float
-    detected: bool
+    credit: float
     reported: bool | None = None
 
 
@@ -83,6 +83,13 @@ def derive_seed(master_seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def month_run_seed(master_seed: int, city: str, year: int, month: int,
+                   mode: str, replicate: int) -> int:
+    """The seed of one replicate of a (city, year, month, mode) run."""
+    return derive_seed(derive_seed(master_seed, "rep", replicate),
+                       city, year, month, mode)
+
+
 def assign_race(incident: CrimeIncident,
                 neighborhoods: dict[str, Neighborhood],
                 rng: np.random.Generator) -> str:
@@ -103,6 +110,12 @@ def noisy_or(crimes: list[LatLon], patrols: list[LatLon],
     return [(k, 1.0 - (1.0 - sim_cfg.p_officer) ** k) for k in counts]
 
 
+def _credit(prob: float, sim_cfg: SimConfig,
+            rng: np.random.Generator) -> float:
+    """`prob` under expected_value (no draw), otherwise a 0/1 draw."""
+    return prob if sim_cfg.expected_value else float(rng.random() < prob)
+
+
 def _evaluate_detections(slice_: MonthSlice,
                          neighborhoods: dict[str, Neighborhood],
                          patrol_points: list[LatLon],
@@ -113,38 +126,40 @@ def _evaluate_detections(slice_: MonthSlice,
     detection = noisy_or([inc.location for inc in slice_.incidents],
                          patrol_points, sim_cfg)
     outcomes = []
-    for inc, (k, prob) in zip(slice_.incidents, detection):
+    for inc, (_, prob) in zip(slice_.incidents, detection):
         group = assign_race(inc, neighborhoods, rng)
-        if sim_cfg.expected_value:
-            detected = prob > 0.0
-        else:
-            detected = bool(rng.random() < prob)
         outcomes.append(DetectionOutcome(
-            incident_id=inc.id,
-            neighborhood_id=inc.neighborhood_id or "",
-            group=group,
-            k_officers=k,
-            detection_prob=prob,
-            detected=detected,
-            reported=None if reported is None else reported.get(inc.id),
-        ))
+            inc.neighborhood_id or "", group, _credit(prob, sim_cfg, rng),
+            None if reported is None else reported.get(inc.id)))
     return outcomes
+
+
+def evaluate_labeled(labeled: list[tuple[LatLon, str]],
+                     patrol_points: list[LatLon], sim_cfg: SimConfig,
+                     rng: np.random.Generator) -> list[DetectionOutcome]:
+    """Outcomes of crimes whose groups are already drawn (the debias
+    conditions); they carry no neighborhood."""
+    detection = noisy_or([loc for loc, _ in labeled], patrol_points, sim_cfg)
+    return [DetectionOutcome("", group, _credit(prob, sim_cfg, rng))
+            for (_, group), (_, prob) in zip(labeled, detection)]
 
 
 def run_month_detected(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
                        gan_cfg: TrainConfig, sim_cfg: SimConfig,
-                       bbox: BoundingBox,
+                       bbox: BoundingBox, replicate: int = 0,
                        model: GanModel | None = None) -> MonthRunResult:
     """Detected mode: GAN trained on the month's coordinates places patrols.
 
     A pre-trained model may be supplied (debias experiment retrains on a
     rebalanced set); otherwise the GAN is trained here on the slice.
+    `replicate` and the master seed `sim_cfg.seed` give the month-run's
+    seed (`month_run_seed`), as in reported mode.
     """
     if not slice_.incidents:
         raise ValueError("cannot run on an empty month slice")
-    seed = derive_seed(sim_cfg.seed, slice_.city, slice_.year, slice_.month,
-                       "detected")
+    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
+                          slice_.month, "detected", replicate)
     mode_collapsed = False
     if model is None:
         model, history = train_gan([i.location for i in slice_.incidents],
@@ -160,12 +175,12 @@ def run_month_detected(slice_: MonthSlice,
 
 def run_month_reported(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       sim_cfg: SimConfig) -> MonthRunResult:
+                       sim_cfg: SimConfig, replicate: int = 0) -> MonthRunResult:
     """Reported mode: citizen reports seed the detection pipeline."""
     if not slice_.incidents:
         raise ValueError("cannot run on an empty month slice")
-    seed = derive_seed(sim_cfg.seed, slice_.city, slice_.year, slice_.month,
-                       "reported")
+    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
+                          slice_.month, "reported", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     reported = {inc.id: bool(rng.random() < sim_cfg.reporting_prob)
                 for inc in slice_.incidents}
@@ -175,11 +190,10 @@ def run_month_reported(slice_: MonthSlice,
         for inc in slice_.incidents:
             group = assign_race(inc, neighborhoods, rng)
             rep = reported[inc.id]
-            outcomes.append(DetectionOutcome(
-                incident_id=inc.id, neighborhood_id=inc.neighborhood_id or "",
-                group=group, k_officers=0,
-                detection_prob=sim_cfg.reporting_prob,
-                detected=rep, reported=rep))
+            credit = (sim_cfg.reporting_prob if sim_cfg.expected_value
+                      else float(rep))
+            outcomes.append(DetectionOutcome(inc.neighborhood_id or "",
+                                             group, credit, rep))
         return MonthRunResult(slice_.city, slice_.year, slice_.month,
                               "reported", outcomes, [])
 

@@ -167,10 +167,10 @@ def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
 
 def build_neighborhood_dataset(results: list[MonthRunResult],
                                neighborhoods: dict[str, Neighborhood],
-                               expected: bool = False,
                                ) -> tuple[list[NeighborhoodObservation], int]:
     """One observation per (neighborhood, city, year, mode) with that unit's
-    pooled detection rate across months; zero-crime units are excluded.
+    pooled detection rate across months, the mean of its crimes' credits;
+    zero-crime units are excluded.
 
     Returns (observations, excluded_count).
     """
@@ -178,8 +178,7 @@ def build_neighborhood_dataset(results: list[MonthRunResult],
     for res in results:
         for o in res.outcomes:
             key = (o.neighborhood_id, res.city, res.year, res.mode)
-            pooled.setdefault(key, []).append(
-                o.detection_prob if expected else float(o.detected))
+            pooled.setdefault(key, []).append(o.credit)
     observations = []
     excluded = 0
     for (nb_id, city, year, mode), hits in sorted(pooled.items()):

@@ -1,12 +1,15 @@
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from patrolsim import cli, simulate
+from patrolsim import cli, ingest, metrics, simulate
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
+from patrolsim.geodata import LatLon
 
 SYNTH_CONFIG = {
     "seed": 7,
@@ -29,11 +32,36 @@ def count_loads(monkeypatch):
     calls = []
     real = cli.load_city_year
 
-    def counting(config, city, year):
+    def counting(plan, city, year, *files):
         calls.append((city, year))
-        return real(config, city, year)
+        return real(plan, city, year, *files)
     monkeypatch.setattr(cli, "load_city_year", counting)
     return calls
+
+
+def write_city(tmp_path, crimes):
+    """Files of a one-neighborhood city and their `data.cities` binding;
+    `crimes` are (id, date) rows placed inside the neighborhood."""
+    ring = [[-76.65, 39.28], [-76.65, 39.33], [-76.60, 39.33],
+            [-76.60, 39.28], [-76.65, 39.28]]
+    (tmp_path / "bounds.geojson").write_text(json.dumps(
+        {"type": "FeatureCollection", "features": [
+            {"type": "Feature", "properties": {"id": "Good"},
+             "geometry": {"type": "Polygon", "coordinates": [ring]}}]}))
+    (tmp_path / "demo.csv").write_text(
+        "id,pct_black,pct_white,median_income,poverty_rate\n"
+        "Good,0.5,0.4,40000,0.2\n")
+    (tmp_path / "crime.csv").write_text("id,lat,lon,date,type\n" + "".join(
+        f"{ident},39.30,-76.62,{date},THEFT\n" for ident, date in crimes))
+    return {"boundaries": "bounds.geojson", "demographics": "demo.csv",
+            "crime_csv": "crime.csv"}
+
+
+def city_config(tmp_path, binding, years):
+    return dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                data_dir=str(tmp_path), data={"cities": {"Gen": binding}},
+                cells=[{"city": "Gen", "year": y, "mode": "reported"}
+                       for y in years])
 
 
 def synth_config(tmp_path, out_dir, **overrides):
@@ -103,6 +131,7 @@ class TestConfig:
                              "base_cell": {"city": "Synth", "year": 2020,
                                            "mode": "detected"},
                              "step": 100}),   # unknown key
+        ("", "data_dir", 5),
     ])
     def test_strict_blocks(self, tmp_path, block, key, value):
         # `block` is the dotted path of the object that holds `key`. Every
@@ -131,6 +160,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_plan(config)
         assert main(["debias", "--config", write_config(tmp_path, config)]) == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [
+        {"bbox": "abc"},
+        {"bbox": [39.37, 39.2, -76.71, -76.53]},   # latitudes inverted
+        {"column_mapping": "nope"},                 # no such preset
+    ])
+    def test_bad_city_binding(self, tmp_path, extra):
+        # Checked with the rest of the config: exit 1, nothing written.
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30")])
+        config = city_config(tmp_path, {**binding, **extra}, [2019])
+        with pytest.raises(ConfigError):
+            build_plan(config)
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
         assert not (tmp_path / "out").exists()
 
     def test_debias_block_defaults(self):
@@ -262,6 +305,48 @@ class TestGrid:
         assert calls == [("Synth", 2020)]
         with open(out / "monthly.csv", encoding="utf-8") as fh:
             assert len(fh.read().strip().split("\n")) == 1 + 22
+
+    def test_manifest_seed_is_the_run_seed(self, tmp_path, monkeypatch):
+        # A detected month-run trains its GAN on the month-run's seed.
+        runs, seeds = [], []
+        real_run, real_train = simulate.run_month_detected, simulate.train_gan
+
+        def run(slice_, nbs, train_cfg, sim_cfg, bbox, replicate=0):
+            runs.append(f"Synth/2020/{slice_.month}/detected/r{replicate}")
+            return real_run(slice_, nbs, train_cfg, sim_cfg, bbox, replicate)
+
+        def train(points, cfg, bbox):
+            seeds.append(cfg.seed)
+            return real_train(points, cfg, bbox)
+        monkeypatch.setattr(simulate, "run_month_detected", run)
+        monkeypatch.setattr(simulate, "train_gan", train)
+        out = tmp_path / "out"
+        assert main(["grid", "--config",
+                     synth_config(tmp_path, out, replicates=2)]) == 0
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert len(set(runs)) == 22
+        assert manifest["per_run_seeds"] == dict(zip(runs, seeds))
+
+    def test_city_files_read_once(self, tmp_path, monkeypatch):
+        # One crime CSV holds both years; each year keeps only its own rows.
+        reads = Counter()
+        for name in ("parse_crime_csv", "load_neighborhoods"):
+            def counting(*args, _real=getattr(ingest, name), _name=name):
+                reads[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(ingest, name, counting)
+        binding = write_city(tmp_path, [
+            ("1", "2019-03-15 14:30"), ("2", "2019-04-02 09:00"),
+            ("3", "2019-04-20 22:10"), ("4", "2020-05-01 08:00"),
+            ("5", "2020-06-11 17:45")])
+        plan = build_plan(city_config(tmp_path, binding, [2019, 2020]))
+        runs = run_grid(plan)
+        assert runs.failures == 0
+        assert reads == {"parse_crime_csv": 1, "load_neighborhoods": 1}
+        assert {key: sum(len(s.incidents) for s in data.slices)
+                for key, data in runs.loaded.items()} == {("Gen", 2019): 3,
+                                                          ("Gen", 2020): 2}
 
     def test_empty_plan_succeeds(self, tmp_path):
         config = dict(SYNTH_CONFIG, cells=[])
@@ -413,6 +498,33 @@ class TestSensitivity:
             run_sensitivity(build_plan(config))
 
 
+class TestDebias:
+    @pytest.mark.parametrize("expected", [False, True])
+    def test_condition_rates_sum_credits(self, expected):
+        # Credits are the Noisy-OR probabilities under expected_value and
+        # 0/1 draws from the condition's generator otherwise.
+        rng = np.random.default_rng(5)
+        groups = simulate.RACE_GROUPS
+        labeled = [(LatLon(39.30 + 0.01 * u, -76.62 + 0.01 * v),
+                    groups[int(g)])
+                   for u, v, g in zip(rng.uniform(-1, 1, 80),
+                                      rng.uniform(-1, 1, 80),
+                                      rng.integers(0, 3, 80))]
+        patrols = [loc for loc, _ in labeled[::8]]
+        cfg = simulate.SimConfig(radius_ft=600.0, expected_value=expected)
+        rates = cli._evaluate_condition(labeled, patrols, cfg,
+                                        np.random.default_rng(3))
+        probs = [p for _, p in simulate.noisy_or(
+            [loc for loc, _ in labeled], patrols, cfg)]
+        draws = np.random.default_rng(3)
+        credits = (probs if expected
+                   else [float(draws.random() < p) for p in probs])
+        assert rates == metrics.group_rates(
+            [simulate.DetectionOutcome("", group, credit)
+             for (_, group), credit in zip(labeled, credits)])
+        assert len(set(probs)) > 2
+
+
 class TestStatsCommand:
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "out"
@@ -452,6 +564,15 @@ class TestAll:
                      "observations.csv", "correlations.csv"):
             assert (out / name).exists()
         assert (out / "plots" / "dir_monthly.svg").exists()
+
+    def test_debias_reuses_grid_data(self, tmp_path, monkeypatch):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out,
+                            debias={"city": "Synth", "year": 2020})
+        assert main(["all", "--config", path]) == 0
+        assert calls == [("Synth", 2020)]
+        assert (out / "debias.csv").exists()
 
     def test_ingest_summary(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -32,25 +32,23 @@ def rates_of(black=(0, 0), white=(0, 0), neither=(0, 0)):
     return GroupRates(detected, total)
 
 
-def outcome(group, detected, prob=0.5, ident="x"):
-    return DetectionOutcome(incident_id=ident, neighborhood_id="N",
-                            group=group, k_officers=1, detection_prob=prob,
-                            detected=detected)
+def outcome(group, credit):
+    return DetectionOutcome(neighborhood_id="N", group=group, credit=credit)
 
 
 class TestGroupRates:
     def test_counts(self):
-        outs = [outcome("Black", True), outcome("Black", False),
-                outcome("White", True)]
+        outs = [outcome("Black", 1.0), outcome("Black", 0.0),
+                outcome("White", 1.0)]
         r = group_rates(outs)
         assert r.rate("Black") == pytest.approx(0.5)
         assert r.rate("White") == pytest.approx(1.0)
         assert r.rate("Neither") is None
 
     def test_expected_mode_sums_probabilities(self):
-        outs = [outcome("Black", False, prob=0.3),
-                outcome("Black", False, prob=0.5)]
-        r = group_rates(outs, expected=True)
+        # Credits under expected_value are the crimes' probabilities.
+        outs = [outcome("Black", 0.3), outcome("Black", 0.5)]
+        r = group_rates(outs)
         assert r.rate("Black") == pytest.approx(0.4)
 
     def test_defined_rates_skips_absent_groups(self):
@@ -161,9 +159,9 @@ class TestBas:
 
 class TestMonthlyRecord:
     def test_fields_consistent(self):
-        outs = ([outcome("Black", True)] * 3 + [outcome("Black", False)] * 7 +
-                [outcome("White", True)] * 6 + [outcome("White", False)] * 4 +
-                [outcome("Neither", True)] * 1 + [outcome("Neither", False)] * 9)
+        outs = ([outcome("Black", 1.0)] * 3 + [outcome("Black", 0.0)] * 7 +
+                [outcome("White", 1.0)] * 6 + [outcome("White", 0.0)] * 4 +
+                [outcome("Neither", 1.0)] * 1 + [outcome("Neither", 0.0)] * 9)
         rec = monthly_record("Baltimore", 2019, 5, "detected", group_rates(outs))
         assert rec.dir_value == pytest.approx(0.5)
         assert rec.dir_flag == DIR_OK

@@ -130,12 +130,15 @@ NBS = {"N": make_neighborhood("N", 0.5, 0.4, 0.1)}
 class TestRunMonthDetected:
     def test_colocated_certain_detection(self):
         # epochs=0 keeps the generator untrained; override patrols by using
-        # a huge radius so every crime sees all 60 officers.
+        # a huge radius so every crime sees all 60 officers. Both the draw
+        # and (under expected_value) the probability are 1.
         slice_ = co_located_slice(30)
-        cfg = SimConfig(p_officer=1.0, radius_ft=1e6, seed=1)
-        result = run_month_detected(slice_, NBS, TrainConfig(epochs=0), cfg, BBOX)
-        assert all(o.detected for o in result.outcomes)
-        assert all(o.detection_prob == 1.0 for o in result.outcomes)
+        for expected in (False, True):
+            cfg = SimConfig(p_officer=1.0, radius_ft=1e6, seed=1,
+                            expected_value=expected)
+            result = run_month_detected(slice_, NBS, TrainConfig(epochs=0),
+                                        cfg, BBOX)
+            assert all(o.credit == 1.0 for o in result.outcomes)
 
     def test_patrols_out_of_range_zero_detection(self):
         slice_ = co_located_slice(30)
@@ -143,7 +146,7 @@ class TestRunMonthDetected:
         result = run_month_detected(slice_, NBS, TrainConfig(epochs=0), cfg, BBOX)
         # Untrained generator scatters; probability of a patrol within 1 ft
         # of the fixed crime point is nil.
-        assert not any(o.detected for o in result.outcomes)
+        assert all(o.credit == 0.0 for o in result.outcomes)
 
     def test_empty_slice_fatal(self):
         with pytest.raises(ValueError):
@@ -159,6 +162,17 @@ class TestRunMonthDetected:
         r2 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
         assert r1.outcomes == r2.outcomes
         assert r1.patrol_points == r2.patrol_points
+
+    def test_expected_credits_are_noisy_or_probabilities(self):
+        slice_ = synthetic_month_slice("Synth", 2020, 6,
+                                       SyntheticCityConfig(incidents_per_month=60))
+        nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
+        cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
+        result = run_month_detected(slice_, nbs, TrainConfig(epochs=0), cfg, BBOX)
+        probs = [p for _, p in noisy_or([i.location for i in slice_.incidents],
+                                        result.patrol_points, cfg)]
+        assert [o.credit for o in result.outcomes] == probs
+        assert len({0.0, 1.0}.union(probs)) > 2
 
     def test_group_count_conservation(self):
         slice_ = synthetic_month_slice("Synth", 2020, 4,
@@ -188,7 +202,7 @@ class TestRunMonthDetected:
                                     sim_cfg, BBOX, model=model)
         by_cluster = {"A": [], "B": []}
         for o in result.outcomes:
-            by_cluster[o.neighborhood_id].append(o.detection_prob)
+            by_cluster[o.neighborhood_id].append(o.credit)
         rate_a = np.mean(by_cluster["A"])
         rate_b = np.mean(by_cluster["B"])
         assert rate_a > rate_b
@@ -200,7 +214,7 @@ class TestRunMonthReported:
         cfg = SimConfig(p_officer=1.0, reporting_prob=1.0,
                         radius_ft=1e6, n_officers=60, seed=4)
         result = run_month_reported(slice_, NBS, cfg)
-        assert all(o.detected for o in result.outcomes)
+        assert all(o.credit == 1.0 for o in result.outcomes)
         assert all(o.reported for o in result.outcomes)
 
     def test_low_reporting_few_detections(self):
@@ -218,7 +232,7 @@ class TestRunMonthReported:
             cfg = SimConfig(reporting_prob=0.001, seed=seed)
             result = run_month_reported(slice_, NBS, cfg)
             if not any(o.reported for o in result.outcomes):
-                assert not any(o.detected for o in result.outcomes)
+                assert all(o.credit == 0.0 for o in result.outcomes)
                 assert result.patrol_points == []
                 return
         pytest.fail("no zero-report month found")
@@ -229,8 +243,15 @@ class TestRunMonthReported:
                         reported_mode_semantics=REPORT_IS_DETECTION)
         result = run_month_reported(slice_, NBS, cfg)
         for o in result.outcomes:
-            assert o.detected == o.reported
+            assert o.credit == float(o.reported)
         assert result.patrol_points == []
+
+    def test_report_is_detection_expected_credits(self):
+        # Under expected_value a report's credit is its probability.
+        cfg = SimConfig(reporting_prob=0.3, seed=6, expected_value=True,
+                        reported_mode_semantics=REPORT_IS_DETECTION)
+        result = run_month_reported(co_located_slice(50), NBS, cfg)
+        assert [o.credit for o in result.outcomes] == [0.3] * 50
 
     def test_patrol_count_capped_by_reports(self):
         slice_ = co_located_slice(10)

@@ -245,18 +245,17 @@ def month_result(month, outcomes, city="B", year=2019, mode="detected"):
                           outcomes=outcomes, patrol_points=[])
 
 
-def out(nb_id, detected, prob=0.5):
-    return DetectionOutcome(incident_id="x", neighborhood_id=nb_id,
-                            group="Black", k_officers=1,
-                            detection_prob=prob, detected=detected)
+def out(nb_id, credit):
+    return DetectionOutcome(neighborhood_id=nb_id, group="Black",
+                            credit=credit)
 
 
 class TestBuildDataset:
     NBS = {"A": make_nb("A", 0.9), "B": make_nb("B", 0.1)}
 
     def test_pooling_across_months(self):
-        results = [month_result(2, [out("A", True), out("A", False)]),
-                   month_result(3, [out("A", True), out("A", True)])]
+        results = [month_result(2, [out("A", 1.0), out("A", 0.0)]),
+                   month_result(3, [out("A", 1.0), out("A", 1.0)])]
         obs, excluded = build_neighborhood_dataset(results, self.NBS)
         assert excluded == 0
         assert len(obs) == 1
@@ -264,26 +263,26 @@ class TestBuildDataset:
         assert obs[0].pct_black == pytest.approx(0.9)
 
     def test_unknown_neighborhood_excluded(self):
-        results = [month_result(2, [out("A", True), out("ghost", True)])]
+        results = [month_result(2, [out("A", 1.0), out("ghost", 1.0)])]
         obs, excluded = build_neighborhood_dataset(results, self.NBS)
         assert len(obs) == 1
         assert excluded == 1
 
     def test_expected_mode(self):
-        results = [month_result(2, [out("A", False, prob=0.2),
-                                    out("A", False, prob=0.6)])]
-        obs, _ = build_neighborhood_dataset(results, self.NBS, expected=True)
+        # Credits under expected_value are the crimes' probabilities.
+        results = [month_result(2, [out("A", 0.2), out("A", 0.6)])]
+        obs, _ = build_neighborhood_dataset(results, self.NBS)
         assert obs[0].detection_rate == pytest.approx(0.4)
 
     def test_separate_cells_stay_separate(self):
-        results = [month_result(2, [out("A", True)], mode="detected"),
-                   month_result(2, [out("A", False)], mode="reported")]
+        results = [month_result(2, [out("A", 1.0)], mode="detected"),
+                   month_result(2, [out("A", 0.0)], mode="reported")]
         obs, _ = build_neighborhood_dataset(results, self.NBS)
         assert len(obs) == 2
         assert {o.mode for o in obs} == {"detected", "reported"}
 
     def test_design_matrix_shape(self):
-        results = [month_result(2, [out("A", True), out("B", False)])]
+        results = [month_result(2, [out("A", 1.0), out("B", 0.0)])]
         obs, _ = build_neighborhood_dataset(results, self.NBS)
         x, y = regression_design(obs)
         assert x.shape == (2, 4)
