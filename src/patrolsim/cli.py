@@ -8,13 +8,15 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 run failure(s).
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import (astuple, dataclass, field, fields, is_dataclass,
+                         replace)
 from typing import get_type_hints
 
 import numpy as np
@@ -416,17 +418,16 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
                      load_failures + sum(map(len, failed)))
 
 
-def _annual_summaries(cells: list[Cell], replicates: int,
+def _annual_summaries(cells: list[Cell],
                       records: list[metrics.MonthlyBiasRecord],
                       ) -> list[metrics.AnnualSummary]:
+    """One summary per cell that has records, over all of its replicates."""
     summaries = []
     for cell in cells:
-        for rep in range(replicates):
-            cell_records = [r for r in records
-                            if (r.city, r.year, r.mode, r.replicate)
-                            == (cell.city, cell.year, cell.mode, rep)]
-            if cell_records:
-                summaries.append(metrics.annual_summary(cell_records))
+        cell_records = [r for r in records if (r.city, r.year, r.mode)
+                        == (cell.city, cell.year, cell.mode)]
+        if cell_records:
+            summaries.append(metrics.annual_summary(cell_records))
     return summaries
 
 
@@ -436,26 +437,43 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
     runs = run_months(plan, plan.cells, [plan.sim_cfg], jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
     if plan.cells:
-        summaries = _annual_summaries(plan.cells, plan.replicates,
-                                      runs.records[0])
-        _write_lines(os.path.join(plan.out_dir, "monthly.csv"),
-                     [metrics.MONTHLY_CSV_HEADER]
-                     + [metrics.monthly_csv_row(r) for r in runs.records[0]])
-        _write_lines(os.path.join(plan.out_dir, "annual.csv"),
-                     [metrics.ANNUAL_CSV_HEADER]
-                     + [metrics.annual_csv_row(s) for s in summaries])
+        _write_csv(plan.out_dir, "monthly.csv", metrics.MONTHLY_CSV_HEADER,
+                   map(metrics.monthly_csv_row, runs.records[0]))
+        _write_csv(plan.out_dir, "annual.csv", metrics.ANNUAL_CSV_HEADER,
+                   map(metrics.annual_csv_row,
+                       _annual_summaries(plan.cells, runs.records[0])))
         _write_manifest(plan, runs)
     return runs
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _field(value) -> str:
+    """How a value is written in a CSV field: None as empty, any float
+    (numpy's too) as its shortest round-trip repr, the rest as str."""
+    if value is None:
+        return ""
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def _write_csv(out_dir: str, name: str, header, rows) -> None:
+    """Write out_dir/name: the header, then one line per row of values;
+    a field holding a comma, quote or newline is quoted."""
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8",
+              newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(_field, row) for row in rows)
+
+
+def _write_json(out_dir: str, name: str, obj) -> None:
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
 
 
 def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
     from . import __version__
-    manifest = {
+    _write_json(plan.out_dir, "manifest.json", {
         "version": __version__,
         "seed": plan.seed,
         "replicates": plan.replicates,
@@ -469,10 +487,7 @@ def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
                 plan.sim_cfg.seed, c.city, c.year, m, c.mode, rep)
             for c, m, rep in runs.attempted
         },
-    }
-    with open(os.path.join(plan.out_dir, "manifest.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+    })
 
 
 # --- sensitivity ----------------------------------------------------------
@@ -485,24 +500,20 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     cell = sweep.base_cell
     runs = run_months(plan, [cell], sweep.sim_cfgs, jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
-    lines = ["parameter,value,avg_dir,max_dir,avg_parity_gap,avg_gini,"
-             "total_detected,months_counted"]
+    rows = []
     for value, results, records in zip(sweep.values, runs.results,
                                        runs.records):
-        summaries = _annual_summaries([cell], plan.replicates, records)
-        if not summaries:
+        if not records:
             continue
-        s = summaries[0]
+        s = metrics.annual_summary(records)  # all replicates of the cell
         total_detected = sum(sum(o.credit for o in r.outcomes)
                              for r in results)
-        lines.append(",".join([
-            sweep.parameter, str(value),
-            "" if s.avg_dir is None else repr(s.avg_dir),
-            "" if s.max_dir is None else repr(s.max_dir),
-            "" if s.avg_parity_gap is None else repr(s.avg_parity_gap),
-            "" if s.avg_gini is None else repr(s.avg_gini),
-            repr(float(total_detected)), str(s.months_counted)]))
-    _write_lines(os.path.join(plan.out_dir, "sensitivity.csv"), lines)
+        rows.append((sweep.parameter, value, s.avg_dir, s.max_dir,
+                     s.avg_parity_gap, s.avg_gini, float(total_detected),
+                     s.months_counted))
+    _write_csv(plan.out_dir, "sensitivity.csv",
+               ("parameter", "value", "avg_dir", "max_dir", "avg_parity_gap",
+                "avg_gini", "total_detected", "months_counted"), rows)
     return runs.failures
 
 
@@ -544,19 +555,17 @@ def run_debias_experiment(plan: ExperimentPlan,
                                       data.bbox)
 
     os.makedirs(plan.out_dir, exist_ok=True)
-    lines = ["condition,dir,dir_flag,rate_black,rate_white,parity_gap"]
+    rows = []
     for name, model in (("biased", biased_model), ("debiased", debiased_model)):
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
         rates = _evaluate_condition(labeled, patrols, plan.sim_cfg, eval_rng)
-        dir_value, dir_flag = metrics.disparate_impact_ratio(rates)
-        gap = metrics.parity_gap(rates)
-        lines.append(",".join([
-            name,
-            "" if dir_value is None else repr(dir_value), dir_flag,
-            repr(rates.rate("Black") or 0.0), repr(rates.rate("White") or 0.0),
-            "" if gap is None else repr(gap)]))
-    _write_lines(os.path.join(plan.out_dir, "debias.csv"), lines)
+        rows.append((name, *metrics.disparate_impact_ratio(rates),
+                     rates.rate("Black") or 0.0, rates.rate("White") or 0.0,
+                     metrics.parity_gap(rates)))
+    _write_csv(plan.out_dir, "debias.csv",
+               ("condition", "dir", "dir_flag", "rate_black", "rate_white",
+                "parity_gap"), rows)
     return 0
 
 
@@ -583,30 +592,25 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
         runs.results[0], neighborhoods)
     os.makedirs(plan.out_dir, exist_ok=True)
 
-    obs_lines = ["neighborhood_id,city,year,mode,detection_rate,pct_black,"
-                 "pct_white,median_income,poverty_rate"]
-    for o in observations:
-        obs_lines.append(f"{o.neighborhood_id},{o.city},{o.year},{o.mode},"
-                         f"{o.detection_rate!r},{o.pct_black!r},{o.pct_white!r},"
-                         f"{o.median_income!r},{o.poverty_rate!r}")
-    _write_lines(os.path.join(plan.out_dir, "observations.csv"), obs_lines)
+    _write_csv(plan.out_dir, "observations.csv",
+               [f.name for f in fields(stats.NeighborhoodObservation)],
+               map(astuple, observations))
     log.info("stats: %d observations, %d zero-crime units excluded",
              len(observations), excluded)
 
     try:
-        x, y = stats.regression_design(observations)
-        fit = stats.ols_fit(x, y)
-        with open(os.path.join(plan.out_dir, "regression.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(stats.regression_csv(fit))
+        _write_csv(plan.out_dir, "regression.csv", stats.REGRESSION_CSV_HEADER,
+                   stats.regression_rows(stats.ols_fit(
+                       *stats.regression_design(observations))))
     except (stats.RankDeficientError, ValueError) as exc:
         log.warning("regression skipped: %s", exc)
     try:
-        with open(os.path.join(plan.out_dir, "correlations.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(stats.correlations_csv(observations))
+        correlations = stats.correlation_rows(observations)
     except ValueError as exc:
         log.warning("correlations skipped: %s", exc)
+        correlations = []
+    _write_csv(plan.out_dir, "correlations.csv",
+               stats.CORRELATIONS_CSV_HEADER, correlations)
     return runs.failures
 
 
@@ -624,9 +628,7 @@ def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
             "checksum": data.checksum,
         }
     os.makedirs(plan.out_dir, exist_ok=True)
-    with open(os.path.join(plan.out_dir, "ingest_summary.json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
+    _write_json(plan.out_dir, "ingest_summary.json", summary)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -159,7 +159,36 @@ def filter_valid(incidents: list[CrimeIncident],
 SHARE_COLUMNS = ("pct_black", "pct_white", "pct_neither", "poverty_rate")
 
 
-def _share_divisors(rows: list[dict[str, str]]) -> dict[str, float]:
+def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
+    """Each row's median_income and share columns, as numbers, by row id.
+
+    A missing, empty or non-numeric value is an IngestError naming the
+    file, the row id and the column; only pct_neither may be left empty
+    (None), to be computed as the remainder.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = {str(row["id"]): row for row in csv.DictReader(fh)}
+    except (OSError, KeyError) as exc:
+        raise IngestError(f"cannot read demographics {path}: {exc}") from exc
+    demo = {}
+    for rid, row in rows.items():
+        values = demo[rid] = {}
+        for col in ("median_income",) + SHARE_COLUMNS:
+            raw = row.get(col)
+            if col == "pct_neither" and raw in (None, ""):
+                values[col] = None
+                continue
+            try:
+                values[col] = float(raw)
+            except (TypeError, ValueError):
+                raise IngestError(
+                    f"demographics {path}, row {rid!r}: {col} is "
+                    f"{'missing' if raw is None else repr(raw)}") from None
+    return demo
+
+
+def _share_divisors(demo: list[dict[str, float | None]]) -> dict[str, float]:
     """Divisor (1 or 100) of each share column, decided over all its values.
 
     ACS extracts come in either 0-1 or 0-100 scale; any value above 1.5
@@ -167,7 +196,7 @@ def _share_divisors(rows: list[dict[str, str]]) -> dict[str, float]:
     """
     divisors = {}
     for col in SHARE_COLUMNS:
-        values = [float(r[col]) for r in rows if r.get(col) not in (None, "")]
+        values = [v[col] for v in demo if v[col] is not None]
         for v in values:
             if not (0.0 <= v <= 100.0):
                 raise IngestError(f"{col} outside [0, 100]: {v}")
@@ -175,16 +204,18 @@ def _share_divisors(rows: list[dict[str, str]]) -> dict[str, float]:
     return divisors
 
 
-def _share(row: dict[str, str], col: str, divisors: dict[str, float]) -> float:
-    value = float(row[col]) / divisors[col]
+def _share(values: dict[str, float | None], col: str,
+           divisors: dict[str, float]) -> float:
+    value = values[col] / divisors[col]
     if value > 1.0:
-        raise IngestError(f"{col} fraction above 1: {row[col]}")
+        raise IngestError(f"{col} fraction above 1: {values[col]}")
     return value
 
 
 def _geojson_polygons(geometry: dict) -> list[Polygon]:
     def ring(coords):
-        return [LatLon(lat, lon) for lon, lat in coords]
+        # A position may carry an altitude after lon and lat (RFC 7946).
+        return [LatLon(lat, lon) for lon, lat, *_ in coords]
 
     gtype = geometry.get("type")
     if gtype == "Polygon":
@@ -211,14 +242,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
     except (OSError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read boundaries {boundary_path}: {exc}") from exc
 
-    demo: dict[str, dict[str, str]] = {}
-    try:
-        with open(demographics_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                demo[str(row["id"])] = row
-    except (OSError, KeyError) as exc:
-        raise IngestError(f"cannot read demographics {demographics_path}: {exc}") from exc
-
+    demo = _read_demographics(demographics_path)
     divisors = _share_divisors(list(demo.values()))
     out: list[Neighborhood] = []
     for feature in collection.get("features", []):
@@ -234,7 +258,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
         row = demo[fid]
         pct_black = _share(row, "pct_black", divisors)
         pct_white = _share(row, "pct_white", divisors)
-        if row.get("pct_neither") not in (None, ""):
+        if row["pct_neither"] is not None:
             pct_neither = _share(row, "pct_neither", divisors)
         else:
             pct_neither = max(0.0, 1.0 - pct_black - pct_white)
@@ -245,7 +269,7 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
             pct_black=pct_black,
             pct_white=pct_white,
             pct_neither=pct_neither,
-            median_income=float(row["median_income"]),
+            median_income=row["median_income"],
             poverty_rate=_share(row, "poverty_rate", divisors),
         ))
     return out

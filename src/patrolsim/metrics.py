@@ -8,7 +8,7 @@ flagged infinite rather than patched with an epsilon.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, fields
 
 from .simulate import RACE_GROUPS, DetectionOutcome
 
@@ -163,32 +163,18 @@ def annual_summary(records: list[MonthlyBiasRecord]) -> AnnualSummary:
     )
 
 
-MONTHLY_CSV_HEADER = ("city,year,month,mode,replicate,rate_black,rate_white,"
-                      "rate_neither,dir,dir_flag,parity_gap,gini,bas")
-ANNUAL_CSV_HEADER = ("city,year,mode,avg_dir,max_dir,avg_parity_gap,avg_gini,"
-                     "avg_bas,months_dir_above_1,months_counted")
+MONTHLY_CSV_HEADER = ("city", "year", "month", "mode", "replicate",
+                      "rate_black", "rate_white", "rate_neither", "dir",
+                      "dir_flag", "parity_gap", "gini", "bas")
+ANNUAL_CSV_HEADER = tuple(f.name for f in fields(AnnualSummary))
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return repr(float(x))
+def monthly_csv_row(r: MonthlyBiasRecord) -> tuple:
+    return (r.city, r.year, r.month, r.mode, r.replicate,
+            r.rates.rate("Black"), r.rates.rate("White"),
+            r.rates.rate("Neither"), r.dir_value, r.dir_flag, r.parity_gap,
+            r.gini, r.bas)
 
 
-def monthly_csv_row(r: MonthlyBiasRecord) -> str:
-    return ",".join([
-        r.city, str(r.year), str(r.month), r.mode, str(r.replicate),
-        _fmt(r.rates.rate("Black")), _fmt(r.rates.rate("White")),
-        _fmt(r.rates.rate("Neither")),
-        _fmt(r.dir_value), r.dir_flag, _fmt(r.parity_gap),
-        _fmt(r.gini), _fmt(r.bas),
-    ])
-
-
-def annual_csv_row(s: AnnualSummary) -> str:
-    return ",".join([
-        s.city, str(s.year), s.mode,
-        _fmt(s.avg_dir), _fmt(s.max_dir), _fmt(s.avg_parity_gap),
-        _fmt(s.avg_gini), _fmt(s.avg_bas),
-        str(s.months_dir_above_1), str(s.months_counted),
-    ])
+def annual_csv_row(s: AnnualSummary) -> tuple:
+    return astuple(s)

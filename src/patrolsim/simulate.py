@@ -121,16 +121,20 @@ def _evaluate_detections(slice_: MonthSlice,
                          patrol_points: list[LatLon],
                          sim_cfg: SimConfig,
                          rng: np.random.Generator,
-                         reported: dict[str, bool] | None = None,
+                         reported: list[bool] | None = None,
                          ) -> list[DetectionOutcome]:
+    """One outcome per crime; `reported[i]`, if given, is the i-th crime's
+    report."""
     detection = noisy_or([inc.location for inc in slice_.incidents],
                          patrol_points, sim_cfg)
+    if reported is None:
+        reported = [None] * len(slice_.incidents)
     outcomes = []
-    for inc, (_, prob) in zip(slice_.incidents, detection):
+    for inc, (_, prob), rep in zip(slice_.incidents, detection, reported):
         group = assign_race(inc, neighborhoods, rng)
         outcomes.append(DetectionOutcome(
             inc.neighborhood_id or "", group, _credit(prob, sim_cfg, rng),
-            None if reported is None else reported.get(inc.id)))
+            rep))
     return outcomes
 
 
@@ -182,14 +186,14 @@ def run_month_reported(slice_: MonthSlice,
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "reported", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
-    reported = {inc.id: bool(rng.random() < sim_cfg.reporting_prob)
-                for inc in slice_.incidents}
+    # One report draw per crime, by position: crimes may share an id.
+    reported = (rng.random(len(slice_.incidents))
+                < sim_cfg.reporting_prob).tolist()
 
     if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
         outcomes = []
-        for inc in slice_.incidents:
+        for inc, rep in zip(slice_.incidents, reported):
             group = assign_race(inc, neighborhoods, rng)
-            rep = reported[inc.id]
             credit = (sim_cfg.reporting_prob if sim_cfg.expected_value
                       else float(rep))
             outcomes.append(DetectionOutcome(inc.neighborhood_id or "",
@@ -197,8 +201,8 @@ def run_month_reported(slice_: MonthSlice,
         return MonthRunResult(slice_.city, slice_.year, slice_.month,
                               "reported", outcomes, [])
 
-    reported_locs = [inc.location for inc in slice_.incidents
-                     if reported[inc.id]]
+    reported_locs = [inc.location
+                     for inc, rep in zip(slice_.incidents, reported) if rep]
     if reported_locs:
         n_patrol = min(sim_cfg.n_officers, len(reported_locs))
         pick = rng.choice(len(reported_locs), size=n_patrol, replace=False)

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc
 
 from .ingest import Neighborhood
 from .simulate import MonthRunResult
@@ -61,6 +60,9 @@ def student_t_cdf(t: float, dof: int) -> float:
         raise ValueError("dof must be >= 1")
     if t == 0.0:
         return 0.5
+    # Imported here: scipy.special takes about 0.3 s to import, and only
+    # p-values need it, so commands that compute none never load it.
+    from scipy.special import betainc
     x = dof / (dof + t * t)
     tail = 0.5 * float(betainc(dof / 2.0, 0.5, x))
     return 1.0 - tail if t > 0 else tail
@@ -214,23 +216,27 @@ def significance_stars(p: float) -> str:
 
 REGRESSION_VARIABLES = ("Intercept", "pct_black", "median_income", "poverty_rate")
 CORRELATION_PREDICTORS = ("pct_black", "pct_white", "median_income", "poverty_rate")
+REGRESSION_CSV_HEADER = ("variable", "coefficient", "se", "t", "p", "stars")
+CORRELATIONS_CSV_HEADER = ("predictor", "pearson_r", "pearson_p",
+                           "spearman_rho", "spearman_p")
 
 
-def regression_csv(fit: OlsFit) -> str:
-    lines = ["variable,coefficient,se,t,p,stars"]
-    for name, b, se, t, p in zip(REGRESSION_VARIABLES, fit.coefficients,
-                                 fit.std_errors, fit.t_stats, fit.p_values):
-        lines.append(f"{name},{float(b)!r},{float(se)!r},{float(t)!r},"
-                     f"{float(p)!r},{significance_stars(p)}")
-    return "\n".join(lines) + "\n"
+def regression_rows(fit: OlsFit) -> list[tuple]:
+    """One row per regressor, in REGRESSION_VARIABLES order."""
+    return [(name, b, se, t, p, significance_stars(p))
+            for name, b, se, t, p in zip(REGRESSION_VARIABLES,
+                                         fit.coefficients, fit.std_errors,
+                                         fit.t_stats, fit.p_values)]
 
 
-def correlations_csv(observations: list[NeighborhoodObservation]) -> str:
+def correlation_rows(observations: list[NeighborhoodObservation],
+                     ) -> list[tuple]:
+    """One row per predictor of the pooled detection rate."""
     rates = np.array([o.detection_rate for o in observations])
-    lines = ["predictor,pearson_r,pearson_p,spearman_rho,spearman_p"]
+    rows = []
     for name in CORRELATION_PREDICTORS:
         values = np.array([getattr(o, name) for o in observations])
         c = correlate(values, rates)
-        lines.append(f"{name},{c.pearson_r!r},{c.pearson_p!r},"
-                     f"{c.spearman_rho!r},{c.spearman_p!r}")
-    return "\n".join(lines) + "\n"
+        rows.append((name, c.pearson_r, c.pearson_p, c.spearman_rho,
+                     c.spearman_p))
+    return rows

@@ -1,5 +1,8 @@
+import csv
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -55,6 +58,11 @@ def write_city(tmp_path, crimes):
         f"{ident},39.30,-76.62,{date},THEFT\n" for ident, date in crimes))
     return {"boundaries": "bounds.geojson", "demographics": "demo.csv",
             "crime_csv": "crime.csv"}
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
 
 
 def city_config(tmp_path, binding, years):
@@ -407,6 +415,64 @@ class TestGrid:
         assert len(lines) == 12
         assert all(",reported," in line for line in lines[1:])
 
+    def test_annual_row_pools_replicates(self, tmp_path):
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config.update(output_dir=str(tmp_path / "out"), replicates=2,
+                      cells=[{"city": "Synth", "year": 2020,
+                              "mode": "reported"}])
+        runs = run_grid(build_plan(config))
+        assert {r.replicate for r in runs.records[0]} == {0, 1}
+        rows = read_rows(tmp_path / "out" / "annual.csv")
+        pooled = metrics.annual_summary(runs.records[0])
+        assert rows == [{k: cli._field(v) for k, v in zip(
+            metrics.ANNUAL_CSV_HEADER, metrics.annual_csv_row(pooled))}]
+        assert int(rows[0]["months_counted"]) == sum(
+            r.dir_flag == metrics.DIR_OK for r in runs.records[0])
+
+    @pytest.mark.parametrize("demographics", [
+        "id,pct_black,pct_white,median_income,poverty_rate\n"
+        "Good,0.5,0.4,n/a,0.2\n",
+        "id,pct_black,pct_white,median_income\nGood,0.5,0.4,40000\n",
+    ], ids=["non-numeric", "missing-column"])
+    def test_malformed_demographics_is_data_error(self, tmp_path, caplog,
+                                                  demographics):
+        crimes = [(str(i), f"2019-{m:02d}-15 12:00")
+                  for m in (3, 4) for i in range(5)]
+        bindings = {}
+        for city in ("Fine", "Bad"):
+            (tmp_path / city).mkdir()
+            binding = write_city(tmp_path / city, crimes)
+            bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
+        (tmp_path / "Bad" / "demo.csv").write_text(demographics)
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                      data_dir=str(tmp_path), data={"cities": bindings},
+                      cells=[{"city": c, "year": 2019, "mode": "reported"}
+                             for c in ("Bad", "Fine")],
+                      debias={"city": "Bad", "year": 2019})
+        path = write_config(tmp_path, config)
+        assert main(["ingest", "--config", path]) == 2
+        assert main(["debias", "--config", path]) == 2
+        # The bad file's row, named by its id.
+        assert "'Good'" in caplog.text and "Traceback" not in caplog.text
+        caplog.clear()
+        # In a grid the cell fails to load and the other cell still runs.
+        assert main(["grid", "--config", path]) == 3
+        assert "Bad 2019 failed to load" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert {(r["city"], r["month"]) for r in read_rows(
+            tmp_path / "out" / "monthly.csv")} == {("Fine", "3"), ("Fine", "4")}
+
+    def test_city_with_a_comma(self, tmp_path):
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out, cells=[
+            {"city": "Springfield, IL", "year": 2020, "mode": "reported"}])
+        assert main(["all", "--config", path]) == 0
+        for name in ("monthly.csv", "observations.csv"):
+            rows = read_rows(out / name)
+            assert rows and {r["city"] for r in rows} == {"Springfield, IL"}
+            assert all(None not in r for r in rows)
+        assert len(list((out / "plots").glob("*.svg"))) == 5
+
 
 class TestSensitivity:
     def base_config(self, tmp_path, out, values):
@@ -461,6 +527,26 @@ class TestSensitivity:
             rows = fh.read().strip().split("\n")[1:]
         assert [r.split(",")[:2] for r in rows] == [["radius_ft", "300"],
                                                     ["radius_ft", "700.0"]]
+
+    def test_row_pools_replicates(self, tmp_path):
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        base = {"city": "Synth", "year": 2020, "mode": "reported"}
+        config.update(output_dir=str(tmp_path / "out"), replicates=2,
+                      cells=[base], sensitivity={
+                          "parameter": "radius_ft", "values": [700.0],
+                          "base_cell": base})
+        path = write_config(tmp_path, config)
+        assert main(["grid", "--config", path]) == 0
+        assert main(["sensitivity", "--config", path]) == 0
+        [annual] = read_rows(tmp_path / "out" / "annual.csv")
+        [row] = read_rows(tmp_path / "out" / "sensitivity.csv")
+        for key in ("avg_dir", "max_dir", "avg_parity_gap", "avg_gini",
+                    "months_counted"):
+            assert row[key] == annual[key]
+        monthly = read_rows(tmp_path / "out" / "monthly.csv")
+        assert {r["replicate"] for r in monthly} == {"0", "1"}
+        assert int(row["months_counted"]) == sum(
+            r["dir_flag"] == metrics.DIR_OK for r in monthly)
 
     def test_non_integral_officer_sweep_fatal(self):
         config = json.loads(json.dumps(SYNTH_CONFIG))
@@ -583,6 +669,35 @@ class TestAll:
         assert summary["Synth-2020"]["months"] == 11
         assert summary["Synth-2020"]["incidents"] == 25 * 11
         assert summary["Synth-2020"]["neighborhoods"] == 2
+
+
+class TestStatsOutputs:
+    def test_undefined_correlations_leave_the_header(self, tmp_path):
+        # Two synthetic neighborhoods are too few to correlate.
+        out = tmp_path / "out"
+        assert main(["stats", "--config", synth_config(tmp_path, out)]) == 0
+        assert (out / "correlations.csv").read_text(encoding="utf-8") == \
+            "predictor,pearson_r,pearson_p,spearman_rho,spearman_p\n"
+        assert not (out / "regression.csv").exists()
+
+
+class TestCsvWriter:
+    def test_fields(self, tmp_path):
+        cli._write_csv(str(tmp_path), "t.csv", ("a", "b", "c", "d", "e", "f"),
+                       [(np.float64(0.1), np.float32(0.5), None, 3,
+                         "Springfield, IL", 'a "b"')])
+        assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
+            "a,b,c,d,e,f\n0.1,0.5,,3,\"Springfield, IL\",\"a \"\"b\"\"\"\n")
+
+
+def test_planning_imports_no_scipy(tmp_path):
+    # Only p-values need scipy; a command's set-up must not import it.
+    code = ("import sys\n"
+            "from patrolsim.cli import build_plan, load_config\n"
+            f"build_plan(load_config({write_config(tmp_path, SYNTH_CONFIG)!r}))\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
 class TestRunGridApi:

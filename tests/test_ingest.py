@@ -176,6 +176,56 @@ class TestLoadNeighborhoods:
         with pytest.raises(IngestError):
             load_neighborhoods(bpath, str(dpath))
 
+    @pytest.mark.parametrize("column,value", [
+        ("median_income", "n/a"), ("pct_black", "sixty"),
+        ("poverty_rate", ""), ("pct_white", ""),
+        ("median_income", None), ("poverty_rate", None),
+        ("pct_black", None), ("pct_white", None),
+    ], ids=lambda v: "missing" if v is None else repr(v))
+    def test_malformed_value_fatal(self, tmp_path, boundary_files, column,
+                                   value):
+        # A non-numeric or empty value, or a missing column (None), names
+        # the file, the row and the column.
+        row = {"id": "A", "pct_black": "62.0", "pct_white": "30.5",
+               "median_income": "35000", "poverty_rate": "22.0"}
+        if value is None:
+            del row[column]
+        else:
+            row[column] = value
+        dpath = tmp_path / "bad.csv"
+        dpath.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(IngestError) as err:
+            load_neighborhoods(boundary_files[0], str(dpath))
+        assert str(dpath) in str(err.value)
+        assert "'A'" in str(err.value) and column in str(err.value)
+
+    def test_positions_with_altitude(self, tmp_path, boundary_files):
+        bpath, dpath = boundary_files
+        with open(bpath, encoding="utf-8") as fh:
+            collection = json.load(fh)
+        for feature in collection["features"]:
+            feature["geometry"]["coordinates"] = [
+                [[lon, lat, 12.5] for lon, lat in ring]
+                for ring in feature["geometry"]["coordinates"]]
+        apath = tmp_path / "altitude.geojson"
+        apath.write_text(json.dumps(collection))
+        rng = np.random.default_rng(12)
+        incidents = [make_incident(lat, lon, 3) for lat, lon in zip(
+            rng.uniform(39.27, 39.34, 200), rng.uniform(-76.66, -76.54, 200))]
+        flat = assign_neighborhoods(incidents, load_neighborhoods(bpath, dpath))
+        assert assign_neighborhoods(
+            incidents, load_neighborhoods(str(apath), dpath)) == flat
+        assert 0 < flat[1] < len(incidents)
+
+    def test_position_without_latitude_fatal(self, tmp_path, boundary_files):
+        collection = {"type": "FeatureCollection", "features": [
+            square_feature("A", 39.28, 39.33, -76.65, -76.60)]}
+        collection["features"][0]["geometry"]["coordinates"][0][2] = [-76.60]
+        bpath = tmp_path / "short.geojson"
+        bpath.write_text(json.dumps(collection))
+        with pytest.raises(IngestError, match="'A'"):
+            load_neighborhoods(str(bpath), boundary_files[1])
+
     def test_multipolygon(self, tmp_path):
         feature = {"type": "Feature", "properties": {"id": "M"},
                    "geometry": {"type": "MultiPolygon", "coordinates": [

@@ -1,8 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patrolsim import cli
 from patrolsim.metrics import (ANNUAL_CSV_HEADER, DIR_INFINITE, DIR_OK,
                                DIR_UNDEFINED, MONTHLY_CSV_HEADER, GroupRates,
                                annual_csv_row, annual_summary,
@@ -229,29 +232,42 @@ class TestAnnualSummary:
         assert s.months_counted == 0
 
 
+def written(tmp_path, header, rows):
+    """`rows` as the CLI's CSV writer writes them, read back by the csv
+    module: the header and the list of row dicts."""
+    cli._write_csv(str(tmp_path), "t.csv", header, rows)
+    with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return reader.fieldnames, list(reader)
+
+
 class TestCsvRows:
-    def test_monthly_row_field_count(self):
+    def test_monthly_row_field_count(self, tmp_path):
         rec = monthly_record("B", 2019, 2, "detected",
                              rates_of(black=(1, 2), white=(1, 4)))
-        row = monthly_csv_row(rec)
-        assert len(row.split(",")) == len(MONTHLY_CSV_HEADER.split(","))
+        assert len(monthly_csv_row(rec)) == len(MONTHLY_CSV_HEADER)
+        header, rows = written(tmp_path, MONTHLY_CSV_HEADER,
+                               [monthly_csv_row(rec)])
+        assert header == list(MONTHLY_CSV_HEADER)
+        assert None not in rows[0] and None not in rows[0].values()
 
-    def test_none_serialized_empty(self):
+    def test_none_serialized_empty(self, tmp_path):
         rec = monthly_record("B", 2019, 2, "detected", group_rates([]))
-        fields = monthly_csv_row(rec).split(",")
-        header = MONTHLY_CSV_HEADER.split(",")
-        assert fields[header.index("dir")] == ""
-        assert fields[header.index("dir_flag")] == DIR_UNDEFINED
+        _, rows = written(tmp_path, MONTHLY_CSV_HEADER, [monthly_csv_row(rec)])
+        assert rows[0]["dir"] == ""
+        assert rows[0]["dir_flag"] == DIR_UNDEFINED
 
-    def test_annual_row_field_count(self):
+    def test_annual_row_field_count(self, tmp_path):
         s = annual_summary([record_with_dir(1.2)])
-        row = annual_csv_row(s)
-        assert len(row.split(",")) == len(ANNUAL_CSV_HEADER.split(","))
+        assert len(annual_csv_row(s)) == len(ANNUAL_CSV_HEADER)
+        header, rows = written(tmp_path, ANNUAL_CSV_HEADER, [annual_csv_row(s)])
+        assert header == list(ANNUAL_CSV_HEADER)
+        assert None not in rows[0] and None not in rows[0].values()
+        assert float(rows[0]["avg_dir"]) == 1.2
 
-    def test_round_trip_precision(self):
+    def test_round_trip_precision(self, tmp_path):
         rec = monthly_record("B", 2019, 2, "detected",
                              rates_of(black=(1, 3), white=(1, 7)))
-        fields = monthly_csv_row(rec).split(",")
-        header = MONTHLY_CSV_HEADER.split(",")
-        assert float(fields[header.index("dir")]) == rec.dir_value
-        assert float(fields[header.index("gini")]) == rec.gini
+        _, rows = written(tmp_path, MONTHLY_CSV_HEADER, [monthly_csv_row(rec)])
+        assert float(rows[0]["dir"]) == rec.dir_value
+        assert float(rows[0]["gini"]) == rec.gini

@@ -17,7 +17,7 @@ def assert_well_formed_svg(text):
 
 def monthly_csv(tmp_path, rows):
     path = tmp_path / "monthly.csv"
-    path.write_text(MONTHLY_CSV_HEADER + "\n" +
+    path.write_text(",".join(MONTHLY_CSV_HEADER) + "\n" +
                     "".join(r + "\n" for r in rows))
     return str(path)
 
@@ -107,7 +107,7 @@ class TestEmitPlots:
 
     def test_empty_input_writes_nothing(self, tmp_path):
         path = tmp_path / "monthly.csv"
-        path.write_text(MONTHLY_CSV_HEADER + "\n")
+        path.write_text(",".join(MONTHLY_CSV_HEADER) + "\n")
         out = tmp_path / "plots"
         assert emit_plots(str(path), str(out)) == []
         assert not out.exists()

@@ -260,6 +260,25 @@ class TestRunMonthReported:
         result = run_month_reported(slice_, NBS, cfg)
         assert len(result.patrol_points) == 10
 
+    @pytest.mark.parametrize("semantics", [PATROL_FROM_REPORTS,
+                                           REPORT_IS_DETECTION])
+    def test_crimes_sharing_an_id_are_reported_apart(self, semantics):
+        # Each crime draws its own report, whatever its id: a month whose
+        # crimes all share one id runs exactly as with distinct ids.
+        uv = np.random.default_rng(9).uniform(-0.8, 0.8, (40, 2))
+        distinct = MonthSlice("Synth", 2020, 3, tuple(
+            make_incident(p, ident=f"c{i}") for i, p in enumerate(uv)))
+        shared = MonthSlice("Synth", 2020, 3, tuple(
+            make_incident(p, ident="dup") for p in uv))
+        for seed in (1, 2, 3):
+            cfg = SimConfig(reporting_prob=0.5, seed=seed,
+                            reported_mode_semantics=semantics)
+            a = run_month_reported(shared, NBS, cfg)
+            b = run_month_reported(distinct, NBS, cfg)
+            assert a.outcomes == b.outcomes
+            assert a.patrol_points == b.patrol_points
+            assert 0 < sum(o.reported for o in a.outcomes) < 40
+
     def test_determinism(self):
         slice_ = co_located_slice(50)
         cfg = SimConfig(seed=8)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from patrolsim import cli
 from patrolsim.ingest import Neighborhood
 from patrolsim.simulate import DetectionOutcome, MonthRunResult
-from patrolsim.stats import (CORRELATION_PREDICTORS, NeighborhoodObservation,
+from patrolsim.stats import (CORRELATION_PREDICTORS, CORRELATIONS_CSV_HEADER,
+                             REGRESSION_CSV_HEADER, NeighborhoodObservation,
                              RankDeficientError, build_neighborhood_dataset,
-                             correlate, correlations_csv, ols_fit, pearson,
-                             regression_csv, regression_design,
+                             correlate, correlation_rows, ols_fit, pearson,
+                             regression_design, regression_rows,
                              significance_stars, spearman, student_t_cdf)
 
 
@@ -297,24 +299,33 @@ class TestReports:
         assert significance_stars(0.03) == "*"
         assert significance_stars(0.2) == ""
 
-    def test_regression_csv_shape(self):
+    @staticmethod
+    def written_lines(tmp_path, header, rows):
+        """A table as the CLI writes it, line by line."""
+        cli._write_csv(str(tmp_path), "t.csv", header, rows)
+        return (tmp_path / "t.csv").read_text(encoding="utf-8").splitlines()
+
+    def test_regression_csv_shape(self, tmp_path):
         rng = np.random.default_rng(14)
         x = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
         fit = ols_fit(x, rng.standard_normal(30))
-        lines = regression_csv(fit).strip().split("\n")
+        lines = self.written_lines(tmp_path, REGRESSION_CSV_HEADER,
+                                   regression_rows(fit))
         assert len(lines) == 5
         assert lines[0] == "variable,coefficient,se,t,p,stars"
         assert lines[1].startswith("Intercept,")
 
-    def test_regression_csv_fields_are_plain_floats(self):
+    def test_regression_csv_fields_are_plain_floats(self, tmp_path):
         rng = np.random.default_rng(14)
         x = np.column_stack([np.ones(30), rng.standard_normal((30, 3))])
         fit = ols_fit(x, rng.standard_normal(30))
-        for line in regression_csv(fit).strip().split("\n")[1:]:
+        lines = self.written_lines(tmp_path, REGRESSION_CSV_HEADER,
+                                   regression_rows(fit))
+        for line in lines[1:]:
             for value in line.split(",")[1:5]:
                 float(value)  # raises on a numpy repr such as np.float64(...)
 
-    def test_correlations_csv_shape(self):
+    def test_correlations_csv_shape(self, tmp_path):
         rng = np.random.default_rng(15)
         obs = [NeighborhoodObservation(
             neighborhood_id=f"n{i}", city="B", year=2019, mode="detected",
@@ -323,7 +334,8 @@ class TestReports:
             pct_white=float(rng.uniform(0, 1)),
             median_income=float(rng.uniform(20_000, 90_000)),
             poverty_rate=float(rng.uniform(0, 0.4))) for i in range(12)]
-        lines = correlations_csv(obs).strip().split("\n")
+        lines = self.written_lines(tmp_path, CORRELATIONS_CSV_HEADER,
+                                   correlation_rows(obs))
         assert len(lines) == 1 + len(CORRELATION_PREDICTORS)
         for line in lines[1:]:
             fields = line.split(",")
