@@ -129,7 +129,8 @@ class ExperimentPlan:
     sensitivity: Sensitivity | None
     plot_y_max: float
     out_dir: str
-    config: dict
+    data_dir: str  # the root of the `data.cities` paths
+    synthetic_checksum: str  # "" without a data.synthetic block
 
 
 _JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
@@ -189,13 +190,6 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if value is not None:
             config[key] = value
-    config.setdefault("seed", 0)
-    config.setdefault("replicates", 1)
-    config.setdefault("output_dir", "out")
-    config.setdefault("sim", {})
-    config.setdefault("train", {})
-    config.setdefault("cells", [])
-    config.setdefault("data", {})
     return config
 
 
@@ -215,14 +209,18 @@ def build_plan(config: dict) -> ExperimentPlan:
     train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
                             seed=seed)
     data = _json_value("data", config.get("data", {}), dict)
-    _json_value("data_dir", config.get("data_dir", ""), str)
-    synthetic = None
+    data_dir = (_json_value("data_dir", config.get("data_dir", ""), str)
+                or os.environ.get("PATROLSIM_DATA_DIR", "."))
+    synthetic, synthetic_checksum = None, ""
     if "synthetic" in data:
         # The synthetic city's seed defaults to the top-level seed.
         raw = data["synthetic"]
         synthetic = parse_block(
             SyntheticCityConfig, "data.synthetic",
             {"seed": seed, **raw} if isinstance(raw, dict) else raw)
+        # The block as written, so the checksum ignores defaulted keys.
+        synthetic_checksum = "synthetic:" + hashlib.sha256(json.dumps(
+            raw, sort_keys=True).encode()).hexdigest()[:16]
     cities = {}
     for city, raw in _json_value("data.cities", data.get("cities", {}),
                                  dict).items():
@@ -243,9 +241,10 @@ def build_plan(config: dict) -> ExperimentPlan:
             parse_block(SimConfig, "sensitivity",
                         {**sim, sensitivity.parameter: value}, seed=seed)
             for value in sensitivity.values]
+    out_dir = _json_value("output_dir", config.get("output_dir", "out"), str)
     return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
                           synthetic, cities, debias, sensitivity, y_max,
-                          str(config.get("output_dir", "out")), config)
+                          out_dir, data_dir, synthetic_checksum)
 
 
 # --- data resolution ------------------------------------------------------
@@ -279,26 +278,22 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
         neighborhoods = {nb.id: nb
                          for nb in synthetic_neighborhoods(plan.synthetic)}
         slices = synthetic_year(city, year, plan.synthetic)
-        # The block as written, so the checksum ignores defaulted keys.
-        checksum = "synthetic:" + hashlib.sha256(json.dumps(
-            plan.config["data"]["synthetic"],
-            sort_keys=True).encode()).hexdigest()[:16]
-        return CityYearData(slices, neighborhoods, SYNTH_BBOX, checksum)
+        return CityYearData(slices, neighborhoods, SYNTH_BBOX,
+                            plan.synthetic_checksum)
 
     binding = plan.cities.get(city)
     if binding is None:
         raise IngestError(f"no data binding for city {city!r}")
-    root = (plan.config.get("data_dir")
-            or os.environ.get("PATROLSIM_DATA_DIR", "."))
     crime_csv = binding.years.get(str(year), binding.crime_csv)
     if not crime_csv:
         raise IngestError(f"data binding for {city} missing 'crime_csv'")
-    crime_path = os.path.join(root, crime_csv)
+    crime_path = os.path.join(plan.data_dir, crime_csv)
     files = {} if files is None else files
     if ("boundaries", city) not in files:
         files["boundaries", city] = ingest.load_neighborhoods(
-            os.path.join(root, binding.boundaries),
-            os.path.join(root, binding.demographics), binding.id_property)
+            os.path.join(plan.data_dir, binding.boundaries),
+            os.path.join(plan.data_dir, binding.demographics),
+            binding.id_property)
     nbs = files["boundaries", city]
     if binding.bbox:
         bbox = BoundingBox(*binding.bbox)
@@ -388,7 +383,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
         if data is None:
             continue
         by_month = {s.month: s for s in data.slices if s.incidents}
-        for month in range(2, 13):
+        for month in ingest.MONTHS:
             if month not in by_month:
                 skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
                 continue
@@ -442,7 +437,7 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
         _write_csv(plan.out_dir, "annual.csv", metrics.ANNUAL_CSV_HEADER,
                    map(metrics.annual_csv_row,
                        _annual_summaries(plan.cells, runs.records[0])))
-        _write_manifest(plan, runs)
+        _write_manifest(plan, plan.cells, runs, runs.failed[0])
     return runs
 
 
@@ -471,17 +466,20 @@ def _write_json(out_dir: str, name: str, obj) -> None:
         json.dump(obj, fh, indent=2, sort_keys=True)
 
 
-def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
+def _write_manifest(plan: ExperimentPlan, cells: list[Cell], runs: MonthRuns,
+                    failed: dict[str, str]) -> None:
+    """manifest.json of the month-runs of `cells`; `failed` maps each
+    failed run's key to its error."""
     from . import __version__
     _write_json(plan.out_dir, "manifest.json", {
         "version": __version__,
         "seed": plan.seed,
         "replicates": plan.replicates,
-        "cells": [[c.city, c.year, c.mode] for c in plan.cells],
+        "cells": [[c.city, c.year, c.mode] for c in cells],
         "data_checksums": {f"{city}-{year}": data.checksum
                            for (city, year), data in runs.loaded.items()},
         "skipped_month_runs": runs.skipped,
-        "failed_month_runs": runs.failed[0],
+        "failed_month_runs": failed,
         "per_run_seeds": {
             _run_key(c, m, rep): simulate.month_run_seed(
                 plan.sim_cfg.seed, c.city, c.year, m, c.mode, rep)
@@ -493,7 +491,8 @@ def _write_manifest(plan: ExperimentPlan, runs: MonthRuns) -> None:
 # --- sensitivity ----------------------------------------------------------
 
 def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
-    """Sweep one parameter over its value list on the base cell."""
+    """Sweep one parameter over its value list on the base cell, and write
+    sensitivity.csv and manifest.json."""
     sweep = plan.sensitivity
     if sweep is None:
         raise ConfigError("config has no 'sensitivity' block")
@@ -514,6 +513,10 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     _write_csv(plan.out_dir, "sensitivity.csv",
                ("parameter", "value", "avg_dir", "max_dir", "avg_parity_gap",
                 "avg_gini", "total_detected", "months_counted"), rows)
+    _write_manifest(plan, [cell], runs, {
+        f"{sweep.parameter}={value}/{key}": error
+        for value, failed in zip(sweep.values, runs.failed)
+        for key, error in failed.items()})
     return runs.failures
 
 
@@ -548,7 +551,8 @@ def run_debias_experiment(plan: ExperimentPlan,
 
     biased_model, _ = gan.train_gan([p for p, _ in labeled], train_cfg,
                                     data.bbox)
-    cond_model, _ = gan.train_conditional_gan(labeled, train_cfg, data.bbox)
+    cond_model, _ = gan.train_gan([p for p, _ in labeled], train_cfg,
+                                  data.bbox, [lab for _, lab in labeled])
     rebalanced = gan.rebalance_training_set(labeled, cond_model, rng,
                                             plan.debias.replace_fraction)
     debiased_model, _ = gan.train_gan([p for p, _ in rebalanced], train_cfg,
@@ -619,9 +623,9 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
 
 def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
     summary, files = {}, {}
-    for cell in {(c.city, c.year) for c in plan.cells}:
-        data = load_city_year(plan, cell[0], cell[1], files)
-        summary[f"{cell[0]}-{cell[1]}"] = {
+    for city, year in dict.fromkeys((c.city, c.year) for c in plan.cells):
+        data = load_city_year(plan, city, year, files)
+        summary[f"{city}-{year}"] = {
             "months": len(data.slices),
             "incidents": sum(len(s.incidents) for s in data.slices),
             "neighborhoods": len(data.neighborhoods),

@@ -1,4 +1,6 @@
-"""Patrol-placement GAN and its label-conditioned variant.
+"""Patrol-placement GAN and its label-conditioned variant, which is the
+same GAN with one-hot group label columns appended to the inputs of both
+networks; the patrol GAN has zero label columns.
 
 Generator: 100-d latent -> 256 -> 512 -> 256 -> 2, batch norm + LeakyReLU
 between dense blocks, tanh output. Discriminator: 2 -> 512 -> 256 -> 128
@@ -14,11 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geodata import BoundingBox, LatLon
+from .ingest import RACE_GROUPS
 from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
                         Sigmoid, Tanh, bce_loss)
 
 LATENT_DIM = 100
-GROUP_LABELS = ("Black", "White", "Neither")
 
 # Fraction of generated mass a mode must attract before the run is flagged
 # as collapsed onto the other mode.
@@ -68,11 +70,16 @@ def _points_to_array(points, bbox: BoundingBox) -> np.ndarray:
     return np.array([normalize_coords(p, bbox) for p in points], dtype=float)
 
 
-def _one_hot(labels: list[str]) -> np.ndarray:
-    idx = {name: i for i, name in enumerate(GROUP_LABELS)}
-    out = np.zeros((len(labels), len(GROUP_LABELS)))
+def _one_hot(labels: list[str] | None, n: int) -> np.ndarray:
+    """The label columns appended to the n rows of a network input: one-hot
+    over RACE_GROUPS, or none at all for the patrol GAN (labels None)."""
+    if labels is None:
+        return np.empty((n, 0))
+    if len(labels) != n:
+        raise ValueError(f"need one label per row, got {len(labels)} for {n}")
+    out = np.zeros((n, len(RACE_GROUPS)))
     for row, lab in enumerate(labels):
-        out[row, idx[lab]] = 1.0
+        out[row, RACE_GROUPS.index(lab)] = 1.0
     return out
 
 
@@ -81,10 +88,9 @@ class GanModel:
                  seed: int = 0):
         self.bbox = bbox
         self.conditional = conditional
-        self.label_count = len(GROUP_LABELS) if conditional else 0
+        n_labels = len(RACE_GROUPS) if conditional else 0  # label columns
+        g_in = LATENT_DIM + n_labels
         rng = np.random.default_rng(seed)
-        g_in = LATENT_DIM + self.label_count
-        d_in = 2 + self.label_count
         self.generator = Network([
             Dense(g_in, 256, rng), BatchNorm(256), LeakyReLU(0.2),
             Dense(256, 512, rng), BatchNorm(512), LeakyReLU(0.2),
@@ -92,7 +98,7 @@ class GanModel:
             Dense(256, 2, rng), Tanh(),
         ])
         self.discriminator = Network([
-            Dense(d_in, 512, rng), LeakyReLU(0.2), Dropout(0.3),
+            Dense(2 + n_labels, 512, rng), LeakyReLU(0.2), Dropout(0.3),
             Dense(512, 256, rng), LeakyReLU(0.2), Dropout(0.3),
             Dense(256, 128, rng), LeakyReLU(0.2),
             Dense(128, 1, rng), Sigmoid(),
@@ -100,13 +106,14 @@ class GanModel:
 
     def generate_normalized(self, n: int, rng: np.random.Generator,
                             labels: list[str] | None = None) -> np.ndarray:
-        """Inference-mode generator pass: running BN stats, no dropout."""
+        """Inference-mode generator pass: running BN stats, no dropout. A
+        conditional model needs one label per sample, the patrol GAN none."""
+        if (labels is not None) != self.conditional:
+            raise ValueError("a conditional model needs labels, the patrol "
+                             "GAN takes none")
         z = rng.standard_normal((n, LATENT_DIM))
-        if self.conditional:
-            if labels is None or len(labels) != n:
-                raise ValueError("conditional model needs one label per sample")
-            z = np.hstack([z, _one_hot(labels)])
-        return self.generator.forward(z, training=False)
+        return self.generator.forward(np.hstack([z, _one_hot(labels, n)]),
+                                      training=False)
 
 
 def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
@@ -123,13 +130,14 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
     rng = np.random.default_rng(cfg.seed)
     g_opt = Adam(model.generator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     d_opt = Adam(model.discriminator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-    onehot = _one_hot(labels) if labels is not None else None
+    # The patrol GAN has no label columns: each hstack copies its input.
+    onehot = _one_hot(labels, n)
     # Training-by-sampling for the conditional variant: labels are drawn
     # uniformly over the present groups and real rows resampled within the
     # drawn label, so minority groups are not drowned out by class imbalance.
     if labels is not None:
         label_pools = [np.array([i for i, lab in enumerate(labels) if lab == g])
-                       for g in GROUP_LABELS if g in set(labels)]
+                       for g in RACE_GROUPS if g in set(labels)]
     history = LossHistory()
 
     for epoch in range(cfg.epochs):
@@ -137,7 +145,7 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
         g_losses, d_losses = [], []
         # Last partial batch dropped: batch norm needs >= 2 rows.
         for start in range(0, n - batch + 1, batch):
-            if onehot is not None:
+            if labels is not None:
                 pools = [label_pools[k] for k in
                          rng.integers(0, len(label_pools), batch)]
                 idx = np.array([pool[rng.integers(0, len(pool))]
@@ -145,21 +153,20 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
             else:
                 idx = order[start:start + batch]
             x_real = real[idx]
-            cond = onehot[idx] if onehot is not None else None
+            cond = onehot[idx]
 
             # Discriminator step: real batch (target 1) + generated (target 0).
             z = rng.standard_normal((batch, LATENT_DIM))
-            g_in = np.hstack([z, cond]) if cond is not None else z
-            fake = model.generator.forward(g_in, training=True)
-            d_real_in = np.hstack([x_real, cond]) if cond is not None else x_real
-            d_fake_in = np.hstack([fake, cond]) if cond is not None else fake
+            fake = model.generator.forward(np.hstack([z, cond]), training=True)
 
-            p_real = model.discriminator.forward(d_real_in, training=True, rng=rng)
+            p_real = model.discriminator.forward(np.hstack([x_real, cond]),
+                                                 training=True, rng=rng)
             loss_r, grad_r = bce_loss(p_real, np.ones_like(p_real))
             model.discriminator.backward(grad_r)
             grads_r = [g.copy() for g in model.discriminator.gradients()]
 
-            p_fake = model.discriminator.forward(d_fake_in, training=True, rng=rng)
+            p_fake = model.discriminator.forward(np.hstack([fake, cond]),
+                                                 training=True, rng=rng)
             loss_f, grad_f = bce_loss(p_fake, np.zeros_like(p_fake))
             model.discriminator.backward(grad_f)
             for gr, gf in zip(grads_r, model.discriminator.gradients()):
@@ -169,17 +176,14 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
             z = rng.standard_normal((batch, LATENT_DIM))
-            g_in = np.hstack([z, cond]) if cond is not None else z
-            fake = model.generator.forward(g_in, training=True)
-            d_in = np.hstack([fake, cond]) if cond is not None else fake
-            p = model.discriminator.forward(d_in, training=True, rng=rng)
+            fake = model.generator.forward(np.hstack([z, cond]), training=True)
+            p = model.discriminator.forward(np.hstack([fake, cond]),
+                                            training=True, rng=rng)
             g_loss, grad_p = bce_loss(p, np.ones_like(p))
             # Input gradient only: the next discriminator step overwrites
             # every discriminator gradient before Adam reads one.
-            grad_fake = model.discriminator.backward(grad_p, param_grads=False)
-            if cond is not None:
-                grad_fake = grad_fake[:, :2]
-            model.generator.backward(grad_fake)
+            grad_in = model.discriminator.backward(grad_p, param_grads=False)
+            model.generator.backward(grad_in[:, :2])
             g_opt.step(model.generator.gradients())
             g_losses.append(g_loss)
 
@@ -220,51 +224,34 @@ def _detect_mode_collapse(model: GanModel, real: np.ndarray, seed: int) -> bool:
 
 
 def train_gan(points, cfg: TrainConfig, bbox: BoundingBox,
+              labels: list[str] | None = None,
               ) -> tuple[GanModel, LossHistory]:
-    """Train the unconditional patrol GAN on incident coordinates."""
-    model = GanModel(bbox, conditional=False, seed=cfg.seed)
+    """Train the patrol GAN on incident coordinates or, given one group
+    label per point, the label-conditioned GAN used for debias
+    rebalancing."""
+    if labels is not None:
+        unknown = sorted(set(labels) - set(RACE_GROUPS))
+        if unknown:
+            raise ValueError(f"unknown group labels: {unknown}")
+        missing = [g for g in RACE_GROUPS if labels.count(g) < 2]
+        if missing:
+            raise ValueError(f"need >= 2 examples per label, "
+                             f"missing: {missing}")
+    model = GanModel(bbox, conditional=labels is not None, seed=cfg.seed)
     data = _points_to_array(points, bbox)
     if cfg.epochs == 0:
         return model, LossHistory()
-    history = _train_loop(model, data, None, cfg)
-    return model, history
+    return model, _train_loop(model, data, labels, cfg)
 
 
-def train_conditional_gan(labeled_points: list[tuple[LatLon, str]],
-                          cfg: TrainConfig, bbox: BoundingBox,
-                          ) -> tuple[GanModel, LossHistory]:
-    """Train the label-conditioned GAN used for debias rebalancing."""
-    counts = {lab: 0 for lab in GROUP_LABELS}
-    for _, lab in labeled_points:
-        if lab not in counts:
-            raise ValueError(f"unknown group label: {lab!r}")
-        counts[lab] += 1
-    missing = [lab for lab, c in counts.items() if c < 2]
-    if missing:
-        raise ValueError(f"need >= 2 examples per label, missing: {missing}")
-    model = GanModel(bbox, conditional=True, seed=cfg.seed)
-    data = _points_to_array([p for p, _ in labeled_points], bbox)
-    labels = [lab for _, lab in labeled_points]
-    if cfg.epochs == 0:
-        return model, LossHistory()
-    history = _train_loop(model, data, labels, cfg)
-    return model, history
-
-
-def sample_patrol(model: GanModel, n_officers: int,
-                  rng: np.random.Generator) -> list[LatLon]:
-    """Draw n patrol locations from the generator in inference mode."""
-    if n_officers < 1:
-        raise ValueError("n_officers must be >= 1")
-    out = model.generate_normalized(n_officers, rng)
-    return [denormalize_coords(u, v, model.bbox) for u, v in out]
-
-
-def sample_conditional(model: GanModel, label: str, n: int,
-                       rng: np.random.Generator) -> list[LatLon]:
-    if not model.conditional:
-        raise ValueError("model is not conditional")
-    out = model.generate_normalized(n, rng, labels=[label] * n)
+def sample_patrol(model: GanModel, n: int, rng: np.random.Generator,
+                  label: str | None = None) -> list[LatLon]:
+    """Draw n locations from the generator in inference mode: patrols from
+    the patrol GAN, or points of one group from the conditional GAN."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = None if label is None else [label] * n
+    out = model.generate_normalized(n, rng, labels)
     return [denormalize_coords(u, v, model.bbox) for u, v in out]
 
 
@@ -289,10 +276,10 @@ def rebalance_training_set(real: list[tuple[LatLon, str]], model: GanModel,
     keep_idx = rng.choice(n, size=n - n_synth, replace=False)
     kept = [real[i] for i in sorted(keep_idx)]
     synth: list[tuple[LatLon, str]] = []
-    per_label = [n_synth // len(GROUP_LABELS)] * len(GROUP_LABELS)
-    for i in range(n_synth % len(GROUP_LABELS)):
+    per_label = [n_synth // len(RACE_GROUPS)] * len(RACE_GROUPS)
+    for i in range(n_synth % len(RACE_GROUPS)):
         per_label[i] += 1
-    for label, count in zip(GROUP_LABELS, per_label):
-        for p in sample_conditional(model, label, count, rng) if count else []:
+    for label, count in zip(RACE_GROUPS, per_label):
+        for p in sample_patrol(model, count, rng, label) if count else []:
             synth.append((p, label))
     return kept + synth

@@ -21,6 +21,12 @@ from .geodata import (BoundingBox, LatLon, Polygon, point_in_polygon,
 
 log = logging.getLogger(__name__)
 
+# The months a city-year runs: January is the holdout month.
+MONTHS = range(2, 13)
+
+# The demographic groups, in the order of Neighborhood's pct_* shares.
+RACE_GROUPS = ("Black", "White", "Neither")
+
 DATE_FORMATS = (
     "%Y-%m-%d %H:%M:%S",
     "%Y-%m-%d %H:%M",
@@ -148,12 +154,9 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
 
 def filter_valid(incidents: list[CrimeIncident],
                  bbox: BoundingBox) -> list[CrimeIncident]:
-    """Keep incidents inside the city box with month >= February.
-
-    January is the holdout month and is always excluded.
-    """
+    """Keep incidents inside the city box in one of MONTHS."""
     return [inc for inc in incidents
-            if bbox.contains(inc.location) and inc.timestamp.month >= 2]
+            if bbox.contains(inc.location) and inc.timestamp.month in MONTHS]
 
 
 SHARE_COLUMNS = ("pct_black", "pct_white", "pct_neither", "poverty_rate")
@@ -309,7 +312,7 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
 
 
 def partition_by_month(incidents: list[CrimeIncident]) -> list[MonthSlice]:
-    """Split one city-year's incidents into per-month slices, months 2..12."""
+    """Split one city-year's incidents into per-month slices."""
     if not incidents:
         return []
     cities = {inc.city for inc in incidents}

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 
-from .simulate import RACE_GROUPS, DetectionOutcome
+from .ingest import RACE_GROUPS
+from .simulate import DetectionOutcome
 
 DIR_OK = "ok"
 DIR_UNDEFINED = "undefined_zero_over_zero"

@@ -6,6 +6,7 @@ is a standalone well-formed SVG document.
 from __future__ import annotations
 
 import csv
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -135,7 +136,7 @@ def line_chart(series: list[Series], title: str, x_label: str, y_label: str,
         clipped = True
     axes = Axes(canvas, (min(xs), max(xs)), (min(min(ys), 0.0), top))
     entries = []
-    for s, color in zip(series, SERIES_COLORS * 8):
+    for s, color in zip(series, itertools.cycle(SERIES_COLORS)):
         pts = [(x, min(y, top)) for x, y in s.points]
         if pts:
             axes.polyline(pts, color)
@@ -159,8 +160,11 @@ def scatter_chart(points: list[tuple[float, float]], title: str,
     return canvas.render()
 
 
-def _cell_key(row: dict) -> str:
-    return f"{row['city']} {row['year']} {row['mode']}"
+def _series_key(row: dict) -> str:
+    """One line per cell and replicate; replicate 0 keeps the cell's name."""
+    rep = int(row["replicate"])
+    return (f"{row['city']} {row['year']} {row['mode']}"
+            + (f" r{rep}" if rep else ""))
 
 
 def emit_plots(monthly_csv_path: str, out_dir: str,
@@ -178,10 +182,10 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
     os.makedirs(out_dir, exist_ok=True)
 
     def cell_series(column: str, flag_aware: bool) -> list[Series]:
-        cells: dict[str, Series] = {}
+        series: dict[str, Series] = {}
         for row in rows:
-            key = _cell_key(row)
-            s = cells.setdefault(key, Series(key, [], [] if flag_aware else None))
+            key = _series_key(row)
+            s = series.setdefault(key, Series(key, [], [] if flag_aware else None))
             month = float(row["month"])
             value = row[column]
             if value == "":
@@ -189,7 +193,7 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
                     s.gaps.append(month)
                 continue
             s.points.append((month, float(value)))
-        return list(cells.values())
+        return list(series.values())
 
     charts = [
         ("dir_monthly.svg", cell_series("dir", True),

@@ -17,9 +17,7 @@ import numpy as np
 
 from .gan import GanModel, TrainConfig, sample_patrol, train_gan
 from .geodata import BoundingBox, LatLon, count_within
-from .ingest import CrimeIncident, MonthSlice, Neighborhood
-
-RACE_GROUPS = ("Black", "White", "Neither")
+from .ingest import RACE_GROUPS, CrimeIncident, MonthSlice, Neighborhood
 
 # How reported mode places patrols: from the reported-crime locations, or
 # treating a citizen report directly as a detection.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .gan import denormalize_coords
 from .geodata import BoundingBox, LatLon, Polygon
-from .ingest import CrimeIncident, MonthSlice, Neighborhood
+from .ingest import MONTHS, CrimeIncident, MonthSlice, Neighborhood
 from .simulate import derive_seed
 
 SYNTH_BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
@@ -111,6 +111,6 @@ def synthetic_month_slice(city: str, year: int, month: int,
     return MonthSlice(city, year, month, tuple(incidents))
 
 
-def synthetic_year(city: str, year: int, cfg: SyntheticCityConfig,
-                   months: range = range(2, 13)) -> list[MonthSlice]:
-    return [synthetic_month_slice(city, year, m, cfg) for m in months]
+def synthetic_year(city: str, year: int,
+                   cfg: SyntheticCityConfig) -> list[MonthSlice]:
+    return [synthetic_month_slice(city, year, m, cfg) for m in MONTHS]

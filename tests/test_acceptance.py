@@ -14,8 +14,7 @@ import pytest
 
 from patrolsim.cli import main
 from patrolsim.gan import (TrainConfig, denormalize_coords, normalize_coords,
-                           sample_conditional, sample_patrol,
-                           train_conditional_gan, train_gan)
+                           sample_patrol, train_gan)
 from patrolsim.geodata import BoundingBox, LatLon, count_within, distance_feet
 from patrolsim.metrics import (DIR_OK, GroupRates, bias_amplification_score,
                                disparate_impact_ratio, gini, parity_gap)
@@ -223,13 +222,13 @@ def test_criterion_6_conditional_gan():
             uv = np.clip(rng.normal(center, 0.06, size=(count, 2)), -0.99, 0.99)
             labeled.extend((denormalize_coords(u, v, BBOX), label)
                            for u, v in uv)
-        model, _ = train_conditional_gan(labeled,
-                                         TrainConfig(epochs=200, seed=108),
-                                         BBOX)
+        model, _ = train_gan([p for p, _ in labeled],
+                             TrainConfig(epochs=200, seed=108), BBOX,
+                             [label for _, label in labeled])
         means = {}
         for label in ("Black", "White"):
-            pts = sample_conditional(model, label, 500,
-                                     np.random.default_rng(109))
+            pts = sample_patrol(model, 500, np.random.default_rng(109),
+                                label)
             us = [normalize_coords(p, BBOX)[0] for p in pts]
             means[label] = float(np.mean(us))
         assert means["Black"] < 0.0 < means["White"]

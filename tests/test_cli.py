@@ -115,9 +115,9 @@ class TestConfig:
 
     def test_seed_flag_overrides(self, tmp_path):
         path = write_config(tmp_path, SYNTH_CONFIG)
-        config = load_config(path, {"seed": 42, "output_dir": None})
-        assert config["seed"] == 42
-        assert config["output_dir"] == "out"
+        plan = build_plan(load_config(path, {"seed": 42, "output_dir": None}))
+        assert plan.seed == 42
+        assert plan.out_dir == "out"
 
     @pytest.mark.parametrize("block,key,value", [
         ("sim", "radius", 300.0),             # typo of radius_ft
@@ -184,6 +184,14 @@ class TestConfig:
         assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = dict(SYNTH_CONFIG, output_dir=5)
+        with pytest.raises(ConfigError):
+            build_plan(config)
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
+        assert not (tmp_path / "5").exists()
+
     def test_debias_block_defaults(self):
         plan = build_plan(dict(SYNTH_CONFIG,
                                debias={"city": "Synth", "year": 2020}))
@@ -191,10 +199,10 @@ class TestConfig:
         assert build_plan(SYNTH_CONFIG).debias is None
 
     def test_defaults_filled(self, tmp_path):
-        path = write_config(tmp_path, {})
-        config = load_config(path)
-        assert config["replicates"] == 1
-        assert config["cells"] == []
+        plan = build_plan(load_config(write_config(tmp_path, {})))
+        assert plan.replicates == 1
+        assert plan.cells == []
+        assert plan.out_dir == "out"
 
 
 class TestGrid:
@@ -502,7 +510,30 @@ class TestSensitivity:
         path = self.base_config(tmp_path, out, [300, 700, 1500])
         assert main(["sensitivity", "--config", path]) == 0
         assert calls == [("Synth", 2020)]
-        assert sorted(p.name for p in out.iterdir()) == ["sensitivity.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json",
+                                                         "sensitivity.csv"]
+
+    def test_manifest_names_failed_runs_per_value(self, tmp_path):
+        # One incident a month cannot train the GAN of a detected cell.
+        out = tmp_path / "out"
+        config = json.loads(json.dumps(SYNTH_CONFIG))
+        config["data"]["synthetic"]["incidents_per_month"] = 1
+        config["output_dir"] = str(out)
+        config["sensitivity"] = {
+            "parameter": "radius_ft", "values": [300, 700.0],
+            "base_cell": {"city": "Synth", "year": 2020, "mode": "detected"}}
+        path = write_config(tmp_path, config)
+        assert main(["sensitivity", "--config", path]) == 3
+        with open(out / "manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["cells"] == [["Synth", 2020, "detected"]]
+        assert sorted(manifest["failed_month_runs"]) == sorted(
+            f"radius_ft={value}/Synth/2020/{m}/detected/r0"
+            for value in ("300", "700.0") for m in range(2, 13))
+        assert all(v.startswith("ValueError: cannot train GAN on 1 point")
+                   for v in manifest["failed_month_runs"].values())
+        assert sorted(manifest["per_run_seeds"]) == sorted(
+            f"Synth/2020/{m}/detected/r0" for m in range(2, 13))
 
     def test_jobs_flag_same_output(self, tmp_path):
         out1, out2 = tmp_path / "serial", tmp_path / "par"
@@ -669,6 +700,22 @@ class TestAll:
         assert summary["Synth-2020"]["months"] == 11
         assert summary["Synth-2020"]["incidents"] == 25 * 11
         assert summary["Synth-2020"]["neighborhoods"] == 2
+
+    def test_ingest_fails_on_the_first_cell(self, tmp_path):
+        # Cities load in cell order, so the error names the first unbound
+        # city whatever the string hash seed.
+        config = {"output_dir": str(tmp_path / "out"),
+                  "cells": [{"city": city, "year": 2020, "mode": "reported"}
+                            for city in ("Zed", "Abe")]}
+        path = write_config(tmp_path, config)
+        for hash_seed in range(6):
+            proc = subprocess.run(
+                [sys.executable, "-m", "patrolsim.cli", "ingest",
+                 "--config", path], capture_output=True, text=True,
+                env=dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+                         PYTHONPATH=os.pathsep.join(sys.path)))
+            assert proc.returncode == 2
+            assert "no data binding for city 'Zed'" in proc.stderr
 
 
 class TestStatsOutputs:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from patrolsim.gan import (GROUP_LABELS, GanModel, TrainConfig,
-                           denormalize_coords, normalize_coords,
-                           rebalance_training_set, sample_conditional,
-                           sample_patrol, train_conditional_gan, train_gan)
+from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
+                           normalize_coords, rebalance_training_set,
+                           sample_patrol, train_gan)
 from patrolsim.geodata import BoundingBox, LatLon
+from patrolsim.ingest import RACE_GROUPS
 
 BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
 
@@ -130,34 +130,44 @@ def labeled_two_cluster(n_per, seed, n_neither=10):
     return out
 
 
+def train_conditional(data, cfg):
+    return train_gan([p for p, _ in data], cfg, BBOX,
+                     [lab for _, lab in data])
+
+
 class TestConditional:
     def test_single_label_fatal(self):
         data = [(p, "Black") for p, _ in labeled_two_cluster(10, 1)]
         with pytest.raises(ValueError):
-            train_conditional_gan(data, TrainConfig(epochs=1, seed=0), BBOX)
+            train_conditional(data, TrainConfig(epochs=1, seed=0))
 
     def test_unknown_label_fatal(self):
         data = labeled_two_cluster(5, 2) + [(BBOX.center, "Martian")]
         with pytest.raises(ValueError):
-            train_conditional_gan(data, TrainConfig(epochs=1, seed=0), BBOX)
+            train_conditional(data, TrainConfig(epochs=1, seed=0))
 
     def test_sample_conditional_in_bbox(self):
-        model, _ = train_conditional_gan(labeled_two_cluster(20, 3),
-                                         TrainConfig(epochs=2, seed=14), BBOX)
-        pts = sample_conditional(model, "Black", 10, np.random.default_rng(15))
+        model, _ = train_conditional(labeled_two_cluster(20, 3),
+                                     TrainConfig(epochs=2, seed=14))
+        pts = sample_patrol(model, 10, np.random.default_rng(15), "Black")
         assert len(pts) == 10
         assert all(BBOX.contains(p) for p in pts)
 
     def test_sample_conditional_requires_conditional_model(self):
         model = GanModel(BBOX, conditional=False)
         with pytest.raises(ValueError):
-            sample_conditional(model, "Black", 5, np.random.default_rng(0))
+            sample_patrol(model, 5, np.random.default_rng(0), "Black")
+
+    def test_conditional_model_requires_a_label(self):
+        model = GanModel(BBOX, conditional=True)
+        with pytest.raises(ValueError):
+            sample_patrol(model, 5, np.random.default_rng(0))
 
 
 @pytest.fixture(scope="module")
 def cond_model():
-    model, _ = train_conditional_gan(labeled_two_cluster(20, 4),
-                                     TrainConfig(epochs=2, seed=16), BBOX)
+    model, _ = train_conditional(labeled_two_cluster(20, 4),
+                                 TrainConfig(epochs=2, seed=16))
     return model
 
 
@@ -170,7 +180,7 @@ class TestRebalance:
         assert len(out) == 100
         synth = out[70:]
         counts = {lab: sum(1 for _, l in synth if l == lab)
-                  for lab in GROUP_LABELS}
+                  for lab in RACE_GROUPS}
         assert counts == {"Black": 10, "White": 10, "Neither": 10}
 
     def test_zero_fraction_identity(self, cond_model):
@@ -197,7 +207,7 @@ class TestRebalance:
             n_synth = int(0.30 * n)
             synth = out[n - n_synth:]
             counts = [sum(1 for _, l in synth if l == lab)
-                      for lab in GROUP_LABELS]
+                      for lab in RACE_GROUPS]
             assert max(counts) - min(counts) <= 1
             assert sum(counts) == n_synth
 

@@ -133,6 +133,25 @@ class TestEmitPlots:
                              observations_csv_path=str(tmp_path / "nope.csv"))
         assert len(written) == 3
 
+    def test_one_line_per_replicate(self, tmp_path):
+        # Rows come in (cell, month, replicate) order.
+        rows = [f"Baltimore,2019,{m},detected,{rep},0.3,0.2,0.1,1.5,ok,"
+                f"0.1,0.28,0.028" for m in (2, 3, 4) for rep in (0, 1)]
+        out = tmp_path / "plots"
+        emit_plots(monthly_csv(tmp_path, rows), str(out))
+        with open(out / "gini_trend.svg", encoding="utf-8") as fh:
+            root = assert_well_formed_svg(fh.read())
+        lines = list(root.iter(f"{SVG_NS}polyline"))
+        assert len(lines) == 2
+        for line in lines:
+            xs = [float(p.split(",")[0])
+                  for p in line.get("points").split()]
+            assert len(xs) == 3
+            assert all(a < b for a, b in zip(xs, xs[1:]))
+        labels = [el.text for el in root.iter(f"{SVG_NS}text")]
+        assert "Baltimore 2019 detected" in labels
+        assert "Baltimore 2019 detected r1" in labels
+
     def test_missing_monthly_csv_fatal(self, tmp_path):
         with pytest.raises(OSError):
             emit_plots(str(tmp_path / "absent.csv"), str(tmp_path / "plots"))
