@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import gan, ingest, metrics, plots, simulate, stats
+from . import __version__, gan, ingest, metrics, plots, simulate, stats
 from .gan import TrainConfig
 from .geodata import BALTIMORE_BBOX, BoundingBox
 from .ingest import IngestError, MonthSlice, Neighborhood
@@ -153,6 +153,15 @@ def _json_value(name: str, value, kind: type):
     return value
 
 
+def _check_keys(name: str, block: dict, keys) -> None:
+    """A ConfigError for any key of `block` not in `keys`; the message
+    lists `keys` in the order given."""
+    unknown = sorted(set(block) - set(keys))
+    if unknown:
+        raise ConfigError(f"{name}: unknown keys {unknown}, "
+                          f"expected {list(keys)}")
+
+
 def parse_block(cls: type, name: str, raw, **fixed):
     """Build the config dataclass `cls` from its JSON block `raw`.
 
@@ -163,11 +172,9 @@ def parse_block(cls: type, name: str, raw, **fixed):
     are raised as ConfigError.
     """
     kinds = get_type_hints(cls)
-    keys = sorted(f.name for f in fields(cls)
-                  if f.init and f.name not in fixed)
-    unknown = sorted(set(_json_value(name, raw, dict)) - set(keys))
-    if unknown:
-        raise ConfigError(f"{name}: unknown keys {unknown}, expected {keys}")
+    _check_keys(name, _json_value(name, raw, dict),
+                sorted(f.name for f in fields(cls)
+                       if f.init and f.name not in fixed))
     values = {key: _json_value(f"{name} {key}", value, kinds[key])
               for key, value in raw.items()}
     try:
@@ -193,8 +200,15 @@ def load_config(path: str, overrides: dict | None = None) -> dict:
     return config
 
 
+TOP_LEVEL_KEYS = ("cells", "data", "data_dir", "debias", "output_dir",
+                  "plot_y_max", "replicates", "seed", "sensitivity", "sim",
+                  "train")
+DATA_KEYS = ("cities", "synthetic")
+
+
 def build_plan(config: dict) -> ExperimentPlan:
     """Check the whole config and build the plan from it; loads no data."""
+    _check_keys("config", config, TOP_LEVEL_KEYS)
     seed = _json_value("seed", config.get("seed", 0), int)
     replicates = _json_value("replicates", config.get("replicates", 1), int)
     if replicates < 1:
@@ -209,6 +223,7 @@ def build_plan(config: dict) -> ExperimentPlan:
     train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
                             seed=seed)
     data = _json_value("data", config.get("data", {}), dict)
+    _check_keys("data", data, DATA_KEYS)
     data_dir = (_json_value("data_dir", config.get("data_dir", ""), str)
                 or os.environ.get("PATROLSIM_DATA_DIR", "."))
     synthetic, synthetic_checksum = None, ""
@@ -467,11 +482,11 @@ def _write_json(out_dir: str, name: str, obj) -> None:
 
 
 def _write_manifest(plan: ExperimentPlan, cells: list[Cell], runs: MonthRuns,
-                    failed: dict[str, str]) -> None:
-    """manifest.json of the month-runs of `cells`; `failed` maps each
-    failed run's key to its error."""
-    from . import __version__
-    _write_json(plan.out_dir, "manifest.json", {
+                    failed: dict[str, str], debias: dict | None = None) -> None:
+    """manifest.json of the month-runs of `cells`, where `failed` maps each
+    failed run's key to its error, and of the debias experiment, given the
+    facts `run_debias_experiment` returned."""
+    manifest = {
         "version": __version__,
         "seed": plan.seed,
         "replicates": plan.replicates,
@@ -485,7 +500,10 @@ def _write_manifest(plan: ExperimentPlan, cells: list[Cell], runs: MonthRuns,
                 plan.sim_cfg.seed, c.city, c.year, m, c.mode, rep)
             for c, m, rep in runs.attempted
         },
-    })
+    }
+    if debias is not None:
+        manifest["debias"] = debias
+    _write_json(plan.out_dir, "manifest.json", manifest)
 
 
 # --- sensitivity ----------------------------------------------------------
@@ -523,8 +541,9 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
 # --- debias experiment ----------------------------------------------------
 
 def run_debias_experiment(plan: ExperimentPlan,
-                          loaded: dict | None = None) -> int:
-    """Biased vs rebalanced training comparison on one city-year.
+                          loaded: dict | None = None) -> dict:
+    """Biased vs rebalanced training comparison on one city-year; writes
+    debias.csv and returns the facts that manifest.json records of it.
 
     Biased condition trains the patrol GAN on the raw pooled incidents;
     debiased first trains the conditional GAN on race-labeled incidents,
@@ -570,7 +589,8 @@ def run_debias_experiment(plan: ExperimentPlan,
     _write_csv(plan.out_dir, "debias.csv",
                ("condition", "dir", "dir_flag", "rate_black", "rate_white",
                 "parity_gap"), rows)
-    return 0
+    return {"data_checksums": {f"{city}-{year}": data.checksum},
+            "seed": seed}
 
 
 def _evaluate_condition(labeled, patrols, sim_cfg: SimConfig,
@@ -648,10 +668,20 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
     return 0
 
 
+def run_debias(plan: ExperimentPlan, jobs: int) -> int:
+    debias = run_debias_experiment(plan)
+    _write_json(plan.out_dir, "manifest.json", {
+        "version": __version__, "seed": plan.seed, "debias": debias})
+    return 0
+
+
 def run_all(plan: ExperimentPlan, jobs: int) -> int:
     runs = run_grid(plan, jobs)
-    failures = run_debias_experiment(plan, runs.loaded) if plan.debias else 0
-    failures += run_stats(plan, jobs, runs)
+    if plan.debias:
+        # The grid's manifest, rewritten with the debias facts added.
+        _write_manifest(plan, plan.cells, runs, runs.failed[0],
+                        run_debias_experiment(plan, runs.loaded))
+    failures = run_stats(plan, jobs, runs)
     return failures + run_plots(plan, jobs)
 
 
@@ -659,7 +689,7 @@ COMMANDS = {
     "ingest": run_ingest,
     "grid": lambda plan, jobs: run_grid(plan, jobs).failures,
     "sensitivity": run_sensitivity,
-    "debias": lambda plan, jobs: run_debias_experiment(plan),
+    "debias": run_debias,
     "stats": run_stats,
     "plots": run_plots,
     "all": run_all,
@@ -683,9 +713,11 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         plan = build_plan(load_config(args.config, {"seed": args.seed,
                                                     "output_dir": args.out}))
-        failures = COMMANDS[args.command](plan, max(1, args.jobs))
+        failures = COMMANDS[args.command](plan, args.jobs)
     except ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG

@@ -7,6 +7,10 @@ between dense blocks, tanh output. Discriminator: 2 -> 512 -> 256 -> 128
 -> 1 with LeakyReLU and dropout 0.3, sigmoid output. Coordinates are
 normalized affinely into [-1, 1]^2 from the run's bounding box, so every
 generated point lands inside the box by construction.
+
+Both networks, their training data, label columns and latent draws are
+float32 (`DTYPE`); sampled patrols are widened to float64 before they are
+mapped back to latitude and longitude.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
                         Sigmoid, Tanh, bce_loss)
 
 LATENT_DIM = 100
+# The dtype the GAN trains and samples in.
+DTYPE = np.float32
 
 # Fraction of generated mass a mode must attract before the run is flagged
 # as collapsed onto the other mode.
@@ -67,20 +73,25 @@ def denormalize_coords(u: float, v: float, bbox: BoundingBox) -> LatLon:
 
 
 def _points_to_array(points, bbox: BoundingBox) -> np.ndarray:
-    return np.array([normalize_coords(p, bbox) for p in points], dtype=float)
+    return np.array([normalize_coords(p, bbox) for p in points], dtype=DTYPE)
 
 
 def _one_hot(labels: list[str] | None, n: int) -> np.ndarray:
     """The label columns appended to the n rows of a network input: one-hot
     over RACE_GROUPS, or none at all for the patrol GAN (labels None)."""
     if labels is None:
-        return np.empty((n, 0))
+        return np.empty((n, 0), DTYPE)
     if len(labels) != n:
         raise ValueError(f"need one label per row, got {len(labels)} for {n}")
-    out = np.zeros((n, len(RACE_GROUPS)))
+    out = np.zeros((n, len(RACE_GROUPS)), DTYPE)
     for row, lab in enumerate(labels):
         out[row, RACE_GROUPS.index(lab)] = 1.0
     return out
+
+
+def _latent(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n latent rows, drawn in float64 and rounded to DTYPE."""
+    return rng.standard_normal((n, LATENT_DIM)).astype(DTYPE)
 
 
 class GanModel:
@@ -91,29 +102,33 @@ class GanModel:
         n_labels = len(RACE_GROUPS) if conditional else 0  # label columns
         g_in = LATENT_DIM + n_labels
         rng = np.random.default_rng(seed)
+
+        def dense(n_in, n_out):
+            return Dense(n_in, n_out, rng, DTYPE)
+
         self.generator = Network([
-            Dense(g_in, 256, rng), BatchNorm(256), LeakyReLU(0.2),
-            Dense(256, 512, rng), BatchNorm(512), LeakyReLU(0.2),
-            Dense(512, 256, rng), BatchNorm(256), LeakyReLU(0.2),
-            Dense(256, 2, rng), Tanh(),
+            dense(g_in, 256), BatchNorm(256, DTYPE), LeakyReLU(0.2),
+            dense(256, 512), BatchNorm(512, DTYPE), LeakyReLU(0.2),
+            dense(512, 256), BatchNorm(256, DTYPE), LeakyReLU(0.2),
+            dense(256, 2), Tanh(),
         ])
         self.discriminator = Network([
-            Dense(2 + n_labels, 512, rng), LeakyReLU(0.2), Dropout(0.3),
-            Dense(512, 256, rng), LeakyReLU(0.2), Dropout(0.3),
-            Dense(256, 128, rng), LeakyReLU(0.2),
-            Dense(128, 1, rng), Sigmoid(),
+            dense(2 + n_labels, 512), LeakyReLU(0.2), Dropout(0.3),
+            dense(512, 256), LeakyReLU(0.2), Dropout(0.3),
+            dense(256, 128), LeakyReLU(0.2),
+            dense(128, 1), Sigmoid(),
         ])
 
     def generate_normalized(self, n: int, rng: np.random.Generator,
                             labels: list[str] | None = None) -> np.ndarray:
         """Inference-mode generator pass: running BN stats, no dropout. A
-        conditional model needs one label per sample, the patrol GAN none."""
+        conditional model needs one label per sample, the patrol GAN none.
+        Returns DTYPE rows."""
         if (labels is not None) != self.conditional:
             raise ValueError("a conditional model needs labels, the patrol "
                              "GAN takes none")
-        z = rng.standard_normal((n, LATENT_DIM))
-        return self.generator.forward(np.hstack([z, _one_hot(labels, n)]),
-                                      training=False)
+        return self.generator.forward(
+            np.hstack([_latent(rng, n), _one_hot(labels, n)]), training=False)
 
 
 def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
@@ -138,6 +153,9 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
     if labels is not None:
         label_pools = [np.array([i for i, lab in enumerate(labels) if lab == g])
                        for g in RACE_GROUPS if g in set(labels)]
+    # Discriminator targets: the real rows (1) stacked over the fake (0).
+    d_targets = np.repeat(np.array([1, 0], DTYPE), batch)[:, None]
+    g_targets = np.ones((batch, 1), DTYPE)
     history = LossHistory()
 
     for epoch in range(cfg.epochs):
@@ -155,31 +173,26 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
             x_real = real[idx]
             cond = onehot[idx]
 
-            # Discriminator step: real batch (target 1) + generated (target 0).
-            z = rng.standard_normal((batch, LATENT_DIM))
-            fake = model.generator.forward(np.hstack([z, cond]), training=True)
-
-            p_real = model.discriminator.forward(np.hstack([x_real, cond]),
-                                                 training=True, rng=rng)
-            loss_r, grad_r = bce_loss(p_real, np.ones_like(p_real))
-            model.discriminator.backward(grad_r)
-            grads_r = [g.copy() for g in model.discriminator.gradients()]
-
-            p_fake = model.discriminator.forward(np.hstack([fake, cond]),
-                                                 training=True, rng=rng)
-            loss_f, grad_f = bce_loss(p_fake, np.zeros_like(p_fake))
-            model.discriminator.backward(grad_f)
-            for gr, gf in zip(grads_r, model.discriminator.gradients()):
-                gr += gf
-            d_opt.step(grads_r)
-            d_losses.append(loss_r + loss_f)
+            # Discriminator step: one pass over the real batch (target 1)
+            # stacked on a generated one (target 0). The discriminator has
+            # no batch norm, so the halves do not interact. The mean over
+            # both halves, doubled, is the real loss plus the fake loss.
+            fake = model.generator.forward(
+                np.hstack([_latent(rng, batch), cond]), training=True)
+            p = model.discriminator.forward(
+                np.hstack([np.vstack([x_real, fake]), np.vstack([cond, cond])]),
+                training=True, rng=rng)
+            d_loss, grad_p = bce_loss(p, d_targets)
+            model.discriminator.backward(2.0 * grad_p)
+            d_opt.step(model.discriminator.gradients())
+            d_losses.append(2.0 * d_loss)
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
-            z = rng.standard_normal((batch, LATENT_DIM))
-            fake = model.generator.forward(np.hstack([z, cond]), training=True)
+            fake = model.generator.forward(
+                np.hstack([_latent(rng, batch), cond]), training=True)
             p = model.discriminator.forward(np.hstack([fake, cond]),
                                             training=True, rng=rng)
-            g_loss, grad_p = bce_loss(p, np.ones_like(p))
+            g_loss, grad_p = bce_loss(p, g_targets)
             # Input gradient only: the next discriminator step overwrites
             # every discriminator gradient before Adam reads one.
             grad_in = model.discriminator.backward(grad_p, param_grads=False)
@@ -251,7 +264,8 @@ def sample_patrol(model: GanModel, n: int, rng: np.random.Generator,
     if n < 1:
         raise ValueError("n must be >= 1")
     labels = None if label is None else [label] * n
-    out = model.generate_normalized(n, rng, labels)
+    # Widened first: float32 would round latitudes to about 0.3 m.
+    out = model.generate_normalized(n, rng, labels).astype(np.float64)
     return [denormalize_coords(u, v, model.bbox) for u, v in out]
 
 

@@ -1,8 +1,12 @@
 """Minimal dense-network engine with explicit backpropagation.
 
 Layers: fully-connected, batch normalization, LeakyReLU, dropout, tanh,
-sigmoid; binary cross-entropy head; Adam optimizer. Float64 throughout so
-finite-difference gradient checks and bitwise-deterministic training hold.
+sigmoid; binary cross-entropy head; Adam optimizer. `Dense` and `BatchNorm`
+take the dtype of their parameters, float64 by default: float64 is the
+reference the finite-difference gradient checks run in, and the GAN trains
+in float32. Gradients and Adam moments follow their parameter's dtype, and
+`Dense` rejects an input of another dtype, so one stray float64 array cannot
+silently promote a float32 network back to float64.
 """
 
 from __future__ import annotations
@@ -35,14 +39,16 @@ class Layer:
 
 
 class Dense(Layer):
-    def __init__(self, n_in: int, n_out: int, rng: np.random.Generator | None = None):
+    def __init__(self, n_in: int, n_out: int,
+                 rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__()
-        # Glorot-uniform weights, zero biases.
+        # Glorot-uniform weights (drawn in float64, then rounded), zero biases.
         limit = np.sqrt(6.0 / (n_in + n_out))
         if rng is None:
             rng = np.random.default_rng(0)
-        self.w = rng.uniform(-limit, limit, size=(n_in, n_out))
-        self.b = np.zeros(n_out)
+        self.w = rng.uniform(-limit, limit, size=(n_in, n_out)).astype(
+            dtype, copy=False)
+        self.b = np.zeros(n_out, dtype)
         self.params = [self.w, self.b]
         self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self._x = None
@@ -50,6 +56,9 @@ class Dense(Layer):
     def forward(self, x, training, rng=None):
         if x.shape[1] != self.w.shape[0]:
             raise ValueError(f"dense shape mismatch: {x.shape} vs {self.w.shape}")
+        if x.dtype != self.w.dtype:
+            raise ValueError(f"dense dtype mismatch: {x.dtype} input vs "
+                             f"{self.w.dtype} weights")
         self._x = x
         return x @ self.w + self.b
 
@@ -61,14 +70,14 @@ class Dense(Layer):
 
 
 class BatchNorm(Layer):
-    def __init__(self, width: int):
+    def __init__(self, width: int, dtype=np.float64):
         super().__init__()
-        self.gamma = np.ones(width)
-        self.beta = np.zeros(width)
+        self.gamma = np.ones(width, dtype)
+        self.beta = np.zeros(width, dtype)
         self.params = [self.gamma, self.beta]
         self.grads = [np.zeros_like(self.gamma), np.zeros_like(self.beta)]
-        self.running_mean = np.zeros(width)
-        self.running_var = np.ones(width)
+        self.running_mean = np.zeros(width, dtype)
+        self.running_var = np.ones(width, dtype)
         self._cache = None
 
     def forward(self, x, training, rng=None):
@@ -134,7 +143,8 @@ class Dropout(Layer):
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep) / keep
+        self._mask = (rng.random(x.shape) < keep).astype(x.dtype)
+        self._mask /= keep
         return x * self._mask
 
     def backward(self, grad_out, param_grads=True):
@@ -154,9 +164,10 @@ class Tanh(Layer):
 
 class Sigmoid(Layer):
     def forward(self, x, training, rng=None):
-        # Numerically stable in both tails.
-        self._y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.clip(x, -500, 500))),
-                           np.exp(np.clip(x, -500, 500)) / (1.0 + np.exp(np.clip(x, -500, 500))))
+        # One exp of a non-positive argument: no overflow in either tail,
+        # in float32 as in float64.
+        e = np.exp(-np.abs(x))
+        self._y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         return self._y
 
     def backward(self, grad_out, param_grads=True):

@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import patrolsim
 from patrolsim import cli, ingest, metrics, simulate
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
@@ -140,6 +141,8 @@ class TestConfig:
                                            "mode": "detected"},
                              "step": 100}),   # unknown key
         ("", "data_dir", 5),
+        ("", "replicate", 3),                 # typo of replicates
+        ("data", "synthetc", {}),             # typo of synthetic
     ])
     def test_strict_blocks(self, tmp_path, block, key, value):
         # `block` is the dotted path of the object that holds `key`. Every
@@ -183,6 +186,16 @@ class TestConfig:
             build_plan(config)
         assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_is_config_error(self, tmp_path, monkeypatch,
+                                            jobs):
+        calls = count_loads(monkeypatch)
+        out = tmp_path / "out"
+        assert main(["grid", "--config", synth_config(tmp_path, out),
+                     "--jobs", jobs]) == 1
+        assert calls == []
+        assert not out.exists()
 
     def test_output_dir_must_be_a_string(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -640,6 +653,39 @@ class TestDebias:
             [simulate.DetectionOutcome("", group, credit)
              for (_, group), credit in zip(labeled, credits)])
         assert len(set(probs)) > 2
+
+
+def read_manifest(out):
+    with open(out / "manifest.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+class TestDebiasManifest:
+    def test_standalone_debias_writes_manifest(self, tmp_path):
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out, cells=[],
+                            debias={"city": "Synth", "year": 2020})
+        assert main(["debias", "--config", path]) == 0
+        plan = build_plan(load_config(path))
+        manifest = read_manifest(out)
+        assert manifest["version"] == patrolsim.__version__
+        assert manifest["seed"] == 7
+        assert manifest["debias"] == {
+            "data_checksums": {"Synth-2020": plan.synthetic_checksum},
+            "seed": simulate.derive_seed(7, "debias", "Synth", 2020)}
+
+    def test_all_adds_debias_to_the_grid_manifest(self, tmp_path):
+        grid_out, all_out = tmp_path / "grid", tmp_path / "all"
+        assert main(["grid", "--config", synth_config(tmp_path, grid_out)]) == 0
+        path = synth_config(tmp_path, all_out,
+                            debias={"city": "Synth", "year": 2020})
+        assert main(["all", "--config", path]) == 0
+        grid, manifest = read_manifest(grid_out), read_manifest(all_out)
+        debias = manifest.pop("debias")
+        assert manifest == grid
+        assert debias["seed"] == simulate.derive_seed(7, "debias", "Synth",
+                                                      2020)
+        assert debias["data_checksums"] == grid["data_checksums"]
 
 
 class TestStatsCommand:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
-                           normalize_coords, rebalance_training_set,
-                           sample_patrol, train_gan)
+from patrolsim import gan
+from patrolsim.gan import (DTYPE, LATENT_DIM, GanModel, TrainConfig,
+                           denormalize_coords, normalize_coords,
+                           rebalance_training_set, sample_patrol, train_gan)
 from patrolsim.geodata import BoundingBox, LatLon
 from patrolsim.ingest import RACE_GROUPS
+from patrolsim.neuralnet import Adam, BatchNorm
 
 BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
 
@@ -80,7 +82,7 @@ class TestTraining:
     def test_discriminator_output_in_unit_interval(self):
         pts = gaussian_points((0.0, 0.0), 0.2, 60, 7)
         model, _ = train_gan(pts, TrainConfig(epochs=2, seed=8), BBOX)
-        x = np.random.default_rng(1).uniform(-50, 50, (20, 2))
+        x = np.random.default_rng(1).uniform(-50, 50, (20, 2)).astype(DTYPE)
         p = model.discriminator.forward(x, training=False)
         assert np.all((p > 0.0) & (p < 1.0))
 
@@ -216,3 +218,78 @@ class TestRebalance:
         with pytest.raises(ValueError):
             rebalance_training_set([(BBOX.center, "Black")] * 10, model,
                                    np.random.default_rng(0))
+
+
+def max_rel_error(a, b):
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
+    return float(np.max(np.abs(a - b) / scale))
+
+
+class TestFloat32:
+    """The GAN trains in float32; float64 is the reference it must match."""
+
+    @pytest.mark.parametrize("conditional", [False, True])
+    def test_matches_float64_reference(self, monkeypatch, conditional):
+        model = GanModel(BBOX, conditional, seed=21)
+        monkeypatch.setattr(gan, "DTYPE", np.float64)
+        ref = GanModel(BBOX, conditional, seed=21)
+        for net, ref_net in ((model.generator, ref.generator),
+                             (model.discriminator, ref.discriminator)):
+            for p, p64 in zip(net.parameters(), ref_net.parameters()):
+                assert p.dtype == np.float32 and p64.dtype == np.float64
+                p64[...] = p  # the same weights, widened
+        rng = np.random.default_rng(22)
+        n_labels = 3 if conditional else 0
+        onehot = np.eye(3)[rng.integers(0, 3, 64)][:, :n_labels]
+        g_in = np.hstack([rng.standard_normal((64, LATENT_DIM)), onehot])
+        d_in = np.hstack([rng.uniform(-1, 1, (64, 2)), onehot])
+        for net, ref_net, x in ((model.generator, ref.generator, g_in),
+                                (model.discriminator, ref.discriminator,
+                                 d_in)):
+            x = x.astype(np.float32)
+            # Batch statistics and dropout on; equal seeds draw equal masks.
+            out = net.forward(x, True, np.random.default_rng(23))
+            out64 = ref_net.forward(x.astype(np.float64), True,
+                                    np.random.default_rng(23))
+            assert out.dtype == np.float32
+            assert max_rel_error(out, out64) < 1e-4
+            g = rng.standard_normal(out.shape)
+            grad_in = net.backward(g.astype(np.float32))
+            assert max_rel_error(grad_in, ref_net.backward(g)) < 1e-4
+            for grad, grad64 in zip(net.gradients(), ref_net.gradients()):
+                assert grad.dtype == np.float32
+                assert max_rel_error(grad, grad64) < 1e-4
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_training_state_is_float32(self, monkeypatch, labeled):
+        optimizers = []
+
+        class RecordingAdam(Adam):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                optimizers.append(self)
+        monkeypatch.setattr(gan, "Adam", RecordingAdam)
+        data = labeled_two_cluster(20, 24)
+        labels = [lab for _, lab in data] if labeled else None
+        model, history = train_gan([p for p, _ in data],
+                                   TrainConfig(epochs=2, seed=25), BBOX,
+                                   labels)
+        assert len(optimizers) == 2
+        arrays = [a for opt in optimizers for a in opt.params + opt.m + opt.v]
+        for net in (model.generator, model.discriminator):
+            arrays += net.parameters() + net.gradients()
+            arrays += [a for layer in net.layers
+                       if isinstance(layer, BatchNorm)
+                       for a in (layer.running_mean, layer.running_var)]
+        # 22 parameters, each with a gradient and two moments; 3 batch norms.
+        assert len(arrays) == 5 * 22 + 2 * 3
+        assert all(a.dtype == np.float32 for a in arrays)
+        assert all(np.isfinite(v) for v in history.g_loss + history.d_loss)
+
+    def test_sample_patrol_coordinates_are_float64(self, patrol_model):
+        pts = sample_patrol(patrol_model, 5, np.random.default_rng(26))
+        uv = patrol_model.generate_normalized(5, np.random.default_rng(26))
+        assert uv.dtype == np.float32
+        for p, (u, v) in zip(pts, uv):
+            assert type(p.lat) is np.float64 and type(p.lon) is np.float64
+            assert p == denormalize_coords(float(u), float(v), BBOX)

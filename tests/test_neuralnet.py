@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,26 @@ class TestDense:
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 4)), False)
 
+    def test_dtype_mismatch_fatal(self):
+        # A float64 input would silently promote a float32 layer's matmul.
+        with pytest.raises(ValueError, match="dtype"):
+            Dense(3, 2, dtype=np.float32).forward(np.zeros((1, 3)), False)
+        with pytest.raises(ValueError, match="dtype"):
+            Dense(3, 2).forward(np.zeros((1, 3), np.float32), False)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_sets_parameters_and_gradients(self, dtype):
+        layer = Dense(3, 2, np.random.default_rng(0), dtype)
+        out = layer.forward(np.ones((4, 3), dtype), True)
+        grad_in = layer.backward(np.ones_like(out))
+        for a in layer.params + layer.grads + [out, grad_in]:
+            assert a.dtype == dtype
+
+    def test_float32_weights_are_the_float64_draw_rounded(self):
+        w64 = Dense(5, 4, np.random.default_rng(3)).w
+        w32 = Dense(5, 4, np.random.default_rng(3), np.float32).w
+        assert np.array_equal(w32, w64.astype(np.float32))
+
     def test_gradients_vs_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -110,6 +132,16 @@ class TestActivations:
         assert 0.0 <= out[0, 0] < 1e-100
         assert out[0, 1] == pytest.approx(1.0)
 
+    def test_float32_sigmoid_extremes_finite_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = Sigmoid().forward(np.array([[-100.0, 100.0]], np.float32),
+                                    False)
+        assert out.dtype == np.float32
+        assert np.all(np.isfinite(out))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+        assert out[0, 0] < 1e-30 and out[0, 1] == 1.0
+
 
 class TestDropout:
     def test_inference_identity(self):
@@ -152,8 +184,26 @@ class TestDropout:
         grad = layer.backward(np.ones_like(out))
         assert np.array_equal(grad, layer._mask)
 
+    def test_float32_mask_keeps_the_input_dtype(self):
+        x = np.ones((4, 4), np.float32)
+        out = Dropout(0.5).forward(x, True, np.random.default_rng(3))
+        ref = Dropout(0.5).forward(x.astype(np.float64), True,
+                                   np.random.default_rng(3))
+        assert out.dtype == np.float32
+        assert np.array_equal(out, ref.astype(np.float32))
+
 
 class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dtype_sets_parameters_and_running_stats(self, dtype):
+        layer = BatchNorm(3, dtype)
+        out = layer.forward(np.arange(12, dtype=dtype).reshape(4, 3), True)
+        grad_in = layer.backward(np.ones_like(out))
+        for a in (layer.params + layer.grads + [layer.running_mean,
+                                                layer.running_var,
+                                                out, grad_in]):
+            assert a.dtype == dtype
+
     def test_standardized_input_passthrough(self):
         layer = BatchNorm(3)
         rng = np.random.default_rng(4)
