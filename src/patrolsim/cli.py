@@ -341,7 +341,8 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
     else:
         result = simulate.run_month_reported(slice_, neighborhoods, sim_cfg,
                                              replicate)
-    rates = metrics.group_rates(result.outcomes)
+    rates = metrics.group_rates(result.outcomes.groups,
+                                result.outcomes.credits)
     record = metrics.monthly_record(cell.city, cell.year, slice_.month,
                                     cell.mode, rates, replicate)
     return result, record
@@ -508,6 +509,7 @@ def _write_manifest(plan: ExperimentPlan, cells: list[Cell], runs: MonthRuns,
 
 # --- sensitivity ----------------------------------------------------------
 
+
 def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     """Sweep one parameter over its value list on the base cell, and write
     sensitivity.csv and manifest.json."""
@@ -523,10 +525,12 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
         if not records:
             continue
         s = metrics.annual_summary(records)  # all replicates of the cell
-        total_detected = sum(sum(o.credit for o in r.outcomes)
-                             for r in results)
+        # Each month-run's credits, then their sums, added in order.
+        sums = [np.bincount(np.zeros(len(r.outcomes), int),
+                            weights=r.outcomes.credits)[0] for r in results]
+        total_detected = np.bincount(np.zeros(len(sums), int), weights=sums)[0]
         rows.append((sweep.parameter, value, s.avg_dir, s.max_dir,
-                     s.avg_parity_gap, s.avg_gini, float(total_detected),
+                     s.avg_parity_gap, s.avg_gini, total_detected,
                      s.months_counted))
     _write_csv(plan.out_dir, "sensitivity.csv",
                ("parameter", "value", "avg_dir", "max_dir", "avg_parity_gap",
@@ -562,17 +566,18 @@ def run_debias_experiment(plan: ExperimentPlan,
 
     seed = derive_seed(plan.sim_cfg.seed, "debias", city, year)
     rng = np.random.default_rng(seed)
-    labeled = [(inc.location,
-                simulate.assign_race(inc, data.neighborhoods, rng))
-               for inc in incidents]
+    locations = [inc.location for inc in incidents]
+    groups = simulate.draw_groups([inc.neighborhood_id for inc in incidents],
+                                  data.neighborhoods,
+                                  rng.random(len(incidents)))
+    labels = [ingest.RACE_GROUPS[g] for g in groups.tolist()]
 
     train_cfg = replace(plan.train_cfg, seed=seed)
 
-    biased_model, _ = gan.train_gan([p for p, _ in labeled], train_cfg,
-                                    data.bbox)
-    cond_model, _ = gan.train_gan([p for p, _ in labeled], train_cfg,
-                                  data.bbox, [lab for _, lab in labeled])
-    rebalanced = gan.rebalance_training_set(labeled, cond_model, rng,
+    biased_model, _ = gan.train_gan(locations, train_cfg, data.bbox)
+    cond_model, _ = gan.train_gan(locations, train_cfg, data.bbox, labels)
+    rebalanced = gan.rebalance_training_set(list(zip(locations, labels)),
+                                            cond_model, rng,
                                             plan.debias.replace_fraction)
     debiased_model, _ = gan.train_gan([p for p, _ in rebalanced], train_cfg,
                                       data.bbox)
@@ -582,7 +587,8 @@ def run_debias_experiment(plan: ExperimentPlan,
     for name, model in (("biased", biased_model), ("debiased", debiased_model)):
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
-        rates = _evaluate_condition(labeled, patrols, plan.sim_cfg, eval_rng)
+        rates = _evaluate_condition(locations, groups, patrols, plan.sim_cfg,
+                                    eval_rng)
         rows.append((name, *metrics.disparate_impact_ratio(rates),
                      rates.rate("Black") or 0.0, rates.rate("White") or 0.0,
                      metrics.parity_gap(rates)))
@@ -593,10 +599,11 @@ def run_debias_experiment(plan: ExperimentPlan,
             "seed": seed}
 
 
-def _evaluate_condition(labeled, patrols, sim_cfg: SimConfig,
+def _evaluate_condition(locations, groups, patrols, sim_cfg: SimConfig,
                         rng: np.random.Generator) -> metrics.GroupRates:
-    return metrics.group_rates(
-        simulate.evaluate_labeled(labeled, patrols, sim_cfg, rng))
+    probs = simulate.noisy_or(locations, patrols, sim_cfg)
+    _, credits = simulate.draw_outcomes(probs, not sim_cfg.expected_value, rng)
+    return metrics.group_rates(groups, credits)
 
 
 # --- stats ----------------------------------------------------------------
@@ -610,8 +617,8 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
     """
     if runs is None:
         runs = run_grid(plan, jobs)
-    neighborhoods = {nb_id: nb for data in runs.loaded.values()
-                     for nb_id, nb in data.neighborhoods.items()}
+    neighborhoods = {city: data.neighborhoods
+                     for (city, _), data in runs.loaded.items()}
     observations, excluded = stats.build_neighborhood_dataset(
         runs.results[0], neighborhoods)
     os.makedirs(plan.out_dir, exist_ok=True)

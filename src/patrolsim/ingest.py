@@ -167,15 +167,20 @@ def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
 
     A missing, empty or non-numeric value is an IngestError naming the
     file, the row id and the column; only pct_neither may be left empty
-    (None), to be computed as the remainder.
+    (None), to be computed as the remainder. So is an id on two rows, and
+    a row whose three group shares are all 0, which no group can be drawn
+    from.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = {str(row["id"]): row for row in csv.DictReader(fh)}
+            rows = [(str(row["id"]), row) for row in csv.DictReader(fh)]
     except (OSError, KeyError) as exc:
         raise IngestError(f"cannot read demographics {path}: {exc}") from exc
     demo = {}
-    for rid, row in rows.items():
+    for rid, row in rows:
+        if rid in demo:
+            raise IngestError(f"demographics {path}: id {rid!r} is on more "
+                              f"than one row")
         values = demo[rid] = {}
         for col in ("median_income",) + SHARE_COLUMNS:
             raw = row.get(col)
@@ -188,6 +193,10 @@ def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
                 raise IngestError(
                     f"demographics {path}, row {rid!r}: {col} is "
                     f"{'missing' if raw is None else repr(raw)}") from None
+        if values["pct_black"] == values["pct_white"] \
+                == values["pct_neither"] == 0.0:
+            raise IngestError(f"demographics {path}, row {rid!r}: pct_black, "
+                              f"pct_white and pct_neither are all 0")
     return demo
 
 

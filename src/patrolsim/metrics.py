@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import astuple, dataclass, fields
 
+import numpy as np
+
 from .ingest import RACE_GROUPS
-from .simulate import DetectionOutcome
 
 DIR_OK = "ok"
 DIR_UNDEFINED = "undefined_zero_over_zero"
@@ -67,15 +68,14 @@ class AnnualSummary:
     months_counted: int
 
 
-def group_rates(outcomes: list[DetectionOutcome]) -> GroupRates:
-    """Per-group crime counts, and detected counts that sum the outcomes'
-    credits."""
-    detected = {g: 0.0 for g in RACE_GROUPS}
-    total = {g: 0 for g in RACE_GROUPS}
-    for o in outcomes:
-        total[o.group] += 1
-        detected[o.group] += o.credit
-    return GroupRates(detected, total)
+def group_rates(groups: np.ndarray, credits: np.ndarray) -> GroupRates:
+    """Per-group crime counts of the group indices into RACE_GROUPS, and
+    detected counts that sum the crimes' credits in input order."""
+    n = len(RACE_GROUPS)
+    detected = np.bincount(groups, weights=credits, minlength=n).tolist()
+    total = np.bincount(groups, minlength=n).tolist()
+    return GroupRates(dict(zip(RACE_GROUPS, detected)),
+                      dict(zip(RACE_GROUPS, total)))
 
 
 def disparate_impact_ratio(rates: GroupRates) -> tuple[float | None, str]:

@@ -1,5 +1,5 @@
-"""One-month simulation runs: race assignment, patrol deployment, and
-Noisy-OR detection per crime.
+"""One-month simulation runs: patrol deployment, and each crime's group
+and Noisy-OR detection.
 
 Two modes. Detected: patrols are sampled from a GAN trained on the month's
 incident coordinates. Reported: each crime is independently reported with
@@ -17,7 +17,7 @@ import numpy as np
 
 from .gan import GanModel, TrainConfig, sample_patrol, train_gan
 from .geodata import BoundingBox, LatLon, count_within
-from .ingest import RACE_GROUPS, CrimeIncident, MonthSlice, Neighborhood
+from .ingest import RACE_GROUPS, MonthSlice, Neighborhood
 
 # How reported mode places patrols: from the reported-crime locations, or
 # treating a citizen report directly as a detection.
@@ -49,15 +49,18 @@ class SimConfig:
             raise ValueError("bad reported_mode_semantics")
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """One crime's result. `credit` is what it adds to its group's detected
-    count: its detection probability under `SimConfig.expected_value`,
-    otherwise its 0/1 Bernoulli draw."""
-    neighborhood_id: str
-    group: str
-    credit: float
-    reported: bool | None = None
+@dataclass(frozen=True, eq=False)
+class MonthOutcomes:
+    """A month's crimes as columns, in input order. A crime's group indexes
+    RACE_GROUPS; its credit is what it adds to its group's detected count.
+    `reported` is None outside reported mode."""
+    neighborhood_ids: np.ndarray
+    groups: np.ndarray
+    credits: np.ndarray
+    reported: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.groups)
 
 
 @dataclass
@@ -66,7 +69,7 @@ class MonthRunResult:
     year: int
     month: int
     mode: str
-    outcomes: list[DetectionOutcome]
+    outcomes: MonthOutcomes
     patrol_points: list[LatLon]
     mode_collapsed: bool = False
 
@@ -88,62 +91,56 @@ def month_run_seed(master_seed: int, city: str, year: int, month: int,
                        city, year, month, mode)
 
 
-def assign_race(incident: CrimeIncident,
-                neighborhoods: dict[str, Neighborhood],
-                rng: np.random.Generator) -> str:
-    """Categorical draw from the containing neighborhood's group proportions."""
-    nb = neighborhoods.get(incident.neighborhood_id)
-    if nb is None:
-        raise KeyError(f"incident {incident.id} has unknown neighborhood "
-                       f"{incident.neighborhood_id!r}")
-    probs = np.array([nb.pct_black, nb.pct_white, nb.pct_neither])
-    probs = probs / probs.sum()
-    return RACE_GROUPS[rng.choice(len(RACE_GROUPS), p=probs)]
+def draw_groups(neighborhood_ids, neighborhoods: dict[str, Neighborhood],
+                u: np.ndarray) -> np.ndarray:
+    """Each crime's group, drawn with the uniform `u[i]` from its
+    neighborhood's shares as `Generator.choice(3, p=shares)` draws it: the
+    number of entries <= u of `cdf = p.cumsum(); cdf /= cdf[-1]`, where
+    `p = shares / shares.sum()`."""
+    names, rows = np.unique(np.asarray(neighborhood_ids, dtype=str),
+                            return_inverse=True)
+    shares = np.array([[nb.pct_black, nb.pct_white, nb.pct_neither]
+                       for nb in map(neighborhoods.__getitem__,
+                                     names.tolist())])
+    totals = shares.sum(axis=1, keepdims=True)
+    if not ((shares >= 0).all() and (totals > 0).all()):
+        raise ValueError("neighborhood group shares must be non-negative "
+                         "with a positive total")
+    cdf = (shares / totals).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf[rows] <= u[:, None]).sum(axis=1)
 
 
 def noisy_or(crimes: list[LatLon], patrols: list[LatLon],
-             sim_cfg: SimConfig) -> list[tuple[int, float]]:
-    """(k, 1 - (1 - p)^k) per crime, over the k patrols within the radius."""
-    counts = count_within(crimes, patrols, sim_cfg.radius_ft).tolist()
-    return [(k, 1.0 - (1.0 - sim_cfg.p_officer) ** k) for k in counts]
+             sim_cfg: SimConfig) -> np.ndarray:
+    """1 - (1 - p)^k per crime, over the k patrols within the radius."""
+    counts = count_within(crimes, patrols, sim_cfg.radius_ft)
+    # Python's float ** per k: np.power differs from it in the last bit.
+    return np.array([1.0 - (1.0 - sim_cfg.p_officer) ** k
+                     for k in range(counts.max(initial=0) + 1)])[counts]
 
 
-def _credit(prob: float, sim_cfg: SimConfig,
-            rng: np.random.Generator) -> float:
-    """`prob` under expected_value (no draw), otherwise a 0/1 draw."""
-    return prob if sim_cfg.expected_value else float(rng.random() < prob)
+def draw_outcomes(probs: np.ndarray, sample: bool, rng: np.random.Generator,
+                  neighborhood_ids=None, neighborhoods=None):
+    """(groups, credits): per crime, one uniform for its group (given
+    `neighborhood_ids`), then, if `sample`, one for its 0/1 credit
+    `u < probs[i]`, all from one `rng.random` call; else credits are probs."""
+    u = rng.random((len(probs), (neighborhood_ids is not None) + sample))
+    groups = (None if neighborhood_ids is None
+              else draw_groups(neighborhood_ids, neighborhoods, u[:, 0]))
+    return groups, (u[:, -1] < probs).astype(float) if sample else probs
 
 
-def _evaluate_detections(slice_: MonthSlice,
-                         neighborhoods: dict[str, Neighborhood],
-                         patrol_points: list[LatLon],
-                         sim_cfg: SimConfig,
-                         rng: np.random.Generator,
-                         reported: list[bool] | None = None,
-                         ) -> list[DetectionOutcome]:
-    """One outcome per crime; `reported[i]`, if given, is the i-th crime's
-    report."""
-    detection = noisy_or([inc.location for inc in slice_.incidents],
-                         patrol_points, sim_cfg)
-    if reported is None:
-        reported = [None] * len(slice_.incidents)
-    outcomes = []
-    for inc, (_, prob), rep in zip(slice_.incidents, detection, reported):
-        group = assign_race(inc, neighborhoods, rng)
-        outcomes.append(DetectionOutcome(
-            inc.neighborhood_id or "", group, _credit(prob, sim_cfg, rng),
-            rep))
-    return outcomes
-
-
-def evaluate_labeled(labeled: list[tuple[LatLon, str]],
-                     patrol_points: list[LatLon], sim_cfg: SimConfig,
-                     rng: np.random.Generator) -> list[DetectionOutcome]:
-    """Outcomes of crimes whose groups are already drawn (the debias
-    conditions); they carry no neighborhood."""
-    detection = noisy_or([loc for loc, _ in labeled], patrol_points, sim_cfg)
-    return [DetectionOutcome("", group, _credit(prob, sim_cfg, rng))
-            for (_, group), (_, prob) in zip(labeled, detection)]
+def _month_result(slice_: MonthSlice,
+                  neighborhoods: dict[str, Neighborhood], mode: str,
+                  patrols: list[LatLon], probs: np.ndarray, sample: bool,
+                  rng: np.random.Generator, reported: np.ndarray | None = None,
+                  mode_collapsed: bool = False) -> MonthRunResult:
+    ids = np.array([i.neighborhood_id for i in slice_.incidents], dtype=str)
+    outcomes = MonthOutcomes(ids, *draw_outcomes(probs, sample, rng, ids,
+                                                 neighborhoods), reported)
+    return MonthRunResult(slice_.city, slice_.year, slice_.month, mode,
+                          outcomes, patrols, mode_collapsed)
 
 
 def run_month_detected(slice_: MonthSlice,
@@ -169,10 +166,9 @@ def run_month_detected(slice_: MonthSlice,
         mode_collapsed = history.mode_collapsed
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
-    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
-                                    rng)
-    return MonthRunResult(slice_.city, slice_.year, slice_.month, "detected",
-                          outcomes, patrols, mode_collapsed)
+    probs = noisy_or([i.location for i in slice_.incidents], patrols, sim_cfg)
+    return _month_result(slice_, neighborhoods, "detected", patrols, probs,
+                         not sim_cfg.expected_value, rng, None, mode_collapsed)
 
 
 def run_month_reported(slice_: MonthSlice,
@@ -185,29 +181,18 @@ def run_month_reported(slice_: MonthSlice,
                           slice_.month, "reported", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     # One report draw per crime, by position: crimes may share an id.
-    reported = (rng.random(len(slice_.incidents))
-                < sim_cfg.reporting_prob).tolist()
-
+    reported = rng.random(len(slice_.incidents)) < sim_cfg.reporting_prob
     if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
-        outcomes = []
-        for inc, rep in zip(slice_.incidents, reported):
-            group = assign_race(inc, neighborhoods, rng)
-            credit = (sim_cfg.reporting_prob if sim_cfg.expected_value
-                      else float(rep))
-            outcomes.append(DetectionOutcome(inc.neighborhood_id or "",
-                                             group, credit, rep))
-        return MonthRunResult(slice_.city, slice_.year, slice_.month,
-                              "reported", outcomes, [])
-
-    reported_locs = [inc.location
-                     for inc, rep in zip(slice_.incidents, reported) if rep]
-    if reported_locs:
-        n_patrol = min(sim_cfg.n_officers, len(reported_locs))
-        pick = rng.choice(len(reported_locs), size=n_patrol, replace=False)
-        patrols = [reported_locs[i] for i in pick]
-    else:
-        patrols = []
-    outcomes = _evaluate_detections(slice_, neighborhoods, patrols, sim_cfg,
-                                    rng, reported)
-    return MonthRunResult(slice_.city, slice_.year, slice_.month, "reported",
-                          outcomes, patrols)
+        credits = (np.full(len(reported), sim_cfg.reporting_prob)
+                   if sim_cfg.expected_value else reported.astype(float))
+        return _month_result(slice_, neighborhoods, "reported", [], credits,
+                             False, rng, reported)
+    locations = [i.location for i in slice_.incidents]
+    reporters = np.flatnonzero(reported)
+    # With no reporters this draws nothing and places no patrol.
+    pick = rng.choice(len(reporters), replace=False,
+                      size=min(sim_cfg.n_officers, len(reporters)))
+    patrols = [locations[i] for i in reporters[pick].tolist()]
+    return _month_result(slice_, neighborhoods, "reported", patrols,
+                         noisy_or(locations, patrols, sim_cfg),
+                         not sim_cfg.expected_value, rng, reported)

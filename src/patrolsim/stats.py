@@ -167,30 +167,39 @@ def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
     return CorrelationResult(r, rp, rho, rhop)
 
 
-def build_neighborhood_dataset(results: list[MonthRunResult],
-                               neighborhoods: dict[str, Neighborhood],
-                               ) -> tuple[list[NeighborhoodObservation], int]:
+def build_neighborhood_dataset(
+        results: list[MonthRunResult],
+        neighborhoods: dict[str, dict[str, Neighborhood]],
+        ) -> tuple[list[NeighborhoodObservation], int]:
     """One observation per (neighborhood, city, year, mode) with that unit's
-    pooled detection rate across months, the mean of its crimes' credits;
-    zero-crime units are excluded.
+    pooled detection rate across months, the mean of its crimes' credits,
+    and the covariates of `neighborhoods[city][id]`; an id the city lacks is
+    excluded.
 
     Returns (observations, excluded_count).
     """
-    pooled: dict[tuple[str, str, int, str], list[float]] = {}
+    cells: dict[tuple[str, int, str], list[MonthRunResult]] = {}
     for res in results:
-        for o in res.outcomes:
-            key = (o.neighborhood_id, res.city, res.year, res.mode)
-            pooled.setdefault(key, []).append(o.credit)
+        cells.setdefault((res.city, res.year, res.mode), []).append(res)
+    pooled = {}
+    for (city, year, mode), cell in cells.items():
+        ids, unit = np.unique(np.concatenate(
+            [r.outcomes.neighborhood_ids for r in cell]), return_inverse=True)
+        hits = np.bincount(unit, weights=np.concatenate(
+            [r.outcomes.credits for r in cell]))
+        for nb_id, hit, n in zip(ids.tolist(), hits.tolist(),
+                                 np.bincount(unit).tolist()):
+            pooled[nb_id, city, year, mode] = hit / n
     observations = []
     excluded = 0
-    for (nb_id, city, year, mode), hits in sorted(pooled.items()):
-        nb = neighborhoods.get(nb_id)
-        if nb is None or not hits:
+    for (nb_id, city, year, mode), rate in sorted(pooled.items()):
+        nb = neighborhoods[city].get(nb_id)
+        if nb is None:
             excluded += 1
             continue
         observations.append(NeighborhoodObservation(
             neighborhood_id=nb_id, city=city, year=year, mode=mode,
-            detection_rate=sum(hits) / len(hits),
+            detection_rate=rate,
             pct_black=nb.pct_black, pct_white=nb.pct_white,
             median_income=nb.median_income, poverty_rate=nb.poverty_rate))
     return observations, excluded

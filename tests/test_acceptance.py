@@ -99,8 +99,9 @@ def test_criterion_2_noisy_or():
                 closed = 1.0 - (1.0 - p) ** k
                 assert abs(closed - (1.0 - product)) < 1e-12
         cfg = SimConfig(radius_ft=700.0, p_officer=0.85)
-        [(k, prob)] = noisy_or([BBOX.center], [BBOX.center], cfg)
-        assert k == 1
+        assert count_within([BBOX.center], [BBOX.center], 700.0).tolist() \
+            == [1]
+        [prob] = noisy_or([BBOX.center], [BBOX.center], cfg)
         assert prob == pytest.approx(0.85, abs=1e-12)
 
 
@@ -288,7 +289,7 @@ def test_criterion_8_monotonicity():
 
         def total(patrol_subset, radius):
             cfg = SimConfig(radius_ft=radius, p_officer=0.85)
-            return sum(prob for _, prob in noisy_or(crimes, patrol_subset, cfg))
+            return sum(noisy_or(crimes, patrol_subset, cfg).tolist())
 
         radius_totals = [total(patrols[:60], r)
                          for r in (400.0, 700.0, 1000.0, 1500.0)]

@@ -454,7 +454,11 @@ class TestGrid:
         "id,pct_black,pct_white,median_income,poverty_rate\n"
         "Good,0.5,0.4,n/a,0.2\n",
         "id,pct_black,pct_white,median_income\nGood,0.5,0.4,40000\n",
-    ], ids=["non-numeric", "missing-column"])
+        "id,pct_black,pct_white,pct_neither,median_income,poverty_rate\n"
+        "Good,0,0,0,40000,0.2\n",
+        "id,pct_black,pct_white,median_income,poverty_rate\n"
+        "Good,0.5,0.4,40000,0.2\nGood,0.1,0.8,40000,0.2\n",
+    ], ids=["non-numeric", "missing-column", "zero-shares", "duplicate-id"])
     def test_malformed_demographics_is_data_error(self, tmp_path, caplog,
                                                   demographics):
         crimes = [(str(i), f"2019-{m:02d}-15 12:00")
@@ -634,24 +638,24 @@ class TestDebias:
         # Credits are the Noisy-OR probabilities under expected_value and
         # 0/1 draws from the condition's generator otherwise.
         rng = np.random.default_rng(5)
-        groups = simulate.RACE_GROUPS
-        labeled = [(LatLon(39.30 + 0.01 * u, -76.62 + 0.01 * v),
-                    groups[int(g)])
-                   for u, v, g in zip(rng.uniform(-1, 1, 80),
-                                      rng.uniform(-1, 1, 80),
-                                      rng.integers(0, 3, 80))]
-        patrols = [loc for loc, _ in labeled[::8]]
+        locations = [LatLon(39.30 + 0.01 * u, -76.62 + 0.01 * v)
+                     for u, v in zip(rng.uniform(-1, 1, 80),
+                                     rng.uniform(-1, 1, 80))]
+        groups = rng.integers(0, 3, 80)
+        patrols = locations[::8]
         cfg = simulate.SimConfig(radius_ft=600.0, expected_value=expected)
-        rates = cli._evaluate_condition(labeled, patrols, cfg,
+        rates = cli._evaluate_condition(locations, groups, patrols, cfg,
                                         np.random.default_rng(3))
-        probs = [p for _, p in simulate.noisy_or(
-            [loc for loc, _ in labeled], patrols, cfg)]
+        probs = simulate.noisy_or(locations, patrols, cfg).tolist()
         draws = np.random.default_rng(3)
         credits = (probs if expected
                    else [float(draws.random() < p) for p in probs])
-        assert rates == metrics.group_rates(
-            [simulate.DetectionOutcome("", group, credit)
-             for (_, group), credit in zip(labeled, credits)])
+        detected = {g: 0.0 for g in simulate.RACE_GROUPS}
+        for g, credit in zip(groups.tolist(), credits):
+            detected[simulate.RACE_GROUPS[g]] += credit
+        assert rates.detected == detected
+        assert rates.total == dict(zip(simulate.RACE_GROUPS,
+                                       np.bincount(groups).tolist()))
         assert len(set(probs)) > 2
 
 
@@ -772,6 +776,29 @@ class TestStatsOutputs:
         assert (out / "correlations.csv").read_text(encoding="utf-8") == \
             "predictor,pearson_r,pearson_p,spearman_rho,spearman_p\n"
         assert not (out / "regression.csv").exists()
+
+
+    def test_covariates_come_from_the_results_city(self, tmp_path):
+        # Two cities whose neighborhoods share the id "Good": each
+        # observation carries its own city's demographics.
+        crimes = [(str(i), f"2019-{m:02d}-15 12:00")
+                  for m in (3, 4, 5) for i in range(5)]
+        bindings = {}
+        for city, pct_black in (("East", 0.5), ("West", 0.1)):
+            (tmp_path / city).mkdir()
+            binding = write_city(tmp_path / city, crimes)
+            (tmp_path / city / "demo.csv").write_text(
+                "id,pct_black,pct_white,median_income,poverty_rate\n"
+                f"Good,{pct_black},0.4,40000,0.2\n")
+            bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                      data_dir=str(tmp_path), data={"cities": bindings},
+                      cells=[{"city": c, "year": 2019, "mode": "reported"}
+                             for c in ("East", "West")])
+        assert main(["stats", "--config", write_config(tmp_path, config)]) == 0
+        rows = read_rows(tmp_path / "out" / "observations.csv")
+        assert {(r["city"], r["pct_black"]) for r in rows} == {
+            ("East", "0.5"), ("West", "0.1")}
 
 
 class TestCsvWriter:

@@ -12,7 +12,7 @@ from patrolsim.metrics import (ANNUAL_CSV_HEADER, DIR_INFINITE, DIR_OK,
                                bias_amplification_score,
                                disparate_impact_ratio, gini, group_rates,
                                monthly_csv_row, monthly_record, parity_gap)
-from patrolsim.simulate import DetectionOutcome
+from patrolsim.ingest import RACE_GROUPS
 
 
 def gini_double_loop(xs):
@@ -36,14 +36,20 @@ def rates_of(black=(0, 0), white=(0, 0), neither=(0, 0)):
 
 
 def outcome(group, credit):
-    return DetectionOutcome(neighborhood_id="N", group=group, credit=credit)
+    return RACE_GROUPS.index(group), credit
+
+
+def rates_from(outcomes):
+    """group_rates of (group index, credit) pairs."""
+    return group_rates(np.array([g for g, _ in outcomes], dtype=int),
+                       np.array([c for _, c in outcomes], dtype=float))
 
 
 class TestGroupRates:
     def test_counts(self):
         outs = [outcome("Black", 1.0), outcome("Black", 0.0),
                 outcome("White", 1.0)]
-        r = group_rates(outs)
+        r = rates_from(outs)
         assert r.rate("Black") == pytest.approx(0.5)
         assert r.rate("White") == pytest.approx(1.0)
         assert r.rate("Neither") is None
@@ -51,8 +57,24 @@ class TestGroupRates:
     def test_expected_mode_sums_probabilities(self):
         # Credits under expected_value are the crimes' probabilities.
         outs = [outcome("Black", 0.3), outcome("Black", 0.5)]
-        r = group_rates(outs)
+        r = rates_from(outs)
         assert r.rate("Black") == pytest.approx(0.4)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(0, 400))
+    def test_sums_credits_in_input_order(self, seed, n):
+        # Added one by one from 0.0, as a loop over the crimes would; a
+        # pairwise sum (np.sum) differs in the last bits.
+        rng = np.random.default_rng(seed)
+        outcomes = list(zip(rng.integers(0, 3, n).tolist(),
+                            rng.random(n).tolist()))
+        detected = [0.0] * len(RACE_GROUPS)
+        for g, credit in outcomes:
+            detected[g] += credit
+        r = rates_from(outcomes)
+        assert [r.detected[g] for g in RACE_GROUPS] == detected
+        assert [r.total[g] for g in RACE_GROUPS] == [
+            sum(g == k for k, _ in outcomes) for g in range(3)]
 
     def test_defined_rates_skips_absent_groups(self):
         r = rates_of(black=(1, 2), white=(0, 0), neither=(1, 4))
@@ -165,7 +187,8 @@ class TestMonthlyRecord:
         outs = ([outcome("Black", 1.0)] * 3 + [outcome("Black", 0.0)] * 7 +
                 [outcome("White", 1.0)] * 6 + [outcome("White", 0.0)] * 4 +
                 [outcome("Neither", 1.0)] * 1 + [outcome("Neither", 0.0)] * 9)
-        rec = monthly_record("Baltimore", 2019, 5, "detected", group_rates(outs))
+        rec = monthly_record("Baltimore", 2019, 5, "detected",
+                             rates_from(outs))
         assert rec.dir_value == pytest.approx(0.5)
         assert rec.dir_flag == DIR_OK
         assert rec.parity_gap == pytest.approx(-0.3)
@@ -173,7 +196,7 @@ class TestMonthlyRecord:
         assert rec.bas == pytest.approx(rec.parity_gap * rec.gini)
 
     def test_no_outcomes_at_all(self):
-        rec = monthly_record("B", 2019, 2, "detected", group_rates([]))
+        rec = monthly_record("B", 2019, 2, "detected", rates_from([]))
         assert rec.dir_value is None
         assert rec.dir_flag == DIR_UNDEFINED
         assert rec.gini == 0.0
@@ -252,7 +275,7 @@ class TestCsvRows:
         assert None not in rows[0] and None not in rows[0].values()
 
     def test_none_serialized_empty(self, tmp_path):
-        rec = monthly_record("B", 2019, 2, "detected", group_rates([]))
+        rec = monthly_record("B", 2019, 2, "detected", rates_from([]))
         _, rows = written(tmp_path, MONTHLY_CSV_HEADER, [monthly_csv_row(rec)])
         assert rows[0]["dir"] == ""
         assert rows[0]["dir_flag"] == DIR_UNDEFINED

@@ -2,13 +2,18 @@ from datetime import datetime
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patrolsim.gan import TrainConfig, denormalize_coords
-from patrolsim.geodata import LatLon
-from patrolsim.ingest import CrimeIncident, MonthSlice, Neighborhood, Polygon
+from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
+                           sample_patrol)
+from patrolsim.geodata import LatLon, count_within
+from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
+                              Neighborhood, Polygon)
 from patrolsim.metrics import group_rates
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
-                                SimConfig, assign_race, derive_seed, noisy_or,
+                                SimConfig, derive_seed, draw_groups,
+                                month_run_seed, noisy_or,
                                 run_month_detected, run_month_reported)
 from patrolsim.synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                                  synthetic_month_slice,
@@ -32,39 +37,180 @@ def make_incident(uv, nb_id="N", ident="c1"):
                          crime_type="X", neighborhood_id=nb_id)
 
 
+def oracle_noisy_or(crimes, patrols, sim_cfg):
+    return [1.0 - (1.0 - sim_cfg.p_officer) ** k
+            for k in count_within(crimes, patrols, sim_cfg.radius_ft).tolist()]
+
+
+def oracle_draws(neighborhood_ids, neighborhoods, probs, sample, rng):
+    """The per-crime stream the columns replace: a `Generator.choice` group
+    draw, then, when `sample`, a `random()` credit draw."""
+    groups, credits = [], []
+    for nb_id, prob in zip(neighborhood_ids, probs):
+        nb = neighborhoods[nb_id]
+        p = np.array([nb.pct_black, nb.pct_white, nb.pct_neither])
+        groups.append(int(rng.choice(len(RACE_GROUPS), p=p / p.sum())))
+        credits.append(float(rng.random() < prob) if sample else prob)
+    return groups, credits
+
+
+def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
+    """(groups, credits, reported, patrols) of a month-run, drawn crime by
+    crime in the order: reports, then patrols, then group and credit."""
+    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
+                          slice_.month, mode, 0)
+    rng = np.random.default_rng(derive_seed(seed, "sim"))
+    locations = [inc.location for inc in slice_.incidents]
+    sample, reported, patrols = not sim_cfg.expected_value, None, []
+    if mode == "detected":
+        patrols = sample_patrol(model, sim_cfg.n_officers, rng)
+    else:
+        reported = [bool(u < sim_cfg.reporting_prob)
+                    for u in rng.random(len(locations))]
+        reported_locs = [loc for loc, rep in zip(locations, reported) if rep]
+        if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
+            probs = [sim_cfg.reporting_prob if sim_cfg.expected_value
+                     else float(rep) for rep in reported]
+            sample = False
+        elif reported_locs:
+            pick = rng.choice(len(reported_locs), replace=False,
+                              size=min(sim_cfg.n_officers, len(reported_locs)))
+            patrols = [reported_locs[i] for i in pick]
+    if mode == "detected" \
+            or sim_cfg.reported_mode_semantics == PATROL_FROM_REPORTS:
+        probs = oracle_noisy_or(locations, patrols, sim_cfg)
+    groups, credits = oracle_draws([inc.neighborhood_id
+                                    for inc in slice_.incidents],
+                                   neighborhoods, probs, sample, rng)
+    return groups, credits, reported, patrols
+
+
 class TestAssignRace:
     def test_certain_group(self):
         nbs = {"N": make_neighborhood("N", 1.0, 0.0, 0.0)}
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert assign_race(make_incident((0, 0)), nbs, rng) == "Black"
+        groups = draw_groups(["N"] * 20, nbs, rng.random(20))
+        assert [RACE_GROUPS[g] for g in groups] == ["Black"] * 20
 
     def test_unknown_neighborhood_fatal(self):
         with pytest.raises(KeyError):
-            assign_race(make_incident((0, 0), nb_id="missing"), {}, np.random.default_rng(0))
+            draw_groups(["missing"], {}, np.random.default_rng(0).random(1))
+
+    @pytest.mark.parametrize("shares", [(0.0, 0.0, 0.0), (0.5, -0.1, 0.6)])
+    def test_shares_no_group_can_be_drawn_from_fatal(self, shares):
+        nbs = {"N": make_neighborhood("N", *shares),
+               "M": make_neighborhood("M", 0.5, 0.5, 0.0)}
+        with pytest.raises(ValueError):
+            draw_groups(["M", "N"], nbs, np.random.default_rng(0).random(2))
+
+    @pytest.mark.parametrize("shares", [(63.7, 27.0, 4.1), (0.5, 0.5, 0.0),
+                                        (0.0, 1.0, 0.0), (0.0, 0.0, 2.0)])
+    def test_uniforms_at_cdf_entries(self, shares):
+        # Generator.choice's CDF, renormalized so its last entry is 1 (for
+        # the first shares that moves every entry), and its group: the
+        # number of entries <= u, at each entry and one float either side.
+        p = np.array(shares) / np.sum(shares)
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        u = np.array([v for e in cdf[:-1] for v in
+                      (np.nextafter(e, 0.0), e, np.nextafter(e, 1.0))
+                      if 0.0 <= v < 1.0] + [0.0])
+        nbs = {"N": make_neighborhood("N", *shares)}
+        assert draw_groups(["N"] * len(u), nbs, u).tolist() == \
+            cdf.searchsorted(u, side="right").tolist()
 
     def test_even_split_within_binomial_bound(self):
         nbs = {"N": make_neighborhood("N", 0.5, 0.5, 0.0)}
         rng = np.random.default_rng(1)
-        inc = make_incident((0, 0))
-        draws = [assign_race(inc, nbs, rng) for _ in range(10_000)]
-        frac = draws.count("Black") / 10_000
+        draws = draw_groups(["N"] * 10_000, nbs, rng.random(10_000))
+        frac = np.count_nonzero(draws == RACE_GROUPS.index("Black")) / 10_000
         assert abs(frac - 0.5) < 0.02  # ~4 sigma
 
     def test_multinomial_proportions(self):
         probs = (0.62, 0.305, 0.075)
         nbs = {"N": make_neighborhood("N", *probs)}
         rng = np.random.default_rng(2)
-        inc = make_incident((0, 0))
-        draws = [assign_race(inc, nbs, rng) for _ in range(10_000)]
-        for group, p in zip(("Black", "White", "Neither"), probs):
+        draws = draw_groups(["N"] * 10_000, nbs, rng.random(10_000))
+        for g, p in enumerate(probs):
             se = np.sqrt(p * (1 - p) / 10_000)
-            assert abs(draws.count(group) / 10_000 - p) < 3.5 * se
+            assert abs(np.count_nonzero(draws == g) / 10_000 - p) < 3.5 * se
+
+
+SHARES = st.tuples(*[st.one_of(st.just(0.0), st.floats(0.0, 100.0))] * 3
+                   ).filter(lambda t: sum(t) > 0)
+
+
+class TestColumnsMatchPerCrimeStream:
+    """The columns equal the per-crime stream of `oracle_draws`, draw for
+    draw, in every mode."""
+
+    @staticmethod
+    def city(shares, picks, spread, seed):
+        nbs = {f"n{i}": make_neighborhood(f"n{i}", *s)
+               for i, s in enumerate(shares)}
+        uv = np.random.default_rng(seed).uniform(-spread, spread,
+                                                 (len(picks), 2))
+        slice_ = MonthSlice("Synth", 2020, 3, tuple(
+            make_incident(p, nb_id=f"n{k % len(shares)}", ident=f"c{i}")
+            for i, (p, k) in enumerate(zip(uv, picks))))
+        return nbs, slice_
+
+    @settings(max_examples=40, deadline=None)
+    @given(shares=st.lists(SHARES, min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           spread=st.sampled_from([0.0, 0.05, 0.8]),
+           seed=st.integers(0, 2**32),
+           mode=st.sampled_from(["detected", PATROL_FROM_REPORTS,
+                                 REPORT_IS_DETECTION]),
+           expected=st.booleans(),
+           p_officer=st.sampled_from([0.001, 0.01, 0.85]),
+           reporting_prob=st.sampled_from([0.05, 0.521, 1.0]))
+    def test_month_runs(self, shares, picks, spread, seed, mode, expected,
+                        p_officer, reporting_prob):
+        nbs, slice_ = self.city(shares, picks, spread, seed)
+        cfg = SimConfig(n_officers=5, radius_ft=3000.0, p_officer=p_officer,
+                        reporting_prob=reporting_prob, seed=seed,
+                        expected_value=expected,
+                        reported_mode_semantics=(
+                            PATROL_FROM_REPORTS if mode == "detected"
+                            else mode))
+        if mode == "detected":
+            model = GanModel(BBOX, seed=seed)
+            result = run_month_detected(slice_, nbs, TrainConfig(epochs=0),
+                                        cfg, BBOX, model=model)
+            want = oracle_month(slice_, nbs, cfg, "detected", model)
+        else:
+            result = run_month_reported(slice_, nbs, cfg)
+            want = oracle_month(slice_, nbs, cfg, "reported")
+        groups, credits, reported, patrols = want
+        out = result.outcomes
+        assert out.groups.tolist() == groups
+        assert out.credits.tolist() == credits
+        assert (out.reported is None if reported is None
+                else out.reported.tolist() == reported)
+        assert out.neighborhood_ids.tolist() == [
+            inc.neighborhood_id for inc in slice_.incidents]
+        assert len(out) == len(slice_.incidents)
+        assert result.patrol_points == patrols
+
+    @settings(max_examples=25, deadline=None)
+    @given(shares=st.lists(SHARES, min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=60),
+           seed=st.integers(0, 2**32))
+    def test_debias_labelling(self, shares, picks, seed):
+        nbs, slice_ = self.city(shares, picks, 0.5, seed)
+        ids = [inc.neighborhood_id for inc in slice_.incidents]
+        rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
+        groups = draw_groups(ids, nbs, rng.random(len(ids)))
+        want, _ = oracle_draws(ids, nbs, [0.0] * len(ids), False, oracle_rng)
+        assert groups.tolist() == want
+        # Both streams are left at the same point.
+        assert rng.random() == oracle_rng.random()
 
 
 def probability_at(crime, patrols, radius_ft, p_officer):
     cfg = SimConfig(radius_ft=radius_ft, p_officer=p_officer)
-    [(_, prob)] = noisy_or([crime], patrols, cfg)
+    [prob] = noisy_or([crime], patrols, cfg)
     return prob
 
 
@@ -83,8 +229,18 @@ class TestNoisyOr:
     def test_counts_officers_per_crime(self):
         crimes = [BBOX.center, LatLon(BBOX.lat_max, BBOX.lon_max)]
         cfg = SimConfig(radius_ft=700.0, p_officer=0.5)
-        assert noisy_or(crimes, [BBOX.center, BBOX.center], cfg) == \
-            [(2, 0.75), (0, 0.0)]
+        assert noisy_or(crimes, [BBOX.center, BBOX.center], cfg).tolist() \
+            == [0.75, 0.0]
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.85])
+    def test_equals_python_power(self, p):
+        # Python's float ** per k, bit for bit; np.power differs from it
+        # at p 0.01, k 3 and at p 0.001, k 7.
+        crimes = [BBOX.center, LatLon(BBOX.lat_max, BBOX.lon_max)]
+        cfg = SimConfig(radius_ft=700.0, p_officer=p)
+        for k in range(13):
+            assert noisy_or(crimes, [BBOX.center] * k, cfg).tolist() == \
+                [1.0 - (1.0 - p) ** k, 0.0]
 
     def test_closed_form_equals_product_loop(self):
         for p in (0.1, 0.5, 0.85, 1.0):
@@ -119,6 +275,12 @@ class TestNoisyOr:
             probability_at(BBOX.center, [], 700.0, 0.0)
 
 
+def assert_same_outcomes(a, b):
+    for column in ("neighborhood_ids", "groups", "credits", "reported"):
+        x, y = getattr(a, column), getattr(b, column)
+        assert (x is None and y is None) or x.tolist() == y.tolist()
+
+
 def co_located_slice(n, uv=(0.0, 0.0)):
     return MonthSlice("Synth", 2020, 3,
                       tuple(make_incident(uv, ident=f"c{i}") for i in range(n)))
@@ -138,7 +300,7 @@ class TestRunMonthDetected:
                             expected_value=expected)
             result = run_month_detected(slice_, NBS, TrainConfig(epochs=0),
                                         cfg, BBOX)
-            assert all(o.credit == 1.0 for o in result.outcomes)
+            assert result.outcomes.credits.tolist() == [1.0] * 30
 
     def test_patrols_out_of_range_zero_detection(self):
         slice_ = co_located_slice(30)
@@ -146,7 +308,7 @@ class TestRunMonthDetected:
         result = run_month_detected(slice_, NBS, TrainConfig(epochs=0), cfg, BBOX)
         # Untrained generator scatters; probability of a patrol within 1 ft
         # of the fixed crime point is nil.
-        assert all(o.credit == 0.0 for o in result.outcomes)
+        assert result.outcomes.credits.tolist() == [0.0] * 30
 
     def test_empty_slice_fatal(self):
         with pytest.raises(ValueError):
@@ -160,7 +322,7 @@ class TestRunMonthDetected:
         cfg = SimConfig(seed=99)
         r1 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
         r2 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
-        assert r1.outcomes == r2.outcomes
+        assert_same_outcomes(r1.outcomes, r2.outcomes)
         assert r1.patrol_points == r2.patrol_points
 
     def test_expected_credits_are_noisy_or_probabilities(self):
@@ -169,9 +331,9 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
         result = run_month_detected(slice_, nbs, TrainConfig(epochs=0), cfg, BBOX)
-        probs = [p for _, p in noisy_or([i.location for i in slice_.incidents],
-                                        result.patrol_points, cfg)]
-        assert [o.credit for o in result.outcomes] == probs
+        probs = oracle_noisy_or([i.location for i in slice_.incidents],
+                                result.patrol_points, cfg)
+        assert result.outcomes.credits.tolist() == probs
         assert len({0.0, 1.0}.union(probs)) > 2
 
     def test_group_count_conservation(self):
@@ -180,7 +342,8 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         result = run_month_detected(slice_, nbs, TrainConfig(epochs=0),
                                     SimConfig(seed=3), BBOX)
-        assert sum(group_rates(result.outcomes).total.values()) == 50
+        assert sum(group_rates(result.outcomes.groups,
+                               result.outcomes.credits).total.values()) == 50
         assert len(result.outcomes) == 50
 
     def test_concentrated_history_biases_detection(self):
@@ -200,11 +363,9 @@ class TestRunMonthDetected:
         sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
         result = run_month_detected(eval_slice, nbs, TrainConfig(epochs=0),
                                     sim_cfg, BBOX, model=model)
-        by_cluster = {"A": [], "B": []}
-        for o in result.outcomes:
-            by_cluster[o.neighborhood_id].append(o.credit)
-        rate_a = np.mean(by_cluster["A"])
-        rate_b = np.mean(by_cluster["B"])
+        out = result.outcomes
+        rate_a = np.mean(out.credits[out.neighborhood_ids == "A"])
+        rate_b = np.mean(out.credits[out.neighborhood_ids == "B"])
         assert rate_a > rate_b
 
 
@@ -214,14 +375,14 @@ class TestRunMonthReported:
         cfg = SimConfig(p_officer=1.0, reporting_prob=1.0,
                         radius_ft=1e6, n_officers=60, seed=4)
         result = run_month_reported(slice_, NBS, cfg)
-        assert all(o.credit == 1.0 for o in result.outcomes)
-        assert all(o.reported for o in result.outcomes)
+        assert result.outcomes.credits.tolist() == [1.0] * 40
+        assert result.outcomes.reported.all()
 
     def test_low_reporting_few_detections(self):
         slice_ = co_located_slice(200)
         cfg = SimConfig(reporting_prob=0.01, seed=5)
         result = run_month_reported(slice_, NBS, cfg)
-        reported = sum(bool(o.reported) for o in result.outcomes)
+        reported = np.count_nonzero(result.outcomes.reported)
         assert reported < 20
 
     def test_zero_reports_still_emits_result(self):
@@ -231,8 +392,8 @@ class TestRunMonthReported:
         for seed in range(50):
             cfg = SimConfig(reporting_prob=0.001, seed=seed)
             result = run_month_reported(slice_, NBS, cfg)
-            if not any(o.reported for o in result.outcomes):
-                assert all(o.credit == 0.0 for o in result.outcomes)
+            if not result.outcomes.reported.any():
+                assert result.outcomes.credits.tolist() == [0.0] * 3
                 assert result.patrol_points == []
                 return
         pytest.fail("no zero-report month found")
@@ -242,8 +403,8 @@ class TestRunMonthReported:
         cfg = SimConfig(reporting_prob=0.5, seed=6,
                         reported_mode_semantics=REPORT_IS_DETECTION)
         result = run_month_reported(slice_, NBS, cfg)
-        for o in result.outcomes:
-            assert o.credit == float(o.reported)
+        out = result.outcomes
+        assert out.credits.tolist() == out.reported.astype(float).tolist()
         assert result.patrol_points == []
 
     def test_report_is_detection_expected_credits(self):
@@ -251,7 +412,7 @@ class TestRunMonthReported:
         cfg = SimConfig(reporting_prob=0.3, seed=6, expected_value=True,
                         reported_mode_semantics=REPORT_IS_DETECTION)
         result = run_month_reported(co_located_slice(50), NBS, cfg)
-        assert [o.credit for o in result.outcomes] == [0.3] * 50
+        assert result.outcomes.credits.tolist() == [0.3] * 50
 
     def test_patrol_count_capped_by_reports(self):
         slice_ = co_located_slice(10)
@@ -275,16 +436,16 @@ class TestRunMonthReported:
                             reported_mode_semantics=semantics)
             a = run_month_reported(shared, NBS, cfg)
             b = run_month_reported(distinct, NBS, cfg)
-            assert a.outcomes == b.outcomes
+            assert_same_outcomes(a.outcomes, b.outcomes)
             assert a.patrol_points == b.patrol_points
-            assert 0 < sum(o.reported for o in a.outcomes) < 40
+            assert 0 < np.count_nonzero(a.outcomes.reported) < 40
 
     def test_determinism(self):
         slice_ = co_located_slice(50)
         cfg = SimConfig(seed=8)
         r1 = run_month_reported(slice_, NBS, cfg)
         r2 = run_month_reported(slice_, NBS, cfg)
-        assert r1.outcomes == r2.outcomes
+        assert_same_outcomes(r1.outcomes, r2.outcomes)
 
 
 class TestSeedDerivation:

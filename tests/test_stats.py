@@ -3,7 +3,7 @@ import pytest
 
 from patrolsim import cli
 from patrolsim.ingest import Neighborhood
-from patrolsim.simulate import DetectionOutcome, MonthRunResult
+from patrolsim.simulate import MonthOutcomes, MonthRunResult
 from patrolsim.stats import (CORRELATION_PREDICTORS, CORRELATIONS_CSV_HEADER,
                              REGRESSION_CSV_HEADER, NeighborhoodObservation,
                              RankDeficientError, build_neighborhood_dataset,
@@ -243,17 +243,21 @@ def make_nb(nb_id, pct_black, income=50_000.0, poverty=0.2):
 
 
 def month_result(month, outcomes, city="B", year=2019, mode="detected"):
+    """A month-run of (neighborhood id, credit) pairs, all in group 0."""
+    ids, credits = zip(*outcomes)
     return MonthRunResult(city=city, year=year, month=month, mode=mode,
-                          outcomes=outcomes, patrol_points=[])
+                          outcomes=MonthOutcomes(
+                              np.array(ids), np.zeros(len(ids), dtype=int),
+                              np.array(credits, dtype=float)),
+                          patrol_points=[])
 
 
 def out(nb_id, credit):
-    return DetectionOutcome(neighborhood_id=nb_id, group="Black",
-                            credit=credit)
+    return nb_id, credit
 
 
 class TestBuildDataset:
-    NBS = {"A": make_nb("A", 0.9), "B": make_nb("B", 0.1)}
+    NBS = {"B": {"A": make_nb("A", 0.9), "B": make_nb("B", 0.1)}}
 
     def test_pooling_across_months(self):
         results = [month_result(2, [out("A", 1.0), out("A", 0.0)]),
@@ -263,6 +267,24 @@ class TestBuildDataset:
         assert len(obs) == 1
         assert obs[0].detection_rate == pytest.approx(0.75)
         assert obs[0].pct_black == pytest.approx(0.9)
+
+    def test_pooled_rate_sums_credits_in_input_order(self):
+        # Each unit's credits are added one by one across its months, as a
+        # loop would; a pairwise sum (np.sum) differs in the last bits.
+        rng = np.random.default_rng(3)
+        months = [[out(nb, c) for nb, c in zip(rng.choice(["A", "B"], 150),
+                                               rng.random(150).tolist())]
+                  for _ in range(3)]
+        obs, _ = build_neighborhood_dataset(
+            [month_result(m + 2, outs) for m, outs in enumerate(months)],
+            self.NBS)
+        for o in obs:
+            hits = [c for outs in months for nb, c in outs
+                    if nb == o.neighborhood_id]
+            total = 0.0
+            for c in hits:
+                total += c
+            assert o.detection_rate == total / len(hits)
 
     def test_unknown_neighborhood_excluded(self):
         results = [month_result(2, [out("A", 1.0), out("ghost", 1.0)])]
