@@ -7,6 +7,7 @@ median income (raw dollars), and poverty rate, with an intercept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,17 +55,84 @@ class RankDeficientError(ValueError):
         self.column = column
 
 
+# Continued-fraction settings of `_betainc_half`.
+BETA_CF_EPS = math.ulp(1.0)
+BETA_CF_TINY = 1e-300
+BETA_CF_MAX_ITER = 1000
+
+
+def _log_gamma_ratio_half(a: float) -> float:
+    """ln(Gamma(a + 1/2) / Gamma(a)).
+
+    Each lgamma value is about a ln a, so their difference is off by about
+    ulp(a ln a): 2e-13 at a = 270 (dof 540). From a = 25 on, the Stirling
+    series of the difference is used; its first omitted term,
+    31/(18432 a^9), is below 5e-16 there.
+    """
+    if a < 25.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (
+        1 / 8 - r * (1 / 192 - r * (1 / 640 - r * 17 / 14336))) / a
+
+
+def _lentz_floor(v: float) -> float:
+    return v if abs(v) >= BETA_CF_TINY else BETA_CF_TINY
+
+
+def _betainc_half(a: float, u: float) -> float:
+    """Regularized incomplete beta I_x(a, 1/2) at x = 1/(1 + u), u > 0.
+
+    Continued fraction evaluated by the modified Lentz method (Numerical
+    Recipes, 3rd ed., 6.4), on the side of x where it converges quickly:
+    I_x(a, b) = 1 - I_{1-x}(b, a). Taking u = t^2/dof in place of x keeps
+    ln x and ln(1 - x) accurate when x is near 1 or 0.
+
+    Relative error against 40-digit values: below 2e-13 up to a = 500
+    (t from 0.01 to 1e5). Past that it grows about linearly in a (1.3e-12
+    at a = 10,000), because on the direct side the fraction's value is
+    about 1/u.
+    """
+    log1p_u = math.log1p(u)
+    x = 1.0 / (1.0 + u)
+    # ln(x^a (1-x)^(1/2) / B(a, 1/2)), with B(a, 1/2) = sqrt(pi) G(a)/G(a+1/2).
+    log_front = (-a * log1p_u + 0.5 * (math.log(u) - log1p_u)
+                 - 0.5 * math.log(math.pi) + _log_gamma_ratio_half(a))
+    if x < (a + 1.0) / (a + 2.5):
+        p, q, z, flip = a, 0.5, x, False
+    else:
+        p, q, z, flip = 0.5, a, u / (1.0 + u), True
+    c = 1.0
+    d = 1.0 / _lentz_floor(1.0 - (p + q) * z / (p + 1.0))
+    h = d
+    for m in range(1, BETA_CF_MAX_ITER + 1):
+        m2 = 2 * m
+        for coef in (m * (q - m) * z / ((p + m2 - 1.0) * (p + m2)),
+                     -(p + m) * (p + q + m) * z / ((p + m2) * (p + m2 + 1.0))):
+            d = 1.0 / _lentz_floor(1.0 + coef * d)
+            c = _lentz_floor(1.0 + coef / c)
+            h *= d * c
+        if abs(d * c - 1.0) <= BETA_CF_EPS:
+            break
+    else:
+        raise ArithmeticError(
+            f"incomplete beta continued fraction did not converge within "
+            f"{BETA_CF_MAX_ITER} iterations (a={a}, u={u})")
+    part = math.exp(log_front) * h / p
+    return 1.0 - part if flip else part
+
+
 def student_t_cdf(t: float, dof: int) -> float:
-    """CDF of Student's t via the regularized incomplete beta function."""
+    """CDF of Student's t via the regularized incomplete beta function:
+    P(T <= -|t|) = I_x(dof/2, 1/2) / 2 at x = dof / (dof + t^2)."""
     if dof < 1:
         raise ValueError("dof must be >= 1")
-    if t == 0.0:
+    if math.isnan(t):
+        return math.nan
+    u = t * t / dof
+    if u == 0.0:
         return 0.5
-    # Imported here: scipy.special takes about 0.3 s to import, and only
-    # p-values need it, so commands that compute none never load it.
-    from scipy.special import betainc
-    x = dof / (dof + t * t)
-    tail = 0.5 * float(betainc(dof / 2.0, 0.5, x))
+    tail = 0.0 if math.isinf(u) else 0.5 * _betainc_half(dof / 2.0, u)
     return 1.0 - tail if t > 0 else tail
 
 
@@ -101,6 +169,8 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     n, k = x.shape
     if n <= k:
         raise ValueError(f"need more observations ({n}) than regressors ({k})")
+    if y.min() == y.max():
+        raise ValueError("regression undefined for a constant response")
     _check_rank(x)
 
     q, r = np.linalg.qr(x)
@@ -114,8 +184,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
     with np.errstate(divide="ignore"):
         t_stats = np.where(se > 0, beta / se, np.inf)
     p_values = np.array([_two_sided_p(float(t), dof) for t in t_stats])
-    ss_tot = float(((y - y.mean()) ** 2).sum())
-    r_squared = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0 else 1.0
+    r_squared = 1.0 - float(resid @ resid) / float(((y - y.mean()) ** 2).sum())
     return OlsFit(beta, se, t_stats, p_values, r_squared, dof)
 
 
@@ -141,13 +210,11 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     n = len(x)
     if n < 3:
         raise ValueError("need at least 3 observations")
+    if x.min() == x.max() or y.min() == y.max():
+        raise ValueError("correlation undefined for a constant vector")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = float(xc @ xc)
-    sy = float(yc @ yc)
-    if sx == 0.0 or sy == 0.0:
-        raise ValueError("correlation undefined for a constant vector")
-    r = float(xc @ yc) / float(np.sqrt(sx * sy))
+    r = float(xc @ yc) / float(np.sqrt(float(xc @ xc) * float(yc @ yc)))
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
         return r, 0.0

@@ -820,6 +820,58 @@ def test_planning_imports_no_scipy(tmp_path):
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
+def write_grid_city(tmp_path, side=3):
+    """Files of a city of side x side square neighborhoods with varied
+    demographics and four crimes in each per month, and its binding."""
+    features, demo, crimes = [], [], []
+    step = 0.004
+    for i in range(side):
+        for j in range(side):
+            ident = f"N{i}{j}"
+            lat, lon = 39.28 + i * step, -76.66 + j * step
+            ring = [[lon, lat], [lon, lat + step], [lon + step, lat + step],
+                    [lon + step, lat], [lon, lat]]
+            features.append({"type": "Feature", "properties": {"id": ident},
+                             "geometry": {"type": "Polygon",
+                                          "coordinates": [ring]}})
+            k = i * side + j
+            demo.append(f"{ident},{(k * 7 % 9) / 10},{(k * 4 % 9) / 10 / 2},"
+                        f"{30000 + (k * 5 % 9) * 4000},{(k * 2 % 9) / 30}\n")
+            crimes += [f"{k}-{m}-{c},{lat + step * (c + 1) / 5},"
+                       f"{lon + step * (4 - c) / 5},2020-{m:02d}-15 12:00,THEFT\n"
+                       for m in range(1, 13) for c in range(4)]
+    (tmp_path / "bounds.geojson").write_text(json.dumps(
+        {"type": "FeatureCollection", "features": features}))
+    (tmp_path / "demo.csv").write_text(
+        "id,pct_black,pct_white,median_income,poverty_rate\n" + "".join(demo))
+    (tmp_path / "crime.csv").write_text("id,lat,lon,date,type\n"
+                                        + "".join(crimes))
+    return {"boundaries": "bounds.geojson", "demographics": "demo.csv",
+            "crime_csv": "crime.csv"}
+
+
+def test_all_runs_without_scipy(tmp_path):
+    # p-values come from stats' own incomplete beta function: `all`
+    # writes finite ones with scipy unimportable.
+    out = tmp_path / "out"
+    config = dict(SYNTH_CONFIG, output_dir=str(out), data_dir=str(tmp_path),
+                  data={"cities": {"Grid": write_grid_city(tmp_path)}},
+                  cells=[{"city": "Grid", "year": 2020, "mode": "detected"}])
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from patrolsim.cli import main\n"
+            f"sys.exit(main(['all', '--config', "
+            f"{write_config(tmp_path, config)!r}]))\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    regression = read_rows(out / "regression.csv")
+    correlations = read_rows(out / "correlations.csv")
+    assert len(regression) == 4 and len(correlations) == 4
+    p_values = [float(r["p"]) for r in regression] + [
+        float(r[k]) for r in correlations for k in ("pearson_p", "spearman_p")]
+    assert all(0.0 <= p <= 1.0 for p in p_values)
+
+
 class TestRunGridApi:
     def test_returns_sorted_records(self, tmp_path):
         config = json.loads(json.dumps(SYNTH_CONFIG))

@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patrolsim import cli
+from patrolsim import cli, stats
 from patrolsim.ingest import Neighborhood
 from patrolsim.simulate import MonthOutcomes, MonthRunResult
 from patrolsim.stats import (CORRELATION_PREDICTORS, CORRELATIONS_CSV_HEADER,
@@ -46,18 +50,32 @@ class TestStudentTCdf:
     def test_cauchy_closed_form(self):
         for t in (-3.0, -0.5, 0.7, 2.0, 10.0):
             expected = 0.5 + np.arctan(t) / np.pi
-            assert student_t_cdf(t, 1) == pytest.approx(expected, abs=1e-12)
+            assert student_t_cdf(t, 1) == pytest.approx(expected, abs=1e-14)
+
+    @given(st.floats(-1e8, 1e8))
+    @settings(max_examples=300, deadline=None)
+    def test_closed_forms_dof_1_and_2(self, t):
+        assert student_t_cdf(t, 1) == pytest.approx(
+            0.5 + math.atan(t) / math.pi, abs=1e-14)
+        assert student_t_cdf(t, 2) == pytest.approx(
+            0.5 + t / (2 * math.sqrt(2 + t * t)), abs=1e-14)
 
     def test_critical_value_dof_10(self):
         assert student_t_cdf(2.228, 10) == pytest.approx(0.975, abs=1e-3)
 
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            t = float(rng.uniform(-5, 5))
-            dof = int(rng.integers(1, 50))
-            assert student_t_cdf(t, dof) + student_t_cdf(-t, dof) == \
-                pytest.approx(1.0, abs=1e-10)
+    @pytest.mark.parametrize("dof,critical", [
+        (1, 12.706), (2, 4.303), (5, 2.571), (10, 2.228), (30, 2.042),
+        (120, 1.980)])
+    def test_two_sided_5pct_critical_values(self, dof, critical):
+        # Tabulated to three decimals, so the true value lies within 5e-4.
+        assert 2 * student_t_cdf(-(critical - 5e-4), dof) > 0.05
+        assert 2 * student_t_cdf(-(critical + 5e-4), dof) < 0.05
+
+    @given(st.floats(-1e6, 1e6), st.integers(1, 2000))
+    @settings(max_examples=300, deadline=None)
+    def test_symmetry(self, t, dof):
+        assert student_t_cdf(-t, dof) == pytest.approx(
+            1.0 - student_t_cdf(t, dof), abs=1e-15)
 
     def test_normal_limit(self):
         from math import erf, sqrt
@@ -73,6 +91,56 @@ class TestStudentTCdf:
     def test_bad_dof(self):
         with pytest.raises(ValueError):
             student_t_cdf(1.0, 0)
+
+    def test_infinite_t(self):
+        # ols_fit turns a zero standard error into t = inf, hence p = 0.
+        for dof in (1, 2, 540):
+            assert student_t_cdf(math.inf, dof) == 1.0
+            assert student_t_cdf(-math.inf, dof) == 0.0
+            assert stats._two_sided_p(math.inf, dof) == 0.0
+
+    def test_nan_stays_nan(self):
+        assert math.isnan(student_t_cdf(math.nan, 5))
+
+    def test_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(stats, "BETA_CF_MAX_ITER", 2)
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            student_t_cdf(1.5, 540)
+
+    @pytest.mark.parametrize("a", [0.5, 1, 2.5, 12, 24.5, 25, 25.5, 270,
+                                   1000, 2500.5, 50000])
+    def test_log_gamma_ratio_half_exact(self, a):
+        # Gamma(n + 1/2) = (2n)! sqrt(pi) / (4^n n!), so the ratio is a
+        # quotient of integers that true division rounds once. Two lgamma
+        # values differenced are off by 2e-13 at a = 270 (dof 540).
+        n = int(a)
+        if a == n:
+            exact = (math.log(math.comb(2 * n, n) * n / 4 ** n)
+                     + 0.5 * math.log(math.pi))
+        else:
+            exact = (math.log(4 ** n / math.comb(2 * n, n))
+                     - 0.5 * math.log(math.pi))
+        assert stats._log_gamma_ratio_half(a) == pytest.approx(exact,
+                                                               abs=1e-14)
+
+    def test_matches_scipy_betainc(self):
+        special = pytest.importorskip("scipy.special")
+        # x = dof/(dof + t^2) rounds t^2 away when t^2 << dof, and betainc
+        # then forms 1 - x itself: near p = 1 that puts scipy 3.4e-12 off
+        # the true value at dof 968, t = 0.0117 (checked with mpmath). Its
+        # complement form is given 1 - x directly.
+        worst = 0.0
+        for dof in [*range(1, 61), *range(67, 1000, 13), 1000]:
+            for t in np.geomspace(0.01, 1e5, 40):
+                t2 = t * t
+                p = float(special.betainc(dof / 2, 0.5, dof / (dof + t2)))
+                if p >= 0.5:
+                    p = 1.0 - float(special.betainc(0.5, dof / 2,
+                                                    t2 / (dof + t2)))
+                if p >= 1e-300:
+                    ours = 2 * student_t_cdf(-float(t), dof)
+                    worst = max(worst, abs(ours - p) / p)
+        assert worst <= 1e-12
 
 
 class TestOls:
@@ -146,6 +214,18 @@ class TestOls:
         with pytest.raises(ValueError):
             ols_fit(np.ones((3, 4)), np.zeros(3))
 
+    @pytest.mark.parametrize("rate,n", [(0.0, 40), (1.0, 40), (0.1, 540)])
+    def test_constant_response_fatal(self, rate, n):
+        # Every pooled rate equal (e.g. all 1 at a wide radius under
+        # expected_value): the residuals are rounding noise, and t-statistics
+        # built from them would earn significance stars. At 540 rows of 0.1
+        # the mean is off by an ulp, so the total sum of squares is not 0.
+        rng = np.random.default_rng(9)
+        x = np.column_stack([np.ones(n), rng.uniform(0, 1, n),
+                             rng.uniform(2e4, 9e4, n), rng.uniform(0, 0.4, n)])
+        with pytest.raises(ValueError, match="constant"):
+            ols_fit(x, np.full(n, rate))
+
     def test_se_against_textbook_formula(self):
         rng = np.random.default_rng(8)
         n = 50
@@ -209,6 +289,13 @@ class TestCorrelations:
     def test_constant_vector_fatal(self):
         with pytest.raises(ValueError):
             pearson(np.ones(5), np.arange(5.0))
+
+    def test_constant_vector_with_inexact_mean_fatal(self):
+        # The mean of 540 copies of 0.1 is off by an ulp, so the centred
+        # vector is not 0 and r would be computed from rounding noise.
+        x = np.random.default_rng(14).uniform(0, 1, 540)
+        with pytest.raises(ValueError, match="constant"):
+            pearson(x, np.full(540, 0.1))
 
     def test_too_short_fatal(self):
         with pytest.raises(ValueError):
