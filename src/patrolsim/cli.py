@@ -574,13 +574,14 @@ def run_debias_experiment(plan: ExperimentPlan,
 
     train_cfg = replace(plan.train_cfg, seed=seed)
 
-    biased_model, _ = gan.train_gan(locations, train_cfg, data.bbox)
+    biased_model, biased_history = gan.train_gan(locations, train_cfg,
+                                                 data.bbox)
     cond_model, _ = gan.train_gan(locations, train_cfg, data.bbox, labels)
     rebalanced = gan.rebalance_training_set(list(zip(locations, labels)),
                                             cond_model, rng,
                                             plan.debias.replace_fraction)
-    debiased_model, _ = gan.train_gan([p for p, _ in rebalanced], train_cfg,
-                                      data.bbox)
+    debiased_model, debiased_history = gan.train_gan(
+        [p for p, _ in rebalanced], train_cfg, data.bbox)
 
     os.makedirs(plan.out_dir, exist_ok=True)
     rows = []
@@ -595,8 +596,11 @@ def run_debias_experiment(plan: ExperimentPlan,
     _write_csv(plan.out_dir, "debias.csv",
                ("condition", "dir", "dir_flag", "rate_black", "rate_white",
                 "parity_gap"), rows)
+    # The conditional GAN runs no collapse check, so it has no flag.
     return {"data_checksums": {f"{city}-{year}": data.checksum},
-            "seed": seed}
+            "seed": seed,
+            "mode_collapsed": {"biased": biased_history.mode_collapsed,
+                               "debiased": debiased_history.mode_collapsed}}
 
 
 def _evaluate_condition(locations, groups, patrols, sim_cfg: SimConfig,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import patrolsim
-from patrolsim import cli, ingest, metrics, simulate
+from patrolsim import cli, gan, ingest, metrics, simulate
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
 from patrolsim.geodata import LatLon
@@ -665,18 +665,43 @@ def read_manifest(out):
 
 
 class TestDebiasManifest:
-    def test_standalone_debias_writes_manifest(self, tmp_path):
+    def test_standalone_debias_writes_manifest(self, tmp_path, monkeypatch):
+        # Trainings run biased, conditional, debiased: flag only the first,
+        # so each condition's flag is seen to come from its own training.
+        calls = []
+
+        def detect(model, real, seed):
+            calls.append(model.conditional)
+            return len(calls) == 1
+
+        monkeypatch.setattr(gan, "_detect_mode_collapse", detect)
         out = tmp_path / "out"
         path = synth_config(tmp_path, out, cells=[],
                             debias={"city": "Synth", "year": 2020})
         assert main(["debias", "--config", path]) == 0
+        assert calls == [False, True, False]
         plan = build_plan(load_config(path))
         manifest = read_manifest(out)
         assert manifest["version"] == patrolsim.__version__
         assert manifest["seed"] == 7
         assert manifest["debias"] == {
             "data_checksums": {"Synth-2020": plan.synthetic_checksum},
-            "seed": simulate.derive_seed(7, "debias", "Synth", 2020)}
+            "seed": simulate.derive_seed(7, "debias", "Synth", 2020),
+            "mode_collapsed": {"biased": True, "debiased": False}}
+
+    def test_collapse_flags_are_json_booleans_and_rerun_identically(
+            self, tmp_path):
+        written = []
+        for name in ("first", "rerun"):
+            out = tmp_path / name
+            path = synth_config(tmp_path, out, cells=[],
+                                debias={"city": "Synth", "year": 2020})
+            assert main(["debias", "--config", path]) == 0
+            written.append((out / "manifest.json").read_bytes())
+        assert written[0] == written[1]
+        flags = json.loads(written[0])["debias"]["mode_collapsed"]
+        assert sorted(flags) == ["biased", "debiased"]
+        assert all(type(flag) is bool for flag in flags.values())
 
     def test_all_adds_debias_to_the_grid_manifest(self, tmp_path):
         grid_out, all_out = tmp_path / "grid", tmp_path / "all"
@@ -690,6 +715,8 @@ class TestDebiasManifest:
         assert debias["seed"] == simulate.derive_seed(7, "debias", "Synth",
                                                       2020)
         assert debias["data_checksums"] == grid["data_checksums"]
+        assert all(type(flag) is bool
+                   for flag in debias["mode_collapsed"].values())
 
 
 class TestStatsCommand:

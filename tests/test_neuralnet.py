@@ -2,6 +2,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from patrolsim.neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU,
                                  Network, Sigmoid, Tanh, bce_loss)
@@ -99,6 +102,15 @@ class TestDense:
                                  finite_diff_param_grad(layer, x, layer.b)) < 1e-5
 
 
+def oracle_leaky_relu_forward(x, slope):
+    """LeakyReLU as a select, the form the layer's outputs must match."""
+    return np.where(x >= 0, x, slope * x)
+
+
+def oracle_leaky_relu_backward(x, grad_out, slope):
+    return np.where(x >= 0, grad_out, slope * grad_out)
+
+
 class TestActivations:
     def test_leaky_relu_values(self):
         layer = LeakyReLU(0.2)
@@ -108,6 +120,54 @@ class TestActivations:
     def test_leaky_relu_slope_validation(self):
         with pytest.raises(ValueError):
             LeakyReLU(1.5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_leaky_relu_is_bitwise_the_where_form(self, dtype, data):
+        info = np.finfo(dtype)
+        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                    info.smallest_subnormal, -info.smallest_subnormal,
+                    info.tiny, -info.tiny, info.max, -info.max]
+        elements = st.one_of(
+            st.sampled_from(specials),
+            st.floats(allow_nan=False, allow_infinity=False,
+                      width=info.bits))
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        x = data.draw(arrays(dtype, shape, elements=elements))
+        grad_out = data.draw(arrays(dtype, shape, elements=elements))
+        # The whole open interval (0, 1) in float64. A float32 slope below
+        # the smallest float32 subnormal rounds to 0, where 0 * inf is an
+        # invalid operation in either form, so it is not drawn there.
+        slope = data.draw(st.floats(float(info.smallest_subnormal), 1.0,
+                                    exclude_max=True))
+        layer = LeakyReLU(slope)
+        grad_before = grad_out.copy()
+
+        out = layer.forward(x, True)
+        grad_in = layer.backward(grad_out)
+
+        bits = np.dtype(f"u{info.bits // 8}")
+        want_out = oracle_leaky_relu_forward(x, slope)
+        want_grad = oracle_leaky_relu_backward(x, grad_out, slope)
+        assert out.dtype == grad_in.dtype == dtype
+        assert np.array_equal(out.view(bits), want_out.view(bits))
+        assert np.array_equal(grad_in.view(bits), want_grad.view(bits))
+        assert np.array_equal(grad_out.view(bits), grad_before.view(bits))
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_leaky_relu_caches_one_byte_per_activation(self, training):
+        # A cached float multiplier costs 4-8 bytes per activation, which
+        # showed as a higher peak RSS on a debias run. Backward after an
+        # inference-mode forward (the gradient checks) still needs the mask.
+        layer = LeakyReLU(0.2)
+        x = np.random.default_rng(0).standard_normal((16, 8)).astype(
+            np.float32)
+        layer.forward(x, training)
+        cached = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert [(a.dtype, a.shape, a.base) for a in cached] == [
+            (np.dtype(bool), x.shape, None)]
+        assert layer.params == [] and layer.grads == []
 
     def test_sigmoid_tanh_at_zero(self):
         assert Sigmoid().forward(np.zeros((1, 1)), False) == pytest.approx(0.5)
