@@ -566,29 +566,26 @@ def run_debias_experiment(plan: ExperimentPlan,
 
     seed = derive_seed(plan.sim_cfg.seed, "debias", city, year)
     rng = np.random.default_rng(seed)
-    locations = [inc.location for inc in incidents]
+    crimes = ingest.coordinates(incidents)
     groups = simulate.draw_groups([inc.neighborhood_id for inc in incidents],
                                   data.neighborhoods,
                                   rng.random(len(incidents)))
-    labels = [ingest.RACE_GROUPS[g] for g in groups.tolist()]
 
     train_cfg = replace(plan.train_cfg, seed=seed)
 
-    biased_model, biased_history = gan.train_gan(locations, train_cfg,
-                                                 data.bbox)
-    cond_model, _ = gan.train_gan(locations, train_cfg, data.bbox, labels)
-    rebalanced = gan.rebalance_training_set(list(zip(locations, labels)),
-                                            cond_model, rng,
+    biased_model, biased_history = gan.train_gan(crimes, train_cfg, data.bbox)
+    cond_model, _ = gan.train_gan(crimes, train_cfg, data.bbox, groups)
+    rebalanced = gan.rebalance_training_set(crimes, cond_model, rng,
                                             plan.debias.replace_fraction)
-    debiased_model, debiased_history = gan.train_gan(
-        [p for p, _ in rebalanced], train_cfg, data.bbox)
+    debiased_model, debiased_history = gan.train_gan(rebalanced, train_cfg,
+                                                     data.bbox)
 
     os.makedirs(plan.out_dir, exist_ok=True)
     rows = []
     for name, model in (("biased", biased_model), ("debiased", debiased_model)):
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
-        rates = _evaluate_condition(locations, groups, patrols, plan.sim_cfg,
+        rates = _evaluate_condition(crimes, groups, patrols, plan.sim_cfg,
                                     eval_rng)
         rows.append((name, *metrics.disparate_impact_ratio(rates),
                      rates.rate("Black") or 0.0, rates.rate("White") or 0.0,
@@ -603,9 +600,9 @@ def run_debias_experiment(plan: ExperimentPlan,
                                "debiased": debiased_history.mode_collapsed}}
 
 
-def _evaluate_condition(locations, groups, patrols, sim_cfg: SimConfig,
+def _evaluate_condition(crimes, groups, patrols, sim_cfg: SimConfig,
                         rng: np.random.Generator) -> metrics.GroupRates:
-    probs = simulate.noisy_or(locations, patrols, sim_cfg)
+    probs = simulate.noisy_or(crimes, patrols, sim_cfg)
     _, credits = simulate.draw_outcomes(probs, not sim_cfg.expected_value, rng)
     return metrics.group_rates(groups, credits)
 

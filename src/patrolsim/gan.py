@@ -8,9 +8,10 @@ between dense blocks, tanh output. Discriminator: 2 -> 512 -> 256 -> 128
 normalized affinely into [-1, 1]^2 from the run's bounding box, so every
 generated point lands inside the box by construction.
 
-Both networks, their training data, label columns and latent draws are
-float32 (`DTYPE`); sampled patrols are widened to float64 before they are
-mapped back to latitude and longitude.
+Points come in and go out as (n, 2) float64 arrays of (lat, lon) rows, and
+groups as indices into RACE_GROUPS. Both networks, their training data,
+label columns and latent draws are float32 (`DTYPE`); sampled patrols are
+widened to float64 before they are mapped back to latitude and longitude.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geodata import BoundingBox, LatLon
+from .geodata import BoundingBox
 from .ingest import RACE_GROUPS
 from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
                         Sigmoid, Tanh, bce_loss)
@@ -60,33 +61,26 @@ class LossHistory:
     mode_collapsed: bool = False
 
 
-def normalize_coords(p: LatLon, bbox: BoundingBox) -> tuple[float, float]:
-    u = 2.0 * (p.lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) - 1.0
-    v = 2.0 * (p.lon - bbox.lon_min) / (bbox.lon_max - bbox.lon_min) - 1.0
+def normalize_coords(lat, lon, bbox: BoundingBox):
+    """(u, v) in [-1, 1]^2 of points in the box; floats or arrays."""
+    u = 2.0 * (lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) - 1.0
+    v = 2.0 * (lon - bbox.lon_min) / (bbox.lon_max - bbox.lon_min) - 1.0
     return u, v
 
 
-def denormalize_coords(u: float, v: float, bbox: BoundingBox) -> LatLon:
+def denormalize_coords(u, v, bbox: BoundingBox):
+    """(lat, lon) of normalized (u, v); floats or arrays."""
     lat = bbox.lat_min + (u + 1.0) / 2.0 * (bbox.lat_max - bbox.lat_min)
     lon = bbox.lon_min + (v + 1.0) / 2.0 * (bbox.lon_max - bbox.lon_min)
-    return LatLon(lat, lon)
+    return lat, lon
 
 
-def _points_to_array(points, bbox: BoundingBox) -> np.ndarray:
-    return np.array([normalize_coords(p, bbox) for p in points], dtype=DTYPE)
-
-
-def _one_hot(labels: list[str] | None, n: int) -> np.ndarray:
+def _one_hot(groups: np.ndarray | None, n: int) -> np.ndarray:
     """The label columns appended to the n rows of a network input: one-hot
-    over RACE_GROUPS, or none at all for the patrol GAN (labels None)."""
-    if labels is None:
+    over RACE_GROUPS, or none at all for the patrol GAN (groups None)."""
+    if groups is None:
         return np.empty((n, 0), DTYPE)
-    if len(labels) != n:
-        raise ValueError(f"need one label per row, got {len(labels)} for {n}")
-    out = np.zeros((n, len(RACE_GROUPS)), DTYPE)
-    for row, lab in enumerate(labels):
-        out[row, RACE_GROUPS.index(lab)] = 1.0
-    return out
+    return np.eye(len(RACE_GROUPS), dtype=DTYPE)[groups]
 
 
 def _latent(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -120,18 +114,18 @@ class GanModel:
         ])
 
     def generate_normalized(self, n: int, rng: np.random.Generator,
-                            labels: list[str] | None = None) -> np.ndarray:
+                            groups: np.ndarray | None = None) -> np.ndarray:
         """Inference-mode generator pass: running BN stats, no dropout. A
-        conditional model needs one label per sample, the patrol GAN none.
+        conditional model needs one group per sample, the patrol GAN none.
         Returns DTYPE rows."""
-        if (labels is not None) != self.conditional:
-            raise ValueError("a conditional model needs labels, the patrol "
+        if (groups is not None) != self.conditional:
+            raise ValueError("a conditional model needs groups, the patrol "
                              "GAN takes none")
         return self.generator.forward(
-            np.hstack([_latent(rng, n), _one_hot(labels, n)]), training=False)
+            np.hstack([_latent(rng, n), _one_hot(groups, n)]), training=False)
 
 
-def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
+def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
                 cfg: TrainConfig) -> LossHistory:
     n = real.shape[0]
     if n < 2:
@@ -146,13 +140,13 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
     g_opt = Adam(model.generator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     d_opt = Adam(model.discriminator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     # The patrol GAN has no label columns: each hstack copies its input.
-    onehot = _one_hot(labels, n)
-    # Training-by-sampling for the conditional variant: labels are drawn
-    # uniformly over the present groups and real rows resampled within the
-    # drawn label, so minority groups are not drowned out by class imbalance.
-    if labels is not None:
-        label_pools = [np.array([i for i, lab in enumerate(labels) if lab == g])
-                       for g in RACE_GROUPS if g in set(labels)]
+    onehot = _one_hot(groups, n)
+    # Training-by-sampling for the conditional variant: groups are drawn
+    # uniformly and real rows resampled within the drawn group (train_gan
+    # checked each has some), so minority groups are not drowned out.
+    if groups is not None:
+        label_pools = [np.flatnonzero(groups == g)
+                       for g in range(len(RACE_GROUPS))]
     # Discriminator targets: the real rows (1) stacked over the fake (0).
     d_targets = np.repeat(np.array([1, 0], DTYPE), batch)[:, None]
     g_targets = np.ones((batch, 1), DTYPE)
@@ -163,7 +157,7 @@ def _train_loop(model: GanModel, real: np.ndarray, labels: list[str] | None,
         g_losses, d_losses = [], []
         # Last partial batch dropped: batch norm needs >= 2 rows.
         for start in range(0, n - batch + 1, batch):
-            if labels is not None:
+            if groups is not None:
                 pools = [label_pools[k] for k in
                          rng.integers(0, len(label_pools), batch)]
                 idx = np.array([pool[rng.integers(0, len(pool))]
@@ -236,64 +230,63 @@ def _detect_mode_collapse(model: GanModel, real: np.ndarray, seed: int) -> bool:
     return bool(share.min() < MODE_COLLAPSE_MIN_SHARE)
 
 
-def train_gan(points, cfg: TrainConfig, bbox: BoundingBox,
-              labels: list[str] | None = None,
+def train_gan(points: np.ndarray, cfg: TrainConfig, bbox: BoundingBox,
+              groups: np.ndarray | None = None,
               ) -> tuple[GanModel, LossHistory]:
-    """Train the patrol GAN on incident coordinates or, given one group
-    label per point, the label-conditioned GAN used for debias
+    """Train the patrol GAN on (n, 2) incident coordinates or, given each
+    point's group index, the label-conditioned GAN used for debias
     rebalancing."""
-    if labels is not None:
-        unknown = sorted(set(labels) - set(RACE_GROUPS))
-        if unknown:
-            raise ValueError(f"unknown group labels: {unknown}")
-        missing = [g for g in RACE_GROUPS if labels.count(g) < 2]
+    if groups is not None:
+        # np.bincount rejects a negative index with a ValueError.
+        counts = np.bincount(groups, minlength=len(RACE_GROUPS))
+        if len(groups) != len(points) or len(counts) > len(RACE_GROUPS):
+            raise ValueError(f"need one group index in "
+                             f"[0, {len(RACE_GROUPS)}) per point")
+        missing = [g for g, c in zip(RACE_GROUPS, counts) if c < 2]
         if missing:
-            raise ValueError(f"need >= 2 examples per label, "
+            raise ValueError(f"need >= 2 examples per group, "
                              f"missing: {missing}")
-    model = GanModel(bbox, conditional=labels is not None, seed=cfg.seed)
-    data = _points_to_array(points, bbox)
+    model = GanModel(bbox, conditional=groups is not None, seed=cfg.seed)
+    data = np.column_stack(normalize_coords(*points.T, bbox)).astype(DTYPE)
     if cfg.epochs == 0:
         return model, LossHistory()
-    return model, _train_loop(model, data, labels, cfg)
+    return model, _train_loop(model, data, groups, cfg)
 
 
 def sample_patrol(model: GanModel, n: int, rng: np.random.Generator,
-                  label: str | None = None) -> list[LatLon]:
-    """Draw n locations from the generator in inference mode: patrols from
-    the patrol GAN, or points of one group from the conditional GAN."""
+                  group: int | None = None) -> np.ndarray:
+    """Draw n locations, an (n, 2) float64 array of (lat, lon) rows, from
+    the generator in inference mode: patrols from the patrol GAN, or points
+    of group index `group` from the conditional GAN."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    labels = None if label is None else [label] * n
+    groups = None if group is None else np.full(n, group)
     # Widened first: float32 would round latitudes to about 0.3 m.
-    out = model.generate_normalized(n, rng, labels).astype(np.float64)
-    return [denormalize_coords(u, v, model.bbox) for u, v in out]
+    out = model.generate_normalized(n, rng, groups).astype(np.float64)
+    return np.column_stack(denormalize_coords(*out.T, model.bbox))
 
 
-def rebalance_training_set(real: list[tuple[LatLon, str]], model: GanModel,
+def rebalance_training_set(points: np.ndarray, model: GanModel,
                            rng: np.random.Generator,
-                           replace_fraction: float = 0.30,
-                           ) -> list[tuple[LatLon, str]]:
-    """Replace a fraction of real records with group-balanced synthetic ones.
+                           replace_fraction: float = 0.30) -> np.ndarray:
+    """Replace a fraction of real points with group-balanced synthetic ones.
 
     Output size equals input size; floor(fraction * n) uniformly chosen real
-    records are removed and replaced by synthetic records split as equally
-    as possible (round-robin) across the three group labels.
+    rows are removed, the others keep their order, and synthetic rows split
+    as equally as possible (round-robin) across the groups follow them.
     """
     if not model.conditional:
         raise ValueError("rebalancing requires a conditional model")
     if not 0.0 <= replace_fraction < 1.0:
         raise ValueError("replace_fraction must be in [0, 1)")
-    n = len(real)
+    n = len(points)
     n_synth = int(replace_fraction * n)
     if n_synth == 0:
-        return list(real)
+        return points
     keep_idx = rng.choice(n, size=n - n_synth, replace=False)
-    kept = [real[i] for i in sorted(keep_idx)]
-    synth: list[tuple[LatLon, str]] = []
-    per_label = [n_synth // len(RACE_GROUPS)] * len(RACE_GROUPS)
+    per_group = [n_synth // len(RACE_GROUPS)] * len(RACE_GROUPS)
     for i in range(n_synth % len(RACE_GROUPS)):
-        per_label[i] += 1
-    for label, count in zip(RACE_GROUPS, per_label):
-        for p in sample_patrol(model, count, rng, label) if count else []:
-            synth.append((p, label))
-    return kept + synth
+        per_group[i] += 1
+    return np.vstack([points[np.sort(keep_idx)]]
+                     + [sample_patrol(model, count, rng, g)
+                        for g, count in enumerate(per_group) if count])

@@ -18,7 +18,8 @@ FEET_PER_DEGREE_LAT = 364_567.2
 
 @dataclass(frozen=True)
 class LatLon:
-    """A point in degrees north / degrees east (negative west)."""
+    """A point in degrees north / degrees east (negative west), as read in;
+    past ingest, point sets are (n, 2) float64 arrays of (lat, lon) rows."""
 
     lat: float
     lon: float
@@ -38,6 +39,8 @@ class BoundingBox:
     lon_max: float
 
     def __post_init__(self):
+        LatLon(self.lat_min, self.lon_min)  # both corners in range
+        LatLon(self.lat_max, self.lon_max)
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("degenerate bounding box")
 
@@ -73,18 +76,18 @@ def distance_feet(a: LatLon, b: LatLon) -> float:
     return float(_feet_apart(a.lat, a.lon, b.lat, b.lon))
 
 
-def count_within(points: list[LatLon], centers: list[LatLon],
+def count_within(points: np.ndarray, centers: np.ndarray,
                  radius_ft: float) -> np.ndarray:
-    """For each point, the number of centers within radius_ft (closed ball).
+    """For each (lat, lon) row of `points`, the number of `centers` rows
+    within radius_ft (closed ball).
 
     Loops over centers and vectorizes over points, so memory stays linear
     in the number of points.
     """
-    lat = np.array([p.lat for p in points], dtype=float)
-    lon = np.array([p.lon for p in points], dtype=float)
+    lat, lon = points[:, 0], points[:, 1]
     counts = np.zeros(len(points), dtype=np.int64)
-    for c in centers:
-        counts += _feet_apart(lat, lon, c.lat, c.lon) <= radius_ft
+    for c_lat, c_lon in centers.tolist():
+        counts += _feet_apart(lat, lon, c_lat, c_lon) <= radius_ft
     return counts
 
 
@@ -132,8 +135,3 @@ def points_in_polygon(lat: np.ndarray, lon: np.ndarray,
         inside ^= ((y1 > lat) != (y2 > lat)) & (x1 + t * dx > lon)
     return inside
 
-
-def point_in_polygon(p: LatLon, poly: Polygon) -> bool:
-    """`points_in_polygon` for one point."""
-    return bool(points_in_polygon(np.array([p.lat]), np.array([p.lon]),
-                                  poly)[0])

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
 from datetime import datetime
 
 import numpy as np
 
-from .geodata import (BoundingBox, LatLon, Polygon, point_in_polygon,
-                      points_in_polygon)
+from .geodata import BoundingBox, LatLon, Polygon, points_in_polygon
 
 log = logging.getLogger(__name__)
 
@@ -73,9 +73,6 @@ class Neighborhood:
     pct_neither: float
     median_income: float
     poverty_rate: float
-
-    def contains(self, p: LatLon) -> bool:
-        return any(point_in_polygon(p, poly) for poly in self.polygons)
 
 
 @dataclass(frozen=True)
@@ -152,6 +149,13 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
     return incidents, dropped
 
 
+def coordinates(incidents) -> np.ndarray:
+    """The incidents' locations as one (n, 2) float64 array of (lat, lon)
+    rows, the form every step after ingest takes points in."""
+    return np.array([(i.location.lat, i.location.lon) for i in incidents],
+                    dtype=float).reshape(-1, 2)
+
+
 def filter_valid(incidents: list[CrimeIncident],
                  bbox: BoundingBox) -> list[CrimeIncident]:
     """Keep incidents inside the city box in one of MONTHS."""
@@ -165,8 +169,9 @@ SHARE_COLUMNS = ("pct_black", "pct_white", "pct_neither", "poverty_rate")
 def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
     """Each row's median_income and share columns, as numbers, by row id.
 
-    A missing, empty or non-numeric value is an IngestError naming the
-    file, the row id and the column; only pct_neither may be left empty
+    A missing, empty, non-numeric or non-finite value, or a negative
+    median_income (the Census API's -666666666), is an IngestError naming
+    the file, the row id and the column; only pct_neither may be left empty
     (None), to be computed as the remainder. So is an id on two rows, and
     a row whose three group shares are all 0, which no group can be drawn
     from.
@@ -188,11 +193,15 @@ def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
                 values[col] = None
                 continue
             try:
-                values[col] = float(raw)
+                value = float(raw)
             except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value) \
+                    or (col == "median_income" and value < 0):
                 raise IngestError(
                     f"demographics {path}, row {rid!r}: {col} is "
-                    f"{'missing' if raw is None else repr(raw)}") from None
+                    f"{'missing' if raw is None else repr(raw)}")
+            values[col] = value
         if values["pct_black"] == values["pct_white"] \
                 == values["pct_neither"] == 0.0:
             raise IngestError(f"demographics {path}, row {rid!r}: pct_black, "
@@ -302,8 +311,7 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
     """
     if not neighborhoods:
         raise IngestError("assign_neighborhoods requires at least one neighborhood")
-    lat = np.array([inc.location.lat for inc in incidents], dtype=float)
-    lon = np.array([inc.location.lon for inc in incidents], dtype=float)
+    lat, lon = coordinates(incidents).T
     owner = np.full(len(incidents), -1)
     for k, nb in enumerate(neighborhoods):
         for poly in nb.polygons:
@@ -343,8 +351,8 @@ def hull_bbox(neighborhoods: list[Neighborhood], pad: float = 0.01) -> BoundingB
     """
     boxes = [poly.bbox for nb in neighborhoods for poly in nb.polygons]
     return BoundingBox(
-        min(b.lat_min for b in boxes) - pad,
-        max(b.lat_max for b in boxes) + pad,
-        min(b.lon_min for b in boxes) - pad,
-        max(b.lon_max for b in boxes) + pad,
+        max(-90.0, min(b.lat_min for b in boxes) - pad),
+        min(90.0, max(b.lat_max for b in boxes) + pad),
+        max(-180.0, min(b.lon_min for b in boxes) - pad),
+        min(180.0, max(b.lon_max for b in boxes) + pad),
     )

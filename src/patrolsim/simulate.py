@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gan import GanModel, TrainConfig, sample_patrol, train_gan
-from .geodata import BoundingBox, LatLon, count_within
-from .ingest import RACE_GROUPS, MonthSlice, Neighborhood
+from .geodata import BoundingBox, count_within
+from .ingest import RACE_GROUPS, MonthSlice, Neighborhood, coordinates
 
 # How reported mode places patrols: from the reported-crime locations, or
 # treating a citizen report directly as a detection.
@@ -70,7 +70,7 @@ class MonthRunResult:
     month: int
     mode: str
     outcomes: MonthOutcomes
-    patrol_points: list[LatLon]
+    patrol_points: np.ndarray  # (k, 2) (lat, lon) rows
     mode_collapsed: bool = False
 
 
@@ -111,9 +111,9 @@ def draw_groups(neighborhood_ids, neighborhoods: dict[str, Neighborhood],
     return (cdf[rows] <= u[:, None]).sum(axis=1)
 
 
-def noisy_or(crimes: list[LatLon], patrols: list[LatLon],
+def noisy_or(crimes: np.ndarray, patrols: np.ndarray,
              sim_cfg: SimConfig) -> np.ndarray:
-    """1 - (1 - p)^k per crime, over the k patrols within the radius."""
+    """1 - (1 - p)^k per crime row, over the k patrol rows in the radius."""
     counts = count_within(crimes, patrols, sim_cfg.radius_ft)
     # Python's float ** per k: np.power differs from it in the last bit.
     return np.array([1.0 - (1.0 - sim_cfg.p_officer) ** k
@@ -133,7 +133,7 @@ def draw_outcomes(probs: np.ndarray, sample: bool, rng: np.random.Generator,
 
 def _month_result(slice_: MonthSlice,
                   neighborhoods: dict[str, Neighborhood], mode: str,
-                  patrols: list[LatLon], probs: np.ndarray, sample: bool,
+                  patrols: np.ndarray, probs: np.ndarray, sample: bool,
                   rng: np.random.Generator, reported: np.ndarray | None = None,
                   mode_collapsed: bool = False) -> MonthRunResult:
     ids = np.array([i.neighborhood_id for i in slice_.incidents], dtype=str)
@@ -159,14 +159,14 @@ def run_month_detected(slice_: MonthSlice,
         raise ValueError("cannot run on an empty month slice")
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
+    crimes = coordinates(slice_.incidents)
     mode_collapsed = False
     if model is None:
-        model, history = train_gan([i.location for i in slice_.incidents],
-                                   replace(gan_cfg, seed=seed), bbox)
+        model, history = train_gan(crimes, replace(gan_cfg, seed=seed), bbox)
         mode_collapsed = history.mode_collapsed
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
-    probs = noisy_or([i.location for i in slice_.incidents], patrols, sim_cfg)
+    probs = noisy_or(crimes, patrols, sim_cfg)
     return _month_result(slice_, neighborhoods, "detected", patrols, probs,
                          not sim_cfg.expected_value, rng, None, mode_collapsed)
 
@@ -185,14 +185,14 @@ def run_month_reported(slice_: MonthSlice,
     if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
         credits = (np.full(len(reported), sim_cfg.reporting_prob)
                    if sim_cfg.expected_value else reported.astype(float))
-        return _month_result(slice_, neighborhoods, "reported", [], credits,
-                             False, rng, reported)
-    locations = [i.location for i in slice_.incidents]
+        return _month_result(slice_, neighborhoods, "reported",
+                             np.empty((0, 2)), credits, False, rng, reported)
+    crimes = coordinates(slice_.incidents)
     reporters = np.flatnonzero(reported)
     # With no reporters this draws nothing and places no patrol.
     pick = rng.choice(len(reporters), replace=False,
                       size=min(sim_cfg.n_officers, len(reporters)))
-    patrols = [locations[i] for i in reporters[pick].tolist()]
+    patrols = crimes[reporters[pick]]
     return _month_result(slice_, neighborhoods, "reported", patrols,
-                         noisy_or(locations, patrols, sim_cfg),
+                         noisy_or(crimes, patrols, sim_cfg),
                          not sim_cfg.expected_value, rng, reported)

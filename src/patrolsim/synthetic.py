@@ -54,7 +54,8 @@ def _square_polygon(center: tuple[float, float], half: float,
     cu, cv = center
     corners = [(cu - half, cv - half), (cu - half, cv + half),
                (cu + half, cv + half), (cu + half, cv - half)]
-    return Polygon([denormalize_coords(u, v, bbox) for u, v in corners])
+    return Polygon([LatLon(*denormalize_coords(u, v, bbox))
+                    for u, v in corners])
 
 
 def synthetic_neighborhoods(cfg: SyntheticCityConfig) -> list[Neighborhood]:
@@ -103,7 +104,7 @@ def synthetic_month_slice(city: str, year: int, month: int,
         u, v = _sample_cluster_point(center, cfg.sigma, rng)
         incidents.append(CrimeIncident(
             id=f"{city}-{year}-{month:02d}-{i:04d}",
-            location=denormalize_coords(u, v, SYNTH_BBOX),
+            location=LatLon(*denormalize_coords(u, v, SYNTH_BBOX)),
             timestamp=datetime(year, month, 15, 12, 0),
             city=city,
             crime_type="synthetic",

@@ -25,6 +25,18 @@ from patrolsim.stats import ols_fit, pearson, spearman, student_t_cdf
 from patrolsim.synthetic import SYNTH_BBOX
 
 BBOX = SYNTH_BBOX
+CENTER = np.array([[BBOX.center.lat, BBOX.center.lon]])
+
+
+def uniform_points(rng, n):
+    """n (lat, lon) rows drawn uniformly in BBOX, latitude first per row."""
+    return np.array([(rng.uniform(BBOX.lat_min, BBOX.lat_max),
+                      rng.uniform(BBOX.lon_min, BBOX.lon_max))
+                     for _ in range(n)])
+
+
+def to_points(uv):
+    return np.column_stack(denormalize_coords(uv[:, 0], uv[:, 1], BBOX))
 
 
 @contextlib.contextmanager
@@ -99,9 +111,8 @@ def test_criterion_2_noisy_or():
                 closed = 1.0 - (1.0 - p) ** k
                 assert abs(closed - (1.0 - product)) < 1e-12
         cfg = SimConfig(radius_ft=700.0, p_officer=0.85)
-        assert count_within([BBOX.center], [BBOX.center], 700.0).tolist() \
-            == [1]
-        [prob] = noisy_or([BBOX.center], [BBOX.center], cfg)
+        assert count_within(CENTER, CENTER, 700.0).tolist() == [1]
+        [prob] = noisy_or(CENTER, CENTER, cfg)
         assert prob == pytest.approx(0.85, abs=1e-12)
 
 
@@ -110,17 +121,14 @@ def test_criterion_2_noisy_or():
 def test_criterion_3_spatial_index():
     with criterion(3, "count_within equals brute force on 1000 pts x 100 probes"):
         rng = np.random.default_rng(101)
-        points = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
-                         rng.uniform(BBOX.lon_min, BBOX.lon_max))
-                  for _ in range(1000)]
-        probes = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
-                         rng.uniform(BBOX.lon_min, BBOX.lon_max))
-                  for _ in range(100)]
+        points = uniform_points(rng, 1000)
+        probes = uniform_points(rng, 100)
         for radius in (400.0, 700.0, 1500.0):
-            brute = [{i for i, p in enumerate(points)
-                      if distance_feet(probe, p) <= radius} for probe in probes]
+            brute = [{i for i, p in enumerate(points.tolist())
+                      if distance_feet(LatLon(*probe), LatLon(*p)) <= radius}
+                     for probe in probes.tolist()]
             for probe, ids in zip(probes, brute):
-                hits = count_within(points, [probe], radius)
+                hits = count_within(points, probe[None, :], radius)
                 assert {i for i, k in enumerate(hits) if k} == ids
             counts = count_within(probes, points, radius)
             assert counts.tolist() == [len(ids) for ids in brute]
@@ -199,15 +207,15 @@ def test_criterion_5_gan_sanity():
                       "60 patrols in bbox"):
         rng = np.random.default_rng(103)
         uv = np.clip(rng.normal((0.2, -0.1), 0.05, size=(500, 2)), -0.99, 0.99)
-        points = [denormalize_coords(u, v, BBOX) for u, v in uv]
-        model, _ = train_gan(points, TrainConfig(epochs=200, seed=104), BBOX)
+        model, _ = train_gan(to_points(uv), TrainConfig(epochs=200, seed=104),
+                             BBOX)
         samples = model.generate_normalized(2000, np.random.default_rng(105))
         data_mean = uv.mean(axis=0)
         gen_mean = samples.mean(axis=0)
         assert np.all(np.abs(gen_mean - data_mean) < 0.1)
         patrols = sample_patrol(model, 60, np.random.default_rng(106))
-        assert len(patrols) == 60
-        assert all(BBOX.contains(p) for p in patrols)
+        assert patrols.shape == (60, 2)
+        assert all(BBOX.contains(LatLon(*p)) for p in patrols.tolist())
 
 
 # --- 6: conditional GAN -----------------------------------------------------
@@ -216,21 +224,21 @@ def test_criterion_6_conditional_gan():
     with criterion(6, "conditional sample means separate by sign on the "
                       "first coordinate"):
         rng = np.random.default_rng(107)
-        labeled = []
-        for center, label, count in (((-0.5, 0.0), "Black", 200),
-                                     ((0.5, 0.0), "White", 200),
-                                     ((0.0, 0.5), "Neither", 100)):
-            uv = np.clip(rng.normal(center, 0.06, size=(count, 2)), -0.99, 0.99)
-            labeled.extend((denormalize_coords(u, v, BBOX), label)
-                           for u, v in uv)
-        model, _ = train_gan([p for p, _ in labeled],
+        uv, groups = [], []
+        for center, group, count in (((-0.5, 0.0), 0, 200),   # Black
+                                     ((0.5, 0.0), 1, 200),    # White
+                                     ((0.0, 0.5), 2, 100)):   # Neither
+            uv.append(np.clip(rng.normal(center, 0.06, size=(count, 2)),
+                              -0.99, 0.99))
+            groups += [group] * count
+        model, _ = train_gan(to_points(np.vstack(uv)),
                              TrainConfig(epochs=200, seed=108), BBOX,
-                             [label for _, label in labeled])
+                             np.array(groups))
         means = {}
-        for label in ("Black", "White"):
+        for group, label in enumerate(("Black", "White")):
             pts = sample_patrol(model, 500, np.random.default_rng(109),
-                                label)
-            us = [normalize_coords(p, BBOX)[0] for p in pts]
+                                group)
+            us, _ = normalize_coords(pts[:, 0], pts[:, 1], BBOX)
             means[label] = float(np.mean(us))
         assert means["Black"] < 0.0 < means["White"]
 
@@ -280,12 +288,8 @@ def test_criterion_8_monotonicity():
     with criterion(8, "expected detections non-decreasing in radius and "
                       "officer count"):
         rng = np.random.default_rng(110)
-        crimes = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
-                         rng.uniform(BBOX.lon_min, BBOX.lon_max))
-                  for _ in range(200)]
-        patrols = [LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
-                          rng.uniform(BBOX.lon_min, BBOX.lon_max))
-                   for _ in range(120)]
+        crimes = uniform_points(rng, 200)
+        patrols = uniform_points(rng, 120)
 
         def total(patrol_subset, radius):
             cfg = SimConfig(radius_ft=radius, p_officer=0.85)

@@ -13,7 +13,6 @@ import patrolsim
 from patrolsim import cli, gan, ingest, metrics, simulate
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
-from patrolsim.geodata import LatLon
 
 SYNTH_CONFIG = {
     "seed": 7,
@@ -186,6 +185,39 @@ class TestConfig:
             build_plan(config)
         assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", ["detected", "reported"])
+    def test_bbox_past_the_pole_is_config_error(self, tmp_path, monkeypatch,
+                                                mode):
+        # Both corners of a configured box must be valid coordinates, so a
+        # box past the pole fails at plan time, before any data loads,
+        # whether or not the cell would sample a patrol from it.
+        calls = count_loads(monkeypatch)
+        binding = write_city(tmp_path, [(str(i), "2019-03-15 14:30")
+                                        for i in range(8)])
+        config = city_config(tmp_path, {**binding,
+                                        "bbox": [39.2, 95.0, -76.71, -76.53]},
+                             [2019])
+        config["cells"] = [{"city": "Gen", "year": 2019, "mode": mode}]
+        assert main(["grid", "--config", write_config(tmp_path, config)]) == 1
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
+    def test_boundary_vertex_near_the_pole_loads(self, tmp_path, capsys):
+        # Without a configured bbox the box is the polygons' hull padded by
+        # 0.01 degrees, which stops at the pole.
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30")])
+        ring = [[-76.65, 39.28], [-76.65, 89.995], [-76.60, 89.995],
+                [-76.60, 39.28], [-76.65, 39.28]]
+        (tmp_path / "bounds.geojson").write_text(json.dumps(
+            {"type": "FeatureCollection", "features": [
+                {"type": "Feature", "properties": {"id": "Good"},
+                 "geometry": {"type": "Polygon", "coordinates": [ring]}}]}))
+        config = city_config(tmp_path, binding, [2019])
+        assert main(["ingest", "--config",
+                     write_config(tmp_path, config)]) == 0
+        assert json.loads(capsys.readouterr().out)["Gen-2019"]["incidents"] \
+            == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_jobs_below_one_is_config_error(self, tmp_path, monkeypatch,
@@ -458,7 +490,12 @@ class TestGrid:
         "Good,0,0,0,40000,0.2\n",
         "id,pct_black,pct_white,median_income,poverty_rate\n"
         "Good,0.5,0.4,40000,0.2\nGood,0.1,0.8,40000,0.2\n",
-    ], ids=["non-numeric", "missing-column", "zero-shares", "duplicate-id"])
+        "id,pct_black,pct_white,median_income,poverty_rate\n"
+        "Good,0.5,0.4,nan,0.2\n",
+        "id,pct_black,pct_white,median_income,poverty_rate\n"
+        "Good,0.5,0.4,-666666666,0.2\n",
+    ], ids=["non-numeric", "missing-column", "zero-shares", "duplicate-id",
+            "nan-income", "census-missing-income"])
     def test_malformed_demographics_is_data_error(self, tmp_path, caplog,
                                                   demographics):
         crimes = [(str(i), f"2019-{m:02d}-15 12:00")
@@ -486,6 +523,10 @@ class TestGrid:
         assert "Traceback" not in caplog.text
         assert {(r["city"], r["month"]) for r in read_rows(
             tmp_path / "out" / "monthly.csv")} == {("Fine", "3"), ("Fine", "4")}
+        # So under `all` without the debias block, which names the bad city.
+        del config["debias"]
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 3
+        assert "Bad 2019 failed to load" in caplog.text
 
     def test_city_with_a_comma(self, tmp_path):
         out = tmp_path / "out"
@@ -638,9 +679,8 @@ class TestDebias:
         # Credits are the Noisy-OR probabilities under expected_value and
         # 0/1 draws from the condition's generator otherwise.
         rng = np.random.default_rng(5)
-        locations = [LatLon(39.30 + 0.01 * u, -76.62 + 0.01 * v)
-                     for u, v in zip(rng.uniform(-1, 1, 80),
-                                     rng.uniform(-1, 1, 80))]
+        locations = np.column_stack([39.30 + 0.01 * rng.uniform(-1, 1, 80),
+                                     -76.62 + 0.01 * rng.uniform(-1, 1, 80)])
         groups = rng.integers(0, 3, 80)
         patrols = locations[::8]
         cfg = simulate.SimConfig(radius_ft=600.0, expected_value=expected)

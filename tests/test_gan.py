@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from patrolsim import gan
 from patrolsim.gan import (DTYPE, LATENT_DIM, GanModel, TrainConfig,
@@ -12,19 +14,62 @@ from patrolsim.neuralnet import Adam, BatchNorm
 BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
 
 
+def to_points(uv, bbox=BBOX):
+    """(n, 2) (lat, lon) rows of normalized (u, v) rows."""
+    return np.column_stack(denormalize_coords(uv[:, 0], uv[:, 1], bbox))
+
+
 def gaussian_points(center_uv, sigma, n, seed):
     rng = np.random.default_rng(seed)
     uv = np.clip(rng.normal(center_uv, sigma, size=(n, 2)), -0.99, 0.99)
-    return [denormalize_coords(u, v, BBOX) for u, v in uv]
+    return to_points(uv)
+
+
+def in_box(points, bbox=BBOX):
+    return all(bbox.contains(LatLon(lat, lon)) for lat, lon in points.tolist())
+
+
+# The per-point formulas the array forms replace, kept as their oracle.
+def oracle_normalize(p: LatLon, bbox):
+    u = 2.0 * (p.lat - bbox.lat_min) / (bbox.lat_max - bbox.lat_min) - 1.0
+    v = 2.0 * (p.lon - bbox.lon_min) / (bbox.lon_max - bbox.lon_min) - 1.0
+    return u, v
+
+
+def oracle_denormalize(u, v, bbox):
+    lat = bbox.lat_min + (u + 1.0) / 2.0 * (bbox.lat_max - bbox.lat_min)
+    lon = bbox.lon_min + (v + 1.0) / 2.0 * (bbox.lon_max - bbox.lon_min)
+    return lat, lon
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    uint = {4: np.uint32, 8: np.uint64}[a.itemsize]
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(uint), b.view(uint)))
+
+
+@st.composite
+def boxes_and_points(draw):
+    """A bounding box and up to 40 points in it, as Python floats."""
+    lat_min = draw(st.floats(-90.0, 89.0))
+    lon_min = draw(st.floats(-180.0, 179.0))
+    lat_max = draw(st.floats(lat_min + 1e-6, min(90.0, lat_min + 1.0)))
+    lon_max = draw(st.floats(lon_min + 1e-6, min(180.0, lon_min + 1.0)))
+    bbox = BoundingBox(lat_min, lat_max, lon_min, lon_max)
+    points = draw(st.lists(st.tuples(st.floats(lat_min, lat_max),
+                                     st.floats(lon_min, lon_max)),
+                           max_size=40))
+    return bbox, points
 
 
 class TestCoordinateMap:
     def test_center_maps_to_origin(self):
-        u, v = normalize_coords(BBOX.center, BBOX)
+        u, v = normalize_coords(BBOX.center.lat, BBOX.center.lon, BBOX)
         assert (u, v) == pytest.approx((0.0, 0.0))
 
     def test_corner_maps_to_minus_one(self):
-        u, v = normalize_coords(LatLon(BBOX.lat_min, BBOX.lon_min), BBOX)
+        u, v = normalize_coords(BBOX.lat_min, BBOX.lon_min, BBOX)
         assert (u, v) == (-1.0, -1.0)
 
     def test_round_trip(self):
@@ -32,10 +77,29 @@ class TestCoordinateMap:
         for _ in range(1000):
             p = LatLon(rng.uniform(BBOX.lat_min, BBOX.lat_max),
                        rng.uniform(BBOX.lon_min, BBOX.lon_max))
-            u, v = normalize_coords(p, BBOX)
-            q = denormalize_coords(u, v, BBOX)
-            assert abs(q.lat - p.lat) < 1e-12
-            assert abs(q.lon - p.lon) < 1e-12
+            u, v = normalize_coords(p.lat, p.lon, BBOX)
+            lat, lon = denormalize_coords(u, v, BBOX)
+            assert abs(lat - p.lat) < 1e-12
+            assert abs(lon - p.lon) < 1e-12
+
+    @settings(max_examples=200, deadline=None)
+    @given(boxes_and_points(), st.integers(0, 2 ** 32 - 1))
+    def test_arrays_match_the_per_point_formulas(self, box_points, seed):
+        # Bit for bit, in float64 and after the cast to the GAN's float32.
+        bbox, points = box_points
+        xy = np.array(points, dtype=float).reshape(-1, 2)
+        uv = np.column_stack(normalize_coords(xy[:, 0], xy[:, 1], bbox))
+        want = np.array([oracle_normalize(LatLon(*p), bbox) for p in points],
+                        dtype=float).reshape(-1, 2)
+        assert same_bits(uv, want)
+        assert same_bits(uv.astype(DTYPE), want.astype(DTYPE))
+        # Generator outputs: float32 in [-1, 1], widened before mapping back.
+        out = np.random.default_rng(seed).uniform(-1, 1, (len(points), 2))
+        out = np.vstack([out, [[-1.0, 1.0]]]).astype(DTYPE).astype(float)
+        back = to_points(out, bbox)
+        want = np.array([oracle_denormalize(u, v, bbox) for u, v in out])
+        assert same_bits(back, want)
+        assert same_bits(back.astype(DTYPE), want.astype(DTYPE))
 
 
 class TestTraining:
@@ -48,7 +112,7 @@ class TestTraining:
 
     def test_empty_data_fatal(self):
         with pytest.raises(ValueError):
-            train_gan([], TrainConfig(epochs=1, seed=0), BBOX)
+            train_gan(np.empty((0, 2)), TrainConfig(epochs=1, seed=0), BBOX)
 
     def test_one_point_fatal(self):
         # Batch norm needs two rows per batch: one point would train no
@@ -86,6 +150,25 @@ class TestTraining:
         p = model.discriminator.forward(x, training=False)
         assert np.all((p > 0.0) & (p < 1.0))
 
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_training_rows_are_the_per_point_formulas(self, monkeypatch,
+                                                      labeled):
+        # The rows the networks train on: each point normalized in float64
+        # by the per-point formulas, then rounded to float32.
+        seen = []
+        monkeypatch.setattr(gan, "_train_loop",
+                            lambda model, real, groups, cfg:
+                            seen.append((real, groups)) or gan.LossHistory())
+        points, groups = labeled_two_cluster(20, 27)
+        train_gan(points, TrainConfig(epochs=1, seed=28), BBOX,
+                  groups if labeled else None)
+        [(real, got_groups)] = seen
+        want = np.array([oracle_normalize(LatLon(*p), BBOX)
+                         for p in points.tolist()], dtype=DTYPE)
+        assert same_bits(real, want)
+        assert real.flags.c_contiguous
+        assert got_groups is (groups if labeled else None)
+
 
 @pytest.fixture(scope="module")
 def patrol_model():
@@ -98,17 +181,17 @@ class TestSamplePatrol:
 
     def test_sixty_points_inside_bbox(self, patrol_model):
         pts = sample_patrol(patrol_model, 60, np.random.default_rng(11))
-        assert len(pts) == 60
-        assert all(BBOX.contains(p) for p in pts)
+        assert pts.shape == (60, 2)
+        assert in_box(pts)
 
     def test_same_seed_identical(self, patrol_model):
         a = sample_patrol(patrol_model, 10, np.random.default_rng(12))
         b = sample_patrol(patrol_model, 10, np.random.default_rng(12))
-        assert a == b
+        assert same_bits(a, b)
 
     def test_single_point(self, patrol_model):
         pts = sample_patrol(patrol_model, 1, np.random.default_rng(13))
-        assert len(pts) == 1 and BBOX.contains(pts[0])
+        assert pts.shape == (1, 2) and in_box(pts)
 
     def test_zero_officers_fatal(self, patrol_model):
         with pytest.raises(ValueError):
@@ -118,47 +201,59 @@ class TestSamplePatrol:
         model = GanModel(BBOX, seed=123)
         for seed in range(5):
             pts = sample_patrol(model, 50, np.random.default_rng(seed))
-            assert all(BBOX.contains(p) for p in pts)
+            assert in_box(pts)
+
+
+BLACK, WHITE, NEITHER = range(3)  # indices into RACE_GROUPS
+CENTER = np.array([[BBOX.center.lat, BBOX.center.lon]])
 
 
 def labeled_two_cluster(n_per, seed, n_neither=10):
+    """(points, groups): two large clusters and a small third group."""
     rng = np.random.default_rng(seed)
-    out = []
-    for center, label, count in (((-0.5, 0.0), "Black", n_per),
-                                 ((0.5, 0.0), "White", n_per),
-                                 ((0.0, 0.5), "Neither", n_neither)):
-        uv = np.clip(rng.normal(center, 0.06, size=(count, 2)), -0.99, 0.99)
-        out.extend((denormalize_coords(u, v, BBOX), label) for u, v in uv)
-    return out
+    uv, groups = [], []
+    for center, group, count in (((-0.5, 0.0), BLACK, n_per),
+                                 ((0.5, 0.0), WHITE, n_per),
+                                 ((0.0, 0.5), NEITHER, n_neither)):
+        uv.append(np.clip(rng.normal(center, 0.06, size=(count, 2)),
+                          -0.99, 0.99))
+        groups += [group] * count
+    return to_points(np.vstack(uv)), np.array(groups)
 
 
 def train_conditional(data, cfg):
-    return train_gan([p for p, _ in data], cfg, BBOX,
-                     [lab for _, lab in data])
+    points, groups = data
+    return train_gan(points, cfg, BBOX, groups)
 
 
 class TestConditional:
     def test_single_label_fatal(self):
-        data = [(p, "Black") for p, _ in labeled_two_cluster(10, 1)]
-        with pytest.raises(ValueError):
-            train_conditional(data, TrainConfig(epochs=1, seed=0))
+        points, _ = labeled_two_cluster(10, 1)
+        with pytest.raises(ValueError, match="White"):
+            train_conditional((points, np.zeros(len(points), int)),
+                              TrainConfig(epochs=1, seed=0))
 
     def test_unknown_label_fatal(self):
-        data = labeled_two_cluster(5, 2) + [(BBOX.center, "Martian")]
-        with pytest.raises(ValueError):
-            train_conditional(data, TrainConfig(epochs=1, seed=0))
+        points, groups = labeled_two_cluster(5, 2)
+        points = np.vstack([points, CENTER])
+        for unknown in (len(RACE_GROUPS), -1):
+            with pytest.raises(ValueError):
+                train_conditional((points, np.append(groups, unknown)),
+                                  TrainConfig(epochs=1, seed=0))
+        with pytest.raises(ValueError):  # one group short
+            train_conditional((points, groups), TrainConfig(epochs=1, seed=0))
 
     def test_sample_conditional_in_bbox(self):
         model, _ = train_conditional(labeled_two_cluster(20, 3),
                                      TrainConfig(epochs=2, seed=14))
-        pts = sample_patrol(model, 10, np.random.default_rng(15), "Black")
-        assert len(pts) == 10
-        assert all(BBOX.contains(p) for p in pts)
+        pts = sample_patrol(model, 10, np.random.default_rng(15), BLACK)
+        assert pts.shape == (10, 2)
+        assert in_box(pts)
 
     def test_sample_conditional_requires_conditional_model(self):
         model = GanModel(BBOX, conditional=False)
         with pytest.raises(ValueError):
-            sample_patrol(model, 5, np.random.default_rng(0), "Black")
+            sample_patrol(model, 5, np.random.default_rng(0), BLACK)
 
     def test_conditional_model_requires_a_label(self):
         model = GanModel(BBOX, conditional=True)
@@ -173,50 +268,90 @@ def cond_model():
     return model
 
 
+@pytest.fixture
+def sampled(monkeypatch):
+    """The (group, rows) of each sample_patrol call, in call order."""
+    calls = []
+    real = gan.sample_patrol
+
+    def recording(model, n, rng, group=None):
+        rows = real(model, n, rng, group)
+        calls.append((group, rows))
+        return rows
+    monkeypatch.setattr(gan, "sample_patrol", recording)
+    return calls
+
+
+def group_counts(calls):
+    counts = [0] * len(RACE_GROUPS)
+    for group, rows in calls:
+        counts[group] += len(rows)
+    return counts
+
+
+def is_kept_subsequence(kept, real):
+    """Whether the rows of `kept` are rows of `real`, in `real`'s order."""
+    rows = iter(real.tolist())
+    return all(row in rows for row in kept.tolist())
+
+
 class TestRebalance:
 
-    def test_thirty_percent_of_hundred(self, cond_model):
-        real = labeled_two_cluster(45, 5)  # 45+45+10 = 100
+    def test_thirty_percent_of_hundred(self, cond_model, sampled):
+        real, _ = labeled_two_cluster(45, 5)  # 45+45+10 = 100
         out = rebalance_training_set(real, cond_model,
                                      np.random.default_rng(17), 0.30)
-        assert len(out) == 100
-        synth = out[70:]
-        counts = {lab: sum(1 for _, l in synth if l == lab)
-                  for lab in RACE_GROUPS}
-        assert counts == {"Black": 10, "White": 10, "Neither": 10}
+        assert out.shape == (100, 2)
+        assert group_counts(sampled) == [10, 10, 10]
+        assert [g for g, _ in sampled] == [BLACK, WHITE, NEITHER]
+        assert same_bits(out[70:], np.vstack([rows for _, rows in sampled]))
+        assert is_kept_subsequence(out[:70], real)
 
-    def test_zero_fraction_identity(self, cond_model):
-        real = labeled_two_cluster(5, 6)
-        out = rebalance_training_set(real, cond_model,
-                                     np.random.default_rng(18), 0.0)
-        assert out == real
+    def test_zero_fraction_identity(self, cond_model, sampled):
+        real, _ = labeled_two_cluster(5, 6)
+        rng = np.random.default_rng(18)
+        state = rng.bit_generator.state
+        out = rebalance_training_set(real, cond_model, rng, 0.0)
+        assert same_bits(out, real)
+        assert rng.bit_generator.state == state
+        assert sampled == []
 
-    def test_small_n_round_robin(self, cond_model):
-        real = labeled_two_cluster(4, 7, n_neither=2)  # n = 10
+    def test_small_n_round_robin(self, cond_model, sampled):
+        real, _ = labeled_two_cluster(4, 7, n_neither=2)  # n = 10
         out = rebalance_training_set(real, cond_model,
                                      np.random.default_rng(19), 0.30)
-        assert len(out) == 10
-        synth = out[7:]
-        labels = sorted(lab for _, lab in synth)
-        assert labels == ["Black", "Neither", "White"]
+        assert out.shape == (10, 2)
+        assert group_counts(sampled) == [1, 1, 1]
 
-    def test_label_counts_within_one_of_equal(self, cond_model):
+    @pytest.mark.parametrize("n_synth,counts", [
+        (1, [1, 0, 0]), (2, [1, 1, 0]), (3, [1, 1, 1]), (4, [2, 1, 1])])
+    def test_few_synthetic_rows_follow_round_robin(self, cond_model, sampled,
+                                                   n_synth, counts):
+        real, _ = labeled_two_cluster(4, 8, n_neither=2)  # n = 10
+        out = rebalance_training_set(real, cond_model,
+                                     np.random.default_rng(21), n_synth / 10)
+        assert out.shape == (10, 2)
+        assert group_counts(sampled) == counts
+        # Groups that get no row are not sampled at all.
+        assert [g for g, _ in sampled] == [g for g in range(3) if counts[g]]
+        assert is_kept_subsequence(out[:10 - n_synth], real)
+
+    def test_label_counts_within_one_of_equal(self, cond_model, sampled):
         rng = np.random.default_rng(20)
         for n in (10, 33, 100, 101):
-            real = [(BBOX.center, "Black")] * n
+            sampled.clear()
+            real = np.repeat(CENTER, n, axis=0)
             out = rebalance_training_set(real, cond_model, rng, 0.30)
-            assert len(out) == n
+            assert out.shape == (n, 2)
             n_synth = int(0.30 * n)
-            synth = out[n - n_synth:]
-            counts = [sum(1 for _, l in synth if l == lab)
-                      for lab in RACE_GROUPS]
+            counts = group_counts(sampled)
             assert max(counts) - min(counts) <= 1
             assert sum(counts) == n_synth
 
     def test_unconditional_model_fatal(self):
         model = GanModel(BBOX, conditional=False)
         with pytest.raises(ValueError):
-            rebalance_training_set([(BBOX.center, "Black")] * 10, model,
+            rebalance_training_set(np.repeat(CENTER, 10, axis=0), model,
                                    np.random.default_rng(0))
 
 
@@ -269,11 +404,9 @@ class TestFloat32:
                 super().__init__(*args, **kwargs)
                 optimizers.append(self)
         monkeypatch.setattr(gan, "Adam", RecordingAdam)
-        data = labeled_two_cluster(20, 24)
-        labels = [lab for _, lab in data] if labeled else None
-        model, history = train_gan([p for p, _ in data],
-                                   TrainConfig(epochs=2, seed=25), BBOX,
-                                   labels)
+        points, groups = labeled_two_cluster(20, 24)
+        model, history = train_gan(points, TrainConfig(epochs=2, seed=25),
+                                   BBOX, groups if labeled else None)
         assert len(optimizers) == 2
         arrays = [a for opt in optimizers for a in opt.params + opt.m + opt.v]
         for net in (model.generator, model.discriminator):
@@ -290,6 +423,7 @@ class TestFloat32:
         pts = sample_patrol(patrol_model, 5, np.random.default_rng(26))
         uv = patrol_model.generate_normalized(5, np.random.default_rng(26))
         assert uv.dtype == np.float32
-        for p, (u, v) in zip(pts, uv):
-            assert type(p.lat) is np.float64 and type(p.lon) is np.float64
-            assert p == denormalize_coords(float(u), float(v), BBOX)
+        assert pts.dtype == np.float64 and pts.shape == (5, 2)
+        assert in_box(pts)
+        assert same_bits(pts, np.array([oracle_denormalize(u, v, BBOX)
+                                        for u, v in uv.tolist()]))

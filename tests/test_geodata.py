@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from patrolsim.geodata import (BALTIMORE_BBOX, FEET_PER_DEGREE_LAT, BoundingBox,
                                LatLon, Polygon, count_within, distance_feet,
-                               point_in_polygon, points_in_polygon)
+                               points_in_polygon)
 
 
 def haversine_feet(a: LatLon, b: LatLon) -> float:
@@ -65,6 +65,16 @@ class TestDistance:
             LatLon(91.0, 0.0)
         with pytest.raises(ValueError):
             LatLon(0.0, 181.0)
+
+
+class TestBoundingBox:
+    @pytest.mark.parametrize("box", [(39.2, 95.0, -76.71, -76.53),
+                                     (-90.5, 39.2, -76.71, -76.53),
+                                     (39.2, 39.37, -181.0, -76.53),
+                                     (39.2, 39.37, -76.71, 180.5)])
+    def test_corners_must_be_coordinates(self, box):
+        with pytest.raises(ValueError, match="out of range"):
+            BoundingBox(*box)
 
 
 def oracle_ring_crossings(p: LatLon, ring: list[LatLon]) -> int:
@@ -143,23 +153,23 @@ UNIT_SQUARE = Polygon([LatLon(0, 0), LatLon(0, 1), LatLon(1, 1), LatLon(1, 0)])
 
 class TestPointInPolygon:
     def test_inside_unit_square(self):
-        assert point_in_polygon(LatLon(0.5, 0.5), UNIT_SQUARE)
+        assert kernel([LatLon(0.5, 0.5)], UNIT_SQUARE) == [True]
 
     def test_outside_unit_square(self):
-        assert not point_in_polygon(LatLon(1.5, 0.5), UNIT_SQUARE)
+        assert kernel([LatLon(1.5, 0.5)], UNIT_SQUARE) == [False]
 
     def test_hole_is_outside(self):
         holed = Polygon(
             [LatLon(0, 0), LatLon(0, 1), LatLon(1, 1), LatLon(1, 0)],
             holes=[[LatLon(0.4, 0.4), LatLon(0.4, 0.6),
                     LatLon(0.6, 0.6), LatLon(0.6, 0.4)]])
-        assert not point_in_polygon(LatLon(0.5, 0.5), holed)
-        assert point_in_polygon(LatLon(0.1, 0.1), holed)
+        assert kernel([LatLon(0.5, 0.5)], holed) == [False]
+        assert kernel([LatLon(0.1, 0.1)], holed) == [True]
 
     def test_closed_ring_accepted(self):
         closed = Polygon([LatLon(0, 0), LatLon(0, 1), LatLon(1, 1),
                           LatLon(1, 0), LatLon(0, 0)])
-        assert point_in_polygon(LatLon(0.5, 0.5), closed)
+        assert kernel([LatLon(0.5, 0.5)], closed) == [True]
 
     def test_ring_too_short(self):
         with pytest.raises(ValueError):
@@ -186,7 +196,7 @@ class TestPointInPolygon:
             p = LatLon(rng.uniform(-1, 1), rng.uniform(-1, 1))
             if min(abs(s) for s in _edge_dists(p, verts)) < 1e-9:
                 continue  # skip exact-boundary points, convention differs
-            assert point_in_polygon(p, hexagon) == halfplane_inside(p)
+            assert kernel([p], hexagon) == [halfplane_inside(p)]
 
     def test_degenerate_rings_rejected(self):
         a, b = LatLon(39.30, -76.60), LatLon(39.31, -76.59)
@@ -221,7 +231,8 @@ class TestPointInPolygon:
             poly = Polygon(rings[0], rings[1:])
             expected = [oracle_point_in_polygon(p, rings) for p in points]
             assert kernel(points, poly) == expected
-            assert [point_in_polygon(p, poly) for p in points] == expected
+            # One row at a time, as with a polygon's only point.
+            assert [kernel([p], poly)[0] for p in points] == expected
 
 
 def _edge_dists(p, verts):
@@ -234,19 +245,26 @@ def _edge_dists(p, verts):
     return out
 
 
+def rows(*points: LatLon) -> np.ndarray:
+    """The points as an (n, 2) array of (lat, lon) rows."""
+    return np.array([(p.lat, p.lon) for p in points],
+                    dtype=float).reshape(-1, 2)
+
+
 def brute_force_query(points, center, radius):
-    return {i for i, p in enumerate(points)
-            if distance_feet(center, p) <= radius}
+    return {i for i, p in enumerate(points.tolist())
+            if distance_feet(center, LatLon(*p)) <= radius}
 
 
 def random_points(n, rng, bbox=BALTIMORE_BBOX):
-    return [LatLon(rng.uniform(bbox.lat_min, bbox.lat_max),
-                   rng.uniform(bbox.lon_min, bbox.lon_max)) for _ in range(n)]
+    return rows(*(LatLon(rng.uniform(bbox.lat_min, bbox.lat_max),
+                         rng.uniform(bbox.lon_min, bbox.lon_max))
+                  for _ in range(n)))
 
 
 def within(points, center, radius):
     """Ids of points within radius of center, read from the kernel's counts."""
-    counts = count_within(points, [center], radius)
+    counts = count_within(points, rows(center), radius)
     return {i for i, k in enumerate(counts) if k}
 
 
@@ -254,16 +272,22 @@ class TestGridIndex:
     """Radius counts from count_within, checked against brute force."""
 
     def test_empty_index(self):
-        assert count_within([LatLon(39.3, -76.6)], [], 10_000.0).tolist() == [0]
-        assert count_within([], [LatLon(39.3, -76.6)], 10_000.0).tolist() == []
+        # (0, 2) points or centers: zero counts, or no counts at all.
+        one, none = rows(LatLon(39.3, -76.6)), rows()
+        assert none.shape == (0, 2)
+        assert count_within(one, none, 10_000.0).tolist() == [0]
+        assert count_within(none, one, 10_000.0).tolist() == []
+        assert count_within(none, none, 10_000.0).tolist() == []
+        assert count_within(one, none, 10_000.0).dtype == np.int64
 
     def test_counts_every_center_in_range(self):
         rng = np.random.default_rng(11)
         pts = random_points(300, rng)
         centers = random_points(40, rng)
         counts = count_within(pts, centers, 700.0)
-        for p, k in zip(pts, counts):
-            assert k == sum(distance_feet(p, c) <= 700.0 for c in centers)
+        for p, k in zip(pts.tolist(), counts):
+            assert k == sum(distance_feet(LatLon(*p), LatLon(*c)) <= 700.0
+                            for c in centers.tolist())
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -283,12 +307,12 @@ class TestGridIndex:
         center = LatLon(39.30, -76.60)
         boundary = LatLon(39.30 + 700.0 / FEET_PER_DEGREE_LAT, -76.60)
         d = distance_feet(center, boundary)
-        assert within([boundary], center, d) == {0}
-        assert count_within([center], [boundary], d).tolist() == [1]
+        assert within(rows(boundary), center, d) == {0}
+        assert count_within(rows(center), rows(boundary), d).tolist() == [1]
 
     def test_points_outside_frame_still_indexed(self):
         outside = LatLon(39.5, -76.6)
-        assert within([outside], outside, 1.0) == {0}
+        assert within(rows(outside), outside, 1.0) == {0}
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 60))

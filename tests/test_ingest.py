@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from test_geodata import oracle_point_in_polygon, probe_points, star_ring
 
-from patrolsim.geodata import BALTIMORE_BBOX, LatLon, Polygon
+from patrolsim.geodata import (BALTIMORE_BBOX, LatLon, Polygon,
+                               points_in_polygon)
 from patrolsim.ingest import (IngestError, Neighborhood, assign_neighborhoods,
-                              filter_valid,
+                              coordinates, filter_valid,
                               hull_bbox, load_neighborhoods, parse_crime_csv,
                               partition_by_month)
 
@@ -92,6 +93,24 @@ def make_incident(lat, lon, month, day=10):
     return CrimeIncident(id=f"{lat}-{lon}-{month}", location=LatLon(lat, lon),
                          timestamp=datetime(2019, month, day), city="Baltimore",
                          crime_type="X")
+
+
+def in_neighborhood(nb, p: LatLon) -> bool:
+    """Whether one of the neighborhood's polygons contains the point."""
+    return any(points_in_polygon(np.array([p.lat]), np.array([p.lon]),
+                                 poly)[0] for poly in nb.polygons)
+
+
+class TestCoordinates:
+    def test_rows_are_lat_lon(self):
+        incidents = [make_incident(39.31, -76.62, 3),
+                     make_incident(39.29, -76.58, 4)]
+        xy = coordinates(incidents)
+        assert xy.dtype == np.float64
+        assert xy.tolist() == [[39.31, -76.62], [39.29, -76.58]]
+
+    def test_no_incidents(self):
+        assert coordinates([]).shape == (0, 2)
 
 
 class TestFilterValid:
@@ -181,11 +200,14 @@ class TestLoadNeighborhoods:
         ("poverty_rate", ""), ("pct_white", ""),
         ("median_income", None), ("poverty_rate", None),
         ("pct_black", None), ("pct_white", None),
+        ("median_income", "nan"), ("median_income", "inf"),
+        ("median_income", "-666666666"), ("pct_black", "nan"),
     ], ids=lambda v: "missing" if v is None else repr(v))
     def test_malformed_value_fatal(self, tmp_path, boundary_files, column,
                                    value):
-        # A non-numeric or empty value, or a missing column (None), names
-        # the file, the row and the column.
+        # A non-numeric, empty or non-finite value, a negative income (the
+        # Census API's -666666666 for an unavailable estimate), or a missing
+        # column (None), names the file, the row and the column.
         row = {"id": "A", "pct_black": "62.0", "pct_white": "30.5",
                "median_income": "35000", "poverty_rate": "22.0"}
         if value is None:
@@ -241,9 +263,9 @@ class TestLoadNeighborhoods:
                          "M,50,45,50000,15\n")
         nbs = load_neighborhoods(str(bpath), str(dpath))
         assert len(nbs[0].polygons) == 2
-        assert nbs[0].contains(LatLon(39.29, -76.64))
-        assert nbs[0].contains(LatLon(39.29, -76.59))
-        assert not nbs[0].contains(LatLon(39.29, -76.615))
+        assert in_neighborhood(nbs[0], LatLon(39.29, -76.64))
+        assert in_neighborhood(nbs[0], LatLon(39.29, -76.59))
+        assert not in_neighborhood(nbs[0], LatLon(39.29, -76.615))
 
 
 class TestAssignNeighborhoods:
@@ -263,7 +285,7 @@ class TestAssignNeighborhoods:
                      for i in range(20)]
         assigned, _ = assign_neighborhoods(incidents, nbs)
         for inc in assigned:
-            assert by_id[inc.neighborhood_id].contains(inc.location)
+            assert in_neighborhood(by_id[inc.neighborhood_id], inc.location)
 
     def test_overlap_first_match_wins(self, boundary_files):
         nbs = load_neighborhoods(*boundary_files)
@@ -359,3 +381,16 @@ def test_hull_bbox(boundary_files):
     assert box.lat_max == pytest.approx(39.34)
     assert box.lon_min == pytest.approx(-76.66)
     assert box.lon_max == pytest.approx(-76.54)
+
+
+def test_hull_bbox_stops_at_the_pole(tmp_path):
+    feature = square_feature("P", 89.0, 89.995, 179.0, 179.995)
+    bpath = tmp_path / "polar.geojson"
+    bpath.write_text(json.dumps({"type": "FeatureCollection",
+                                 "features": [feature]}))
+    dpath = tmp_path / "polar.csv"
+    dpath.write_text("id,pct_black,pct_white,median_income,poverty_rate\n"
+                     "P,0.1,0.8,40000,0.1\n")
+    box = hull_bbox(load_neighborhoods(str(bpath), str(dpath)))
+    assert (box.lat_min, box.lat_max) == (pytest.approx(88.99), 90.0)
+    assert (box.lon_min, box.lon_max) == (pytest.approx(178.99), 180.0)

@@ -32,9 +32,27 @@ def make_neighborhood(nb_id, pct_black, pct_white, pct_neither):
 
 
 def make_incident(uv, nb_id="N", ident="c1"):
-    return CrimeIncident(id=ident, location=denormalize_coords(*uv, BBOX),
+    return CrimeIncident(id=ident,
+                         location=LatLon(*denormalize_coords(*uv, BBOX)),
                          timestamp=datetime(2020, 3, 15), city="Synth",
                          crime_type="X", neighborhood_id=nb_id)
+
+
+def pts(*rows) -> np.ndarray:
+    """(lat, lon) rows as an (n, 2) array."""
+    return np.array(rows, dtype=float).reshape(-1, 2)
+
+
+def locations(incidents) -> np.ndarray:
+    return pts(*((inc.location.lat, inc.location.lon) for inc in incidents))
+
+
+def to_points(uv) -> np.ndarray:
+    return np.column_stack(denormalize_coords(uv[:, 0], uv[:, 1], BBOX))
+
+
+CENTER = (BBOX.center.lat, BBOX.center.lon)
+CORNER = (BBOX.lat_max, BBOX.lon_max)
 
 
 def oracle_noisy_or(crimes, patrols, sim_cfg):
@@ -60,14 +78,15 @@ def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, mode, 0)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
-    locations = [inc.location for inc in slice_.incidents]
-    sample, reported, patrols = not sim_cfg.expected_value, None, []
+    crimes = locations(slice_.incidents)
+    sample, reported, patrols = not sim_cfg.expected_value, None, pts()
     if mode == "detected":
         patrols = sample_patrol(model, sim_cfg.n_officers, rng)
     else:
         reported = [bool(u < sim_cfg.reporting_prob)
-                    for u in rng.random(len(locations))]
-        reported_locs = [loc for loc, rep in zip(locations, reported) if rep]
+                    for u in rng.random(len(crimes))]
+        reported_locs = [loc for loc, rep in zip(crimes.tolist(), reported)
+                         if rep]
         if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
             probs = [sim_cfg.reporting_prob if sim_cfg.expected_value
                      else float(rep) for rep in reported]
@@ -75,10 +94,10 @@ def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
         elif reported_locs:
             pick = rng.choice(len(reported_locs), replace=False,
                               size=min(sim_cfg.n_officers, len(reported_locs)))
-            patrols = [reported_locs[i] for i in pick]
+            patrols = pts(*(reported_locs[i] for i in pick))
     if mode == "detected" \
             or sim_cfg.reported_mode_semantics == PATROL_FROM_REPORTS:
-        probs = oracle_noisy_or(locations, patrols, sim_cfg)
+        probs = oracle_noisy_or(crimes, patrols, sim_cfg)
     groups, credits = oracle_draws([inc.neighborhood_id
                                     for inc in slice_.incidents],
                                    neighborhoods, probs, sample, rng)
@@ -191,7 +210,9 @@ class TestColumnsMatchPerCrimeStream:
         assert out.neighborhood_ids.tolist() == [
             inc.neighborhood_id for inc in slice_.incidents]
         assert len(out) == len(slice_.incidents)
-        assert result.patrol_points == patrols
+        assert result.patrol_points.dtype == np.float64
+        assert np.array_equal(result.patrol_points, patrols)
+        assert result.patrol_points.shape == patrols.shape
 
     @settings(max_examples=25, deadline=None)
     @given(shares=st.lists(SHARES, min_size=1, max_size=4),
@@ -210,36 +231,36 @@ class TestColumnsMatchPerCrimeStream:
 
 def probability_at(crime, patrols, radius_ft, p_officer):
     cfg = SimConfig(radius_ft=radius_ft, p_officer=p_officer)
-    [prob] = noisy_or([crime], patrols, cfg)
+    [prob] = noisy_or(pts(crime), patrols, cfg)
     return prob
 
 
 class TestNoisyOr:
     def test_no_officers(self):
-        assert probability_at(BBOX.center, [], 700.0, 0.85) == 0.0
+        assert probability_at(CENTER, pts(), 700.0, 0.85) == 0.0
 
     def test_one_officer(self):
-        assert probability_at(BBOX.center, [BBOX.center], 700.0, 0.85) \
+        assert probability_at(CENTER, pts(CENTER), 700.0, 0.85) \
             == pytest.approx(0.85)
 
     def test_two_officers(self):
-        assert probability_at(BBOX.center, [BBOX.center, BBOX.center],
+        assert probability_at(CENTER, pts(CENTER, CENTER),
                               700.0, 0.85) == pytest.approx(0.9775, abs=1e-12)
 
     def test_counts_officers_per_crime(self):
-        crimes = [BBOX.center, LatLon(BBOX.lat_max, BBOX.lon_max)]
+        crimes = pts(CENTER, CORNER)
         cfg = SimConfig(radius_ft=700.0, p_officer=0.5)
-        assert noisy_or(crimes, [BBOX.center, BBOX.center], cfg).tolist() \
+        assert noisy_or(crimes, pts(CENTER, CENTER), cfg).tolist() \
             == [0.75, 0.0]
 
     @pytest.mark.parametrize("p", [0.001, 0.01, 0.85])
     def test_equals_python_power(self, p):
         # Python's float ** per k, bit for bit; np.power differs from it
         # at p 0.01, k 3 and at p 0.001, k 7.
-        crimes = [BBOX.center, LatLon(BBOX.lat_max, BBOX.lon_max)]
+        crimes = pts(CENTER, CORNER)
         cfg = SimConfig(radius_ft=700.0, p_officer=p)
         for k in range(13):
-            assert noisy_or(crimes, [BBOX.center] * k, cfg).tolist() == \
+            assert noisy_or(crimes, pts(*[CENTER] * k), cfg).tolist() == \
                 [1.0 - (1.0 - p) ** k, 0.0]
 
     def test_closed_form_equals_product_loop(self):
@@ -253,26 +274,24 @@ class TestNoisyOr:
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(3)
-        patrols = [denormalize_coords(u, v, BBOX)
-                   for u, v in rng.uniform(-0.9, 0.9, (40, 2))]
-        crime = BBOX.center
+        patrols = to_points(rng.uniform(-0.9, 0.9, (40, 2)))
+        crime = CENTER
         probs = [probability_at(crime, patrols, r, 0.85)
                  for r in (100, 400, 700, 1000, 1500, 5000)]
         assert probs == sorted(probs)
 
     def test_monotone_in_officers(self):
         rng = np.random.default_rng(4)
-        pts = [denormalize_coords(u, v, BBOX)
-               for u, v in rng.uniform(-0.2, 0.2, (30, 2))]
-        crime = BBOX.center
+        patrols = to_points(rng.uniform(-0.2, 0.2, (30, 2)))
+        crime = CENTER
         probs = []
         for n in range(1, 31):
-            probs.append(probability_at(crime, pts[:n], 2000.0, 0.5))
+            probs.append(probability_at(crime, patrols[:n], 2000.0, 0.5))
         assert probs == sorted(probs)
 
     def test_invalid_p_officer(self):
         with pytest.raises(ValueError):
-            probability_at(BBOX.center, [], 700.0, 0.0)
+            probability_at(CENTER, pts(), 700.0, 0.0)
 
 
 def assert_same_outcomes(a, b):
@@ -323,7 +342,7 @@ class TestRunMonthDetected:
         r1 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
         r2 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
         assert_same_outcomes(r1.outcomes, r2.outcomes)
-        assert r1.patrol_points == r2.patrol_points
+        assert np.array_equal(r1.patrol_points, r2.patrol_points)
 
     def test_expected_credits_are_noisy_or_probabilities(self):
         slice_ = synthetic_month_slice("Synth", 2020, 6,
@@ -331,7 +350,7 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
         result = run_month_detected(slice_, nbs, TrainConfig(epochs=0), cfg, BBOX)
-        probs = oracle_noisy_or([i.location for i in slice_.incidents],
+        probs = oracle_noisy_or(locations(slice_.incidents),
                                 result.patrol_points, cfg)
         assert result.outcomes.credits.tolist() == probs
         assert len({0.0, 1.0}.union(probs)) > 2
@@ -358,7 +377,7 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(cfg)}
 
         from patrolsim.gan import train_gan
-        model, _ = train_gan([i.location for i in history.incidents],
+        model, _ = train_gan(locations(history.incidents),
                              TrainConfig(epochs=60, seed=7), BBOX)
         sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
         result = run_month_detected(eval_slice, nbs, TrainConfig(epochs=0),
@@ -394,7 +413,7 @@ class TestRunMonthReported:
             result = run_month_reported(slice_, NBS, cfg)
             if not result.outcomes.reported.any():
                 assert result.outcomes.credits.tolist() == [0.0] * 3
-                assert result.patrol_points == []
+                assert result.patrol_points.shape == (0, 2)
                 return
         pytest.fail("no zero-report month found")
 
@@ -405,7 +424,7 @@ class TestRunMonthReported:
         result = run_month_reported(slice_, NBS, cfg)
         out = result.outcomes
         assert out.credits.tolist() == out.reported.astype(float).tolist()
-        assert result.patrol_points == []
+        assert result.patrol_points.shape == (0, 2)
 
     def test_report_is_detection_expected_credits(self):
         # Under expected_value a report's credit is its probability.
@@ -419,7 +438,7 @@ class TestRunMonthReported:
         cfg = SimConfig(reporting_prob=1.0, n_officers=60,
                         seed=7, reported_mode_semantics=PATROL_FROM_REPORTS)
         result = run_month_reported(slice_, NBS, cfg)
-        assert len(result.patrol_points) == 10
+        assert result.patrol_points.shape == (10, 2)
 
     @pytest.mark.parametrize("semantics", [PATROL_FROM_REPORTS,
                                            REPORT_IS_DETECTION])
@@ -437,7 +456,7 @@ class TestRunMonthReported:
             a = run_month_reported(shared, NBS, cfg)
             b = run_month_reported(distinct, NBS, cfg)
             assert_same_outcomes(a.outcomes, b.outcomes)
-            assert a.patrol_points == b.patrol_points
+            assert np.array_equal(a.patrol_points, b.patrol_points)
             assert 0 < np.count_nonzero(a.outcomes.reported) < 40
 
     def test_determinism(self):

@@ -336,7 +336,7 @@ def month_result(month, outcomes, city="B", year=2019, mode="detected"):
                           outcomes=MonthOutcomes(
                               np.array(ids), np.zeros(len(ids), dtype=int),
                               np.array(credits, dtype=float)),
-                          patrol_points=[])
+                          patrol_points=np.empty((0, 2)))
 
 
 def out(nb_id, credit):
