@@ -14,9 +14,8 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import (astuple, dataclass, field, fields, is_dataclass,
-                         replace)
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from operator import attrgetter
 from typing import get_type_hints
 
 import numpy as np
@@ -410,6 +409,8 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
               sim_cfg, rep)
              for sim_cfg in sim_cfgs for cell, slice_, data, rep in inputs]
     if jobs > 1 and len(tasks) > 1:
+        # Imported here, so that a command on one job does not load it.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outputs = list(pool.map(_task, tasks))
     else:
@@ -624,9 +625,9 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
         runs.results[0], neighborhoods)
     os.makedirs(plan.out_dir, exist_ok=True)
 
-    _write_csv(plan.out_dir, "observations.csv",
-               [f.name for f in fields(stats.NeighborhoodObservation)],
-               map(astuple, observations))
+    columns = [f.name for f in fields(stats.NeighborhoodObservation)]
+    _write_csv(plan.out_dir, "observations.csv", columns,
+               map(attrgetter(*columns), observations))
     log.info("stats: %d observations, %d zero-crime units excluded",
              len(observations), excluded)
 

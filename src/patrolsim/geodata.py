@@ -18,8 +18,9 @@ FEET_PER_DEGREE_LAT = 364_567.2
 
 @dataclass(frozen=True)
 class LatLon:
-    """A point in degrees north / degrees east (negative west), as read in;
-    past ingest, point sets are (n, 2) float64 arrays of (lat, lon) rows."""
+    """One checked point in degrees north / degrees east (negative west),
+    such as a box corner. Crime rows carry floats, polygon rings and point
+    sets are (n, 2) float64 arrays of (lat, lon) rows."""
 
     lat: float
     lon: float
@@ -44,7 +45,9 @@ class BoundingBox:
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("degenerate bounding box")
 
-    def contains(self, p: LatLon) -> bool:
+    def contains(self, p) -> bool:
+        """Whether p (a LatLon, or a row with .lat and .lon) is in the
+        closed box."""
         return (self.lat_min <= p.lat <= self.lat_max
                 and self.lon_min <= p.lon <= self.lon_max)
 
@@ -91,47 +94,75 @@ def count_within(points: np.ndarray, centers: np.ndarray,
     return counts
 
 
-class Polygon:
-    """Exterior ring plus optional hole rings, vertices as LatLon.
+# Elements of one (points, edges) block of `points_in_polygon`.
+PIP_BLOCK_ELEMENTS = 1 << 16
 
-    Rings may be given open or closed (first vertex repeated at the end).
-    The edges of every ring and the bounding box of all rings are computed
-    once here; `points_in_polygon` reads nothing else.
+
+class Polygon:
+    """Exterior ring plus optional hole rings, each a float64 (m, 2) array
+    of (lat, lon) rows (any sequence of such pairs is taken).
+
+    Rings may be given open or closed (first vertex repeated at the end);
+    `rings` keeps them open. The edges of every ring and the bounding box
+    of all rings are computed once here; `points_in_polygon` reads nothing
+    else.
     """
 
-    def __init__(self, exterior: list[LatLon], holes: list[list[LatLon]] | None = None):
-        rings = [_normalize_ring(r) for r in [exterior, *(holes or [])]]
-        lats = [v.lat for ring in rings for v in ring]
-        lons = [v.lon for ring in rings for v in ring]
-        self.bbox = BoundingBox(min(lats), max(lats), min(lons), max(lons))
-        # (y1, y2, y2 - y1, x1, x2 - x1) per edge; a horizontal edge is
-        # never crossed by the +lon ray, so it is left out.
-        self.edges = [(a.lat, b.lat, b.lat - a.lat, a.lon, b.lon - a.lon)
-                      for ring in rings
-                      for a, b in zip(ring, ring[1:] + ring[:1])
-                      if a.lat != b.lat]
+    def __init__(self, exterior, holes=None):
+        self.rings = [_normalize_ring(r) for r in [exterior, *(holes or [])]]
+        starts = np.concatenate(self.rings)
+        (lat_min, lon_min), (lat_max, lon_max) = (starts.min(axis=0).tolist(),
+                                                  starts.max(axis=0).tolist())
+        self.bbox = BoundingBox(lat_min, lat_max, lon_min, lon_max)
+        ends = np.concatenate([np.concatenate((r[1:], r[:1]))
+                               for r in self.rings])
+        (y1, x1), (y2, x2) = starts.T, ends.T
+        edges = np.array([y1, y2, y2 - y1, x1, x2 - x1])
+        # Rows y1, y2, y2 - y1, x1, x2 - x1 of one column per edge. A
+        # horizontal edge (y2 - y1 is 0 only when y1 == y2) is never
+        # crossed by the +lon ray, so it is left out.
+        self.edges = edges[:, edges[2] != 0.0]
 
 
-def _normalize_ring(ring: list[LatLon]) -> list[LatLon]:
-    if len(ring) >= 2 and ring[0] == ring[-1]:
-        ring = ring[:-1]
-    if len(set(ring)) < 3:
+_RANGE = np.array([90.0, 180.0])  # largest |lat| and |lon|
+
+
+def _normalize_ring(ring) -> np.ndarray:
+    ring = np.array(ring, dtype=float)
+    if ring.ndim != 2 or ring.shape[1] != 2:
+        raise ValueError(f"polygon ring must be (lat, lon) rows, "
+                         f"got shape {ring.shape}")
+    in_range = np.abs(ring) <= _RANGE  # false for NaN
+    if not in_range.all():
+        row, col = np.argwhere(~in_range)[0]
+        raise ValueError(f"{('latitude', 'longitude')[col]} out of range: "
+                         f"{ring[row, col]}")
+    vertices = ring.tolist()
+    if len(vertices) >= 2 and vertices[0] == vertices[-1]:
+        ring, vertices = ring[:-1], vertices[:-1]
+    # Distinct as a set counts them: 0.0 and -0.0 are one value.
+    if len(set(map(tuple, vertices))) < 3:
         raise ValueError("polygon ring needs at least 3 distinct vertices")
-    return list(ring)
+    return ring
 
 
 def points_in_polygon(lat: np.ndarray, lon: np.ndarray,
                       poly: Polygon) -> np.ndarray:
     """Ray-casting parity test in the (lon, lat) plane for many points.
 
-    Loops over the edges of every ring and vectorizes over points; a ray
-    from each point towards +lon crosses an edge when the edge straddles
-    the point's latitude (half-open on vertices) and meets it east of the
-    point. Crossings of hole rings count too, so holes are outside.
+    A ray from each point towards +lon crosses an edge when the edge
+    straddles the point's latitude (half-open on vertices) and meets it
+    east of the point. Crossings of hole rings count too, so holes are
+    outside. Each block of points is one broadcast against every edge,
+    sized so that its (points, edges) temporaries stay under
+    PIP_BLOCK_ELEMENTS elements.
     """
-    inside = np.zeros(len(lat), dtype=bool)
-    for y1, y2, dy, x1, dx in poly.edges:
-        t = (lat - y1) / dy
-        inside ^= ((y1 > lat) != (y2 > lat)) & (x1 + t * dx > lon)
+    y1, y2, dy, x1, dx = poly.edges[:, None, :]
+    inside = np.empty(len(lat), dtype=bool)
+    step = max(1, PIP_BLOCK_ELEMENTS // poly.edges.shape[1])
+    for i in range(0, len(lat), step):
+        la, lo = lat[i:i + step, None], lon[i:i + step, None]
+        t = (la - y1) / dy
+        inside[i:i + step] = np.bitwise_xor.reduce(
+            ((y1 > la) != (y2 > la)) & (x1 + t * dx > lo), axis=1)
     return inside
-

@@ -12,12 +12,14 @@ import csv
 import json
 import logging
 import math
-from dataclasses import dataclass, replace
+import re
+from dataclasses import dataclass
 from datetime import datetime
+from typing import NamedTuple
 
 import numpy as np
 
-from .geodata import BoundingBox, LatLon, Polygon, points_in_polygon
+from .geodata import BoundingBox, Polygon, points_in_polygon
 
 log = logging.getLogger(__name__)
 
@@ -35,31 +37,47 @@ DATE_FORMATS = (
     "%Y-%m-%d",
 )
 
+# The regex strptime compiles for each DATE_FORMATS entry, in that order,
+# with each field's group named after its datetime argument.
+_YEAR = r"(?P<year>\d\d\d\d)"
+_MONTH = r"(?P<month>1[0-2]|0[1-9]|[1-9])"
+_DAY = r"(?P<day>3[0-1]|[1-2]\d|0[1-9]|[1-9]| [1-9])"
+_HOUR = r"(?P<hour>2[0-3]|[0-1]\d|\d)"
+_MINUTE = r"(?P<minute>[0-5]\d|\d)"
+_SECOND = r"(?P<second>6[0-1]|[0-5]\d|\d)"
+_DATE_PATTERNS = tuple(re.compile(p) for p in (
+    rf"{_YEAR}-{_MONTH}-{_DAY}\s+{_HOUR}:{_MINUTE}:{_SECOND}",
+    rf"{_YEAR}-{_MONTH}-{_DAY}\s+{_HOUR}:{_MINUTE}",
+    rf"{_MONTH}/{_DAY}/{_YEAR}\s+{_HOUR}:{_MINUTE}",
+    rf"{_MONTH}/{_DAY}/{_YEAR}\s+{_HOUR}:{_MINUTE}:{_SECOND}",
+    rf"{_YEAR}-{_MONTH}-{_DAY}",
+))
+# Each pattern's group names in the order datetime takes them.
+_DATE_FIELDS = tuple(("year", "month", "day", "hour", "minute",
+                      "second")[:p.groups] for p in _DATE_PATTERNS)
+
 # Named column-mapping presets; portal schemas drift, so these can also be
 # supplied inline in the run config.
 COLUMN_PRESETS = {
     "baltimore-part1": {
         "id": "RowID", "lat": "Latitude", "lon": "Longitude",
-        "date": "CrimeDateTime", "type": "Description",
+        "date": "CrimeDateTime",
     },
     "chicago-portal": {
-        "id": "ID", "lat": "Latitude", "lon": "Longitude",
-        "date": "Date", "type": "Primary Type",
+        "id": "ID", "lat": "Latitude", "lon": "Longitude", "date": "Date",
     },
-    "generic": {
-        "id": "id", "lat": "lat", "lon": "lon",
-        "date": "date", "type": "type",
-    },
+    "generic": {"id": "id", "lat": "lat", "lon": "lon", "date": "date"},
 }
 
 
-@dataclass(frozen=True)
-class CrimeIncident:
+class CrimeIncident(NamedTuple):
+    """One crime CSV row: degrees north and east, and the neighborhood
+    that contains it once assigned."""
     id: str
-    location: LatLon
+    lat: float
+    lon: float
     timestamp: datetime
     city: str
-    crime_type: str
     neighborhood_id: str | None = None
 
 
@@ -87,22 +105,42 @@ class IngestError(Exception):
     """Fatal data-loading problem (missing file, missing column, bad value)."""
 
 
-def _parse_date(raw: str) -> datetime | None:
+def _match_date(raw: str) -> datetime | None:
+    """The datetime of the first DATE_FORMATS entry that reads the stripped
+    field as a valid date, as strptime would; None when none does."""
     raw = raw.strip()
-    for fmt in DATE_FORMATS:
-        try:
-            return datetime.strptime(raw, fmt)
-        except ValueError:
-            continue
+    for pattern, fields in zip(_DATE_PATTERNS, _DATE_FIELDS):
+        match = pattern.fullmatch(raw)
+        if match:
+            try:
+                return datetime(*map(int, match.group(*fields)))
+            except ValueError:  # not this format: say 2019-02-30 or second 60
+                continue
     return None
+
+
+def _undecodable_line(path: str) -> int:
+    """The number of the first line of the file that is not UTF-8, or 0
+    when every line is."""
+    with open(path, "rb") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return 0
 
 
 def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
                     city: str = "Baltimore") -> tuple[list[CrimeIncident], int]:
     """Parse one incident CSV.
 
-    Returns (incidents, dropped_count); rows with unparseable coordinates
-    or dates are skipped and counted. Duplicate ids are kept as-is.
+    Returns (incidents, dropped_count); rows with unparseable or
+    out-of-range coordinates or dates are skipped and counted. Rows are read
+    as csv.DictReader reads them: blank lines are skipped, a short row's
+    missing fields read as None, the last of repeated header names wins and
+    extra fields are ignored. Duplicate ids are kept as-is. A file that is
+    not UTF-8 or not valid CSV is an IngestError naming the line.
     """
     if isinstance(column_mapping, str):
         try:
@@ -118,32 +156,44 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
     incidents: list[CrimeIncident] = []
     dropped = 0
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for key in ("id", "lat", "lon", "date"):
-            if column_mapping[key] not in header:
-                raise IngestError(
-                    f"mapped column {column_mapping[key]!r} ({key}) missing from {path}")
-        type_col = column_mapping.get("type")
-        for row in reader:
-            try:
-                lat = float(row[column_mapping["lat"]])
-                lon = float(row[column_mapping["lon"]])
-                location = LatLon(lat, lon)
-            except (TypeError, ValueError):
-                dropped += 1
-                continue
-            ts = _parse_date(row[column_mapping["date"]] or "")
-            if ts is None:
-                dropped += 1
-                continue
-            incidents.append(CrimeIncident(
-                id=str(row[column_mapping["id"]]),
-                location=location,
-                timestamp=ts,
-                city=city,
-                crime_type=str(row.get(type_col, "") or "") if type_col else "",
-            ))
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+            index = {name: i for i, name in enumerate(header)}
+            for key in ("id", "lat", "lon", "date"):
+                if column_mapping[key] not in index:
+                    raise IngestError(f"mapped column {column_mapping[key]!r} "
+                                      f"({key}) missing from {path}")
+            i_id, i_lat, i_lon, i_date = (index[column_mapping[key]] for key
+                                          in ("id", "lat", "lon", "date"))
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < len(header):
+                    row += [None] * (len(header) - len(row))
+                try:
+                    lat = float(row[i_lat])
+                    lon = float(row[i_lon])
+                except (TypeError, ValueError):
+                    dropped += 1
+                    continue
+                # The comparisons LatLon makes, false for NaN too.
+                if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
+                    dropped += 1
+                    continue
+                ts = _match_date(row[i_date] or "")
+                if ts is None:
+                    dropped += 1
+                    continue
+                incidents.append(CrimeIncident(str(row[i_id]), lat, lon, ts,
+                                               city))
+        except UnicodeDecodeError as exc:
+            line = _undecodable_line(path)
+            raise IngestError(f"crime CSV {path}, line {line}: not UTF-8 "
+                              f"({exc.reason})") from exc
+        except csv.Error as exc:
+            raise IngestError(f"crime CSV {path}, line {reader.line_num}: "
+                              f"{exc}") from exc
     if dropped:
         log.info("parse_crime_csv(%s): dropped %d malformed rows", path, dropped)
     return incidents, dropped
@@ -152,7 +202,7 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
 def coordinates(incidents) -> np.ndarray:
     """The incidents' locations as one (n, 2) float64 array of (lat, lon)
     rows, the form every step after ingest takes points in."""
-    return np.array([(i.location.lat, i.location.lon) for i in incidents],
+    return np.array([(i.lat, i.lon) for i in incidents],
                     dtype=float).reshape(-1, 2)
 
 
@@ -160,7 +210,7 @@ def filter_valid(incidents: list[CrimeIncident],
                  bbox: BoundingBox) -> list[CrimeIncident]:
     """Keep incidents inside the city box in one of MONTHS."""
     return [inc for inc in incidents
-            if bbox.contains(inc.location) and inc.timestamp.month in MONTHS]
+            if bbox.contains(inc) and inc.timestamp.month in MONTHS]
 
 
 SHARE_COLUMNS = ("pct_black", "pct_white", "pct_neither", "poverty_rate")
@@ -179,7 +229,7 @@ def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = [(str(row["id"]), row) for row in csv.DictReader(fh)]
-    except (OSError, KeyError) as exc:
+    except (OSError, KeyError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestError(f"cannot read demographics {path}: {exc}") from exc
     demo = {}
     for rid, row in rows:
@@ -233,21 +283,27 @@ def _share(values: dict[str, float | None], col: str,
     return value
 
 
-def _geojson_polygons(geometry: dict) -> list[Polygon]:
+def _geojson_polygons(geometry) -> list[Polygon]:
+    """The polygons of a GeoJSON Polygon or MultiPolygon geometry; a
+    malformed one raises LookupError, TypeError or ValueError."""
     def ring(coords):
         # A position may carry an altitude after lon and lat (RFC 7946).
-        return [LatLon(lat, lon) for lon, lat, *_ in coords]
+        rows = np.array([(lat, lon) for lon, lat, *_ in coords])
+        if rows.dtype.kind not in "iuf":
+            raise ValueError("ring coordinates must be numbers")
+        return rows
 
+    if not isinstance(geometry, dict):
+        raise ValueError(f"geometry is {geometry!r}, not an object")
     gtype = geometry.get("type")
     if gtype == "Polygon":
-        rings = geometry["coordinates"]
-        return [Polygon(ring(rings[0]), [ring(r) for r in rings[1:]])]
-    if gtype == "MultiPolygon":
-        out = []
-        for rings in geometry["coordinates"]:
-            out.append(Polygon(ring(rings[0]), [ring(r) for r in rings[1:]]))
-        return out
-    raise IngestError(f"unsupported geometry type: {gtype}")
+        parts = [geometry.get("coordinates")]
+    elif gtype == "MultiPolygon":
+        parts = geometry.get("coordinates")
+    else:
+        raise ValueError(f"unsupported geometry type: {gtype}")
+    return [Polygon(ring(rings[0]), [ring(r) for r in rings[1:]])
+            for rings in parts]
 
 
 def load_neighborhoods(boundary_path: str, demographics_path: str,
@@ -260,22 +316,32 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
     try:
         with open(boundary_path, encoding="utf-8") as fh:
             collection = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read boundaries {boundary_path}: {exc}") from exc
 
+    features = (collection.get("features", [])
+                if isinstance(collection, dict) else None)
+    if not isinstance(features, list):
+        raise IngestError(f"boundaries {boundary_path}: \"features\" is not "
+                          f"a list")
     demo = _read_demographics(demographics_path)
     divisors = _share_divisors(list(demo.values()))
     out: list[Neighborhood] = []
-    for feature in collection.get("features", []):
-        props = feature.get("properties", {})
+    for number, feature in enumerate(features):
+        if not isinstance(feature, dict):
+            raise IngestError(f"boundaries {boundary_path}: feature {number} "
+                              f"is not an object")
+        # "properties": null is a feature without the id property.
+        props = feature.get("properties") or {}
         fid = str(props.get(id_property, ""))
         if fid not in demo:
             log.warning("boundary id %r has no demographics row; dropped", fid)
             continue
         try:
-            polygons = tuple(_geojson_polygons(feature["geometry"]))
-        except ValueError as exc:
-            raise IngestError(f"boundary feature {fid!r}: {exc}") from exc
+            polygons = tuple(_geojson_polygons(feature.get("geometry")))
+        except (LookupError, TypeError, ValueError) as exc:
+            raise IngestError(f"boundaries {boundary_path}, feature {fid!r}: "
+                              f"{exc}") from exc
         row = demo[fid]
         pct_black = _share(row, "pct_black", divisors)
         pct_white = _share(row, "pct_white", divisors)
@@ -306,21 +372,29 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
     box decides nothing the ray cast would not: outside it, no edge
     straddles the point's latitude, or every crossing (which lies between
     its edge's end longitudes) is on the same side of the point, an even
-    count per ring.
+    count per ring. The incidents are sorted by latitude once, so a box's
+    latitude range is one slice of them.
     Incidents contained by no polygon are dropped and counted.
     """
     if not neighborhoods:
         raise IngestError("assign_neighborhoods requires at least one neighborhood")
-    lat, lon = coordinates(incidents).T
-    owner = np.full(len(incidents), -1)
+    points = coordinates(incidents)
+    order = np.argsort(points[:, 0], kind="stable")
+    lat, lon = points[order].T
+    found = np.full(len(incidents), -1)  # in latitude order
     for k, nb in enumerate(neighborhoods):
         for poly in nb.polygons:
             box = poly.bbox
-            near = np.flatnonzero((owner < 0)
-                                  & (lat >= box.lat_min) & (lat <= box.lat_max)
-                                  & (lon >= box.lon_min) & (lon <= box.lon_max))
-            owner[near[points_in_polygon(lat[near], lon[near], poly)]] = k
-    assigned = [replace(inc, neighborhood_id=neighborhoods[k].id)
+            lo = np.searchsorted(lat, box.lat_min, side="left")
+            hi = np.searchsorted(lat, box.lat_max, side="right")
+            near = lo + np.flatnonzero((found[lo:hi] < 0)
+                                       & (lon[lo:hi] >= box.lon_min)
+                                       & (lon[lo:hi] <= box.lon_max))
+            found[near[points_in_polygon(lat[near], lon[near], poly)]] = k
+    owner = np.empty_like(found)
+    owner[order] = found
+    ids = [nb.id for nb in neighborhoods]
+    assigned = [CrimeIncident(*inc[:5], ids[k])
                 for inc, k in zip(incidents, owner.tolist()) if k >= 0]
     dropped = len(incidents) - len(assigned)
     if dropped:

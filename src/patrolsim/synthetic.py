@@ -16,7 +16,7 @@ from datetime import datetime
 import numpy as np
 
 from .gan import denormalize_coords
-from .geodata import BoundingBox, LatLon, Polygon
+from .geodata import BoundingBox, Polygon
 from .ingest import MONTHS, CrimeIncident, MonthSlice, Neighborhood
 from .simulate import derive_seed
 
@@ -54,8 +54,7 @@ def _square_polygon(center: tuple[float, float], half: float,
     cu, cv = center
     corners = [(cu - half, cv - half), (cu - half, cv + half),
                (cu + half, cv + half), (cu + half, cv - half)]
-    return Polygon([LatLon(*denormalize_coords(u, v, bbox))
-                    for u, v in corners])
+    return Polygon([denormalize_coords(u, v, bbox) for u, v in corners])
 
 
 def synthetic_neighborhoods(cfg: SyntheticCityConfig) -> list[Neighborhood]:
@@ -102,12 +101,10 @@ def synthetic_month_slice(city: str, year: int, month: int,
         else:
             center, nb_id = CLUSTER_B, "B"
         u, v = _sample_cluster_point(center, cfg.sigma, rng)
+        lat, lon = denormalize_coords(u, v, SYNTH_BBOX)
         incidents.append(CrimeIncident(
-            id=f"{city}-{year}-{month:02d}-{i:04d}",
-            location=LatLon(*denormalize_coords(u, v, SYNTH_BBOX)),
-            timestamp=datetime(year, month, 15, 12, 0),
-            city=city,
-            crime_type="synthetic",
+            id=f"{city}-{year}-{month:02d}-{i:04d}", lat=lat, lon=lon,
+            timestamp=datetime(year, month, 15, 12, 0), city=city,
             neighborhood_id=nb_id))
     return MonthSlice(city, year, month, tuple(incidents))
 

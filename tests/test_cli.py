@@ -528,6 +528,89 @@ class TestGrid:
         assert main(["all", "--config", write_config(tmp_path, config)]) == 3
         assert "Bad 2019 failed to load" in caplog.text
 
+    @pytest.mark.parametrize("bad", [
+        "geometry-null", "string-coordinate", "features-null", "feature-null",
+        "not-utf-8", "csv-field-too-large", "boundaries-not-utf-8",
+        "demographics-not-utf-8"])
+    def test_malformed_city_file_is_data_error(self, tmp_path, caplog, bad):
+        # A GeoJSON member set to null, a coordinate that is a string, or a
+        # crime CSV that is not UTF-8 or not CSV: exit 2 under ingest and
+        # debias naming the file (and the feature or line), and a recorded
+        # load failure in a grid that still runs the other city.
+        crimes = [(str(i), f"2019-{m:02d}-15 12:00")
+                  for m in (3, 4) for i in range(5)]
+        bindings = {}
+        for city in ("Fine", "Bad"):
+            (tmp_path / city).mkdir()
+            binding = write_city(tmp_path / city, crimes)
+            bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
+        bounds, crime_csv = tmp_path / "Bad" / "bounds.geojson", \
+            tmp_path / "Bad" / "crime.csv"
+        collection = json.loads(bounds.read_text())
+        if bad == "geometry-null":
+            collection["features"][0]["geometry"] = None
+        elif bad == "string-coordinate":
+            collection["features"][0]["geometry"]["coordinates"][0][1] = \
+                ["-76.65", "39.33"]
+        elif bad == "features-null":
+            collection["features"] = None
+        elif bad == "feature-null":
+            collection["features"].insert(0, None)
+        elif bad == "not-utf-8":
+            with open(crime_csv, "ab") as fh:
+                fh.write(b"99,39.30,-76.62,2019-03-15 12:00,CAF\xc9\n")
+        elif bad == "csv-field-too-large":
+            with open(crime_csv, "a", encoding="utf-8") as fh:
+                fh.write('99,39.30,-76.62,2019-03-15 12:00,"'
+                         + "x" * 200_000 + '"\n')
+        bounds.write_text(json.dumps(collection))
+        named_file = {"boundaries-not-utf-8": bounds,
+                      "demographics-not-utf-8": tmp_path / "Bad" / "demo.csv",
+                      "not-utf-8": crime_csv,
+                      "csv-field-too-large": crime_csv}.get(bad, bounds)
+        if bad.endswith("-not-utf-8"):
+            named_file.write_bytes(named_file.read_bytes().replace(
+                b"Good", b"G\xf6od", 1))
+        named = {"geometry-null": "'Good'", "string-coordinate": "'Good'",
+                 "features-null": '"features"', "feature-null": "feature 0",
+                 "not-utf-8": "line 12", "csv-field-too-large": "line 12",
+                 }.get(bad, "utf-8")
+        path_named = str(named_file)
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                      data_dir=str(tmp_path), data={"cities": bindings},
+                      cells=[{"city": c, "year": 2019, "mode": "reported"}
+                             for c in ("Bad", "Fine")],
+                      debias={"city": "Bad", "year": 2019})
+        path = write_config(tmp_path, config)
+        assert main(["ingest", "--config", path]) == 2
+        assert main(["debias", "--config", path]) == 2
+        assert named in caplog.text and path_named in caplog.text
+        assert "Traceback" not in caplog.text
+        caplog.clear()
+        assert main(["grid", "--config", path]) == 3
+        assert "Bad 2019 failed to load" in caplog.text
+        assert named in caplog.text and "Traceback" not in caplog.text
+        assert {(r["city"], r["month"]) for r in read_rows(
+            tmp_path / "out" / "monthly.csv")} == {("Fine", "3"), ("Fine", "4")}
+        del config["debias"]
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 3
+
+    def test_null_properties_drop_the_feature(self, tmp_path, caplog, capsys):
+        # RFC 7946 allows "properties": null: a feature without the id
+        # property, dropped with a warning.
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30")])
+        collection = json.loads((tmp_path / "bounds.geojson").read_text())
+        extra = json.loads(json.dumps(collection["features"][0]))
+        extra["properties"] = None
+        collection["features"].insert(0, extra)
+        (tmp_path / "bounds.geojson").write_text(json.dumps(collection))
+        config = city_config(tmp_path, binding, [2019])
+        assert main(["ingest", "--config",
+                     write_config(tmp_path, config)]) == 0
+        summary = json.loads(capsys.readouterr().out)["Gen-2019"]
+        assert (summary["neighborhoods"], summary["incidents"]) == (1, 1)
+        assert "boundary id '' has no demographics row; dropped" in caplog.text
+
     def test_city_with_a_comma(self, tmp_path):
         out = tmp_path / "out"
         path = synth_config(tmp_path, out, cells=[
@@ -883,6 +966,17 @@ def test_planning_imports_no_scipy(tmp_path):
             "from patrolsim.cli import build_plan, load_config\n"
             f"build_plan(load_config({write_config(tmp_path, SYNTH_CONFIG)!r}))\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is imported only when a command runs on more than one job.
+    code = ("import sys\n"
+            "import patrolsim.cli\n"
+            "loaded = [m for m in ('concurrent.futures.process',\n"
+            "                      'multiprocessing') if m in sys.modules]\n"
+            "assert not loaded, loaded\n")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 

@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patrolsim import geodata
 from patrolsim.geodata import (BALTIMORE_BBOX, FEET_PER_DEGREE_LAT, BoundingBox,
                                LatLon, Polygon, count_within, distance_feet,
                                points_in_polygon)
@@ -77,28 +79,76 @@ class TestBoundingBox:
             BoundingBox(*box)
 
 
-def oracle_ring_crossings(p: LatLon, ring: list[LatLon]) -> int:
-    """Scalar ray cast from p towards +lon, half-open rule on vertices."""
+def oracle_ring_crossings(p, ring) -> int:
+    """Scalar ray cast from p towards +lon, half-open rule on vertices;
+    p and the ring's vertices are (lat, lon) pairs."""
     if ring[0] == ring[-1]:
         ring = ring[:-1]
-    x, y = p.lon, p.lat
+    y, x = p
     n = len(ring)
     crossings = 0
     for i in range(n):
         a = ring[i]
         b = ring[(i + 1) % n]
-        y1, y2 = a.lat, b.lat
+        y1, y2 = a[0], b[0]
         if (y1 > y) != (y2 > y):
             t = (y - y1) / (y2 - y1)
-            x_cross = a.lon + t * (b.lon - a.lon)
+            x_cross = a[1] + t * (b[1] - a[1])
             if x_cross > x:
                 crossings += 1
     return crossings
 
 
-def oracle_point_in_polygon(p: LatLon, rings: list[list[LatLon]]) -> bool:
+def oracle_point_in_polygon(p, rings) -> bool:
     """Pure-Python parity test over an exterior ring and its holes."""
     return sum(oracle_ring_crossings(p, ring) for ring in rings) % 2 == 1
+
+
+def loop_points_in_polygon(lat, lon, rings) -> np.ndarray:
+    """The per-edge loop points_in_polygon was: one pass over the edges of
+    every ring, vectorized over the points, each edge built from its two
+    (lat, lon) vertices in Python floats."""
+    inside = np.zeros(len(lat), dtype=bool)
+    for ring in rings:
+        if ring[0] == ring[-1]:
+            ring = ring[:-1]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            if a[0] == b[0]:
+                continue
+            y1, y2, dy, x1, dx = a[0], b[0], b[0] - a[0], a[1], b[1] - a[1]
+            t = (lat - y1) / dy
+            inside ^= ((y1 > lat) != (y2 > lat)) & (x1 + t * dx > lon)
+    return inside
+
+
+def horizontal_edge_points(rng, rings, n):
+    """Points on the horizontal edges of the rings, ends included."""
+    edges = [(a, b) for ring in rings
+             for a, b in zip(ring, ring[1:] + ring[:1]) if a[0] == b[0]]
+    if not edges:
+        return []
+    points = []
+    for i in rng.integers(len(edges), size=n):
+        (lat, lon_a), (_, lon_b) = edges[i]
+        points.append((lat, float(rng.choice([lon_a, lon_b, (lon_a + lon_b) / 2,
+                                              lon_a + rng.random()
+                                              * (lon_b - lon_a)]))))
+    return points
+
+
+def edge_points(rng, rings, n):
+    """Points on random edges of the rings and one float either side in
+    longitude, where the crossing test turns on the last bit of its
+    float expressions."""
+    edges = [(a, b) for ring in rings for a, b in zip(ring, ring[1:] + ring[:1])]
+    points = []
+    for i in rng.integers(len(edges), size=n):
+        (lat_a, lon_a), (lat_b, lon_b) = edges[i]
+        s = rng.random()
+        lat, lon = lat_a + s * (lat_b - lat_a), lon_a + s * (lon_b - lon_a)
+        points += [(lat, lon), (lat, float(np.nextafter(lon, -180.0))),
+                   (lat, float(np.nextafter(lon, 180.0)))]
+    return points
 
 
 def star_ring(rng, lat0, lon0, radius, n, step=None):
@@ -115,7 +165,7 @@ def star_ring(rng, lat0, lon0, radius, n, step=None):
     if step:
         offsets = [(round(dy / step) * step, round(dx / step) * step)
                    for dy, dx in offsets]
-    return [LatLon(lat0 + dy, lon0 + dx) for dy, dx in offsets]
+    return [(lat0 + dy, lon0 + dx) for dy, dx in offsets]
 
 
 def probe_points(rng, rings, n):
@@ -123,61 +173,59 @@ def probe_points(rng, rings, n):
     onto vertex latitudes and onto the edges of the rings' bounding box or
     the next float outside it."""
     verts = [v for ring in rings for v in ring]
-    lats = [v.lat for v in verts]
-    lons = [v.lon for v in verts]
+    lats = [lat for lat, _ in verts]
+    lons = [lon for _, lon in verts]
     lo_lat, hi_lat, lo_lon, hi_lon = min(lats), max(lats), min(lons), max(lons)
     pad = 0.2 * (hi_lat - lo_lat)
     lat_edges = [lo_lat, hi_lat, np.nextafter(lo_lat, -90), np.nextafter(hi_lat, 90)]
     lon_edges = [lo_lon, hi_lon, np.nextafter(lo_lon, -180), np.nextafter(hi_lon, 180)]
-    points = [LatLon(rng.uniform(lo_lat - pad, hi_lat + pad),
-                     rng.uniform(lo_lon - pad, hi_lon + pad)) for _ in range(n)]
+    points = [(rng.uniform(lo_lat - pad, hi_lat + pad),
+               rng.uniform(lo_lon - pad, hi_lon + pad)) for _ in range(n)]
     points += [verts[i] for i in rng.integers(len(verts), size=max(1, n // 4))]
-    points += [LatLon(lats[i], rng.uniform(lo_lon - pad, hi_lon + pad))
+    points += [(lats[i], rng.uniform(lo_lon - pad, hi_lon + pad))
                for i in rng.integers(len(verts), size=max(1, n // 4))]
     for _ in range(max(1, n // 8)):
-        points.append(LatLon(float(rng.choice(lat_edges)),
-                             rng.uniform(lo_lon, hi_lon)))
-        points.append(LatLon(rng.uniform(lo_lat, hi_lat),
-                             float(rng.choice(lon_edges))))
+        points.append((float(rng.choice(lat_edges)),
+                       rng.uniform(lo_lon, hi_lon)))
+        points.append((rng.uniform(lo_lat, hi_lat),
+                       float(rng.choice(lon_edges))))
     return points
 
 
 def kernel(points, poly):
-    lat = np.array([p.lat for p in points])
-    lon = np.array([p.lon for p in points])
+    lat = np.array([p[0] for p in points])
+    lon = np.array([p[1] for p in points])
     return points_in_polygon(lat, lon, poly).tolist()
 
 
-UNIT_SQUARE = Polygon([LatLon(0, 0), LatLon(0, 1), LatLon(1, 1), LatLon(1, 0)])
+UNIT_SQUARE = Polygon([(0, 0), (0, 1), (1, 1), (1, 0)])
 
 
 class TestPointInPolygon:
     def test_inside_unit_square(self):
-        assert kernel([LatLon(0.5, 0.5)], UNIT_SQUARE) == [True]
+        assert kernel([(0.5, 0.5)], UNIT_SQUARE) == [True]
 
     def test_outside_unit_square(self):
-        assert kernel([LatLon(1.5, 0.5)], UNIT_SQUARE) == [False]
+        assert kernel([(1.5, 0.5)], UNIT_SQUARE) == [False]
 
     def test_hole_is_outside(self):
         holed = Polygon(
-            [LatLon(0, 0), LatLon(0, 1), LatLon(1, 1), LatLon(1, 0)],
-            holes=[[LatLon(0.4, 0.4), LatLon(0.4, 0.6),
-                    LatLon(0.6, 0.6), LatLon(0.6, 0.4)]])
-        assert kernel([LatLon(0.5, 0.5)], holed) == [False]
-        assert kernel([LatLon(0.1, 0.1)], holed) == [True]
+            [(0, 0), (0, 1), (1, 1), (1, 0)],
+            holes=[[(0.4, 0.4), (0.4, 0.6), (0.6, 0.6), (0.6, 0.4)]])
+        assert kernel([(0.5, 0.5)], holed) == [False]
+        assert kernel([(0.1, 0.1)], holed) == [True]
 
     def test_closed_ring_accepted(self):
-        closed = Polygon([LatLon(0, 0), LatLon(0, 1), LatLon(1, 1),
-                          LatLon(1, 0), LatLon(0, 0)])
-        assert kernel([LatLon(0.5, 0.5)], closed) == [True]
+        closed = Polygon([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)])
+        assert kernel([(0.5, 0.5)], closed) == [True]
 
     def test_ring_too_short(self):
         with pytest.raises(ValueError):
-            Polygon([LatLon(0, 0), LatLon(1, 1)])
+            Polygon([(0, 0), (1, 1)])
 
     def test_convex_polygon_matches_halfplane_oracle(self):
         # Regular hexagon; inside iff on the inner side of every edge.
-        verts = [LatLon(math.sin(t) * 0.9, math.cos(t) * 0.9)
+        verts = [(math.sin(t) * 0.9, math.cos(t) * 0.9)
                  for t in np.linspace(0, 2 * math.pi, 7)[:-1]]
         hexagon = Polygon(verts)
 
@@ -186,25 +234,25 @@ class TestPointInPolygon:
             signs = []
             for i in range(n):
                 a, b = verts[i], verts[(i + 1) % n]
-                cross = ((b.lon - a.lon) * (p.lat - a.lat)
-                         - (b.lat - a.lat) * (p.lon - a.lon))
+                cross = ((b[1] - a[1]) * (p[0] - a[0])
+                         - (b[0] - a[0]) * (p[1] - a[1]))
                 signs.append(cross)
             return all(s > 0 for s in signs) or all(s < 0 for s in signs)
 
         rng = np.random.default_rng(3)
         for _ in range(1000):
-            p = LatLon(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            p = (rng.uniform(-1, 1), rng.uniform(-1, 1))
             if min(abs(s) for s in _edge_dists(p, verts)) < 1e-9:
                 continue  # skip exact-boundary points, convention differs
             assert kernel([p], hexagon) == [halfplane_inside(p)]
 
     def test_degenerate_rings_rejected(self):
-        a, b = LatLon(39.30, -76.60), LatLon(39.31, -76.59)
+        a, b = (39.30, -76.60), (39.31, -76.59)
         with pytest.raises(ValueError):
             Polygon([a, b, a, a])  # two distinct vertices
         with pytest.raises(ValueError):  # zero height
-            Polygon([LatLon(39.30, -76.60), LatLon(39.30, -76.58),
-                     LatLon(39.30, -76.59), LatLon(39.30, -76.60)])
+            Polygon([(39.30, -76.60), (39.30, -76.58),
+                     (39.30, -76.59), (39.30, -76.60)])
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 14),
@@ -235,13 +283,68 @@ class TestPointInPolygon:
             assert [kernel([p], poly)[0] for p in points] == expected
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 40),
+           st.integers(0, 2), st.sampled_from([1, 5, 64, 1 << 16]))
+    def test_broadcast_equals_edge_loop(self, seed, n_verts, n_holes, block):
+        # Rings with horizontal edges (offsets on a grid), points on
+        # vertices, on vertex latitudes, on horizontal edges and on or next
+        # to other edges; the broadcast is cut into blocks of `block`
+        # elements.
+        rng = np.random.default_rng(seed)
+        lat0, lon0 = rng.uniform(39.2, 39.37), rng.uniform(-76.71, -76.53)
+        radius = rng.uniform(0.002, 0.03)
+        rings = [star_ring(rng, lat0, lon0, radius, max(n_verts, 6),
+                           radius / 4 if rng.random() < 0.5 else None)]
+        rings += [star_ring(rng, lat0, lon0, 0.3 * radius,
+                            int(rng.integers(6, 10)), 0.3 * radius / 4)
+                  for _ in range(n_holes)]
+        points = probe_points(rng, rings, 150)
+        points += horizontal_edge_points(rng, rings, 30)
+        points += edge_points(rng, rings, 100)
+        lat = np.array([p[0] for p in points])
+        lon = np.array([p[1] for p in points])
+        poly = Polygon(rings[0], rings[1:])
+        with mock.patch.object(geodata, "PIP_BLOCK_ELEMENTS", block):
+            got = points_in_polygon(lat, lon, poly)
+        assert got.dtype == bool and got.shape == lat.shape
+        assert got.tolist() == loop_points_in_polygon(lat, lon, rings).tolist()
+
+    def test_rings_and_edges_are_arrays(self):
+        holed = Polygon([(0, 0), (0, 1), (1, 1), (1, 0), (0, 0)],
+                        holes=[[(0.4, 0.4), (0.4, 0.6), (0.6, 0.5)]])
+        assert [r.dtype for r in holed.rings] == [np.float64, np.float64]
+        assert [r.shape for r in holed.rings] == [(4, 2), (3, 2)]
+        # Horizontal edges are left out: 2 of the square's 4, 1 of the
+        # hole's 3.
+        assert holed.edges.dtype == np.float64
+        assert holed.edges.shape == (5, 4)
+        assert holed.edges.tolist() == [[0.0, 1.0, 0.4, 0.6],
+                                        [1.0, 0.0, 0.6, 0.4],
+                                        [1.0, -1.0, 0.6 - 0.4, 0.4 - 0.6],
+                                        [1.0, 0.0, 0.6, 0.5],
+                                        [0.0, 0.0, 0.5 - 0.6, 0.4 - 0.5]]
+
+    @pytest.mark.parametrize("ring", [
+        [(0, 0), (91.0, 0), (1, 1)], [(0, 0), (0, 1), (1, -180.5)],
+        [(0, 0), (float("nan"), 1), (1, 1)]])
+    def test_vertex_out_of_range(self, ring):
+        with pytest.raises(ValueError, match="out of range"):
+            Polygon(ring)
+
+    def test_signed_zeros_are_one_vertex(self):
+        # (0.0, 0.0) and (-0.0, 0.0) are one point, as they are in a set.
+        with pytest.raises(ValueError, match="3 distinct"):
+            Polygon([(0.0, 0.0), (-0.0, 0.0), (1.0, 1.0)])
+
+
 def _edge_dists(p, verts):
     n = len(verts)
     out = []
     for i in range(n):
         a, b = verts[i], verts[(i + 1) % n]
-        out.append((b.lon - a.lon) * (p.lat - a.lat)
-                   - (b.lat - a.lat) * (p.lon - a.lon))
+        out.append((b[1] - a[1]) * (p[0] - a[0])
+                   - (b[0] - a[0]) * (p[1] - a[1]))
     return out
 
 

@@ -1,14 +1,19 @@
+import csv
 import json
+from datetime import datetime
 
 import numpy as np
 import pytest
-from test_geodata import oracle_point_in_polygon, probe_points, star_ring
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_geodata import (horizontal_edge_points, loop_points_in_polygon,
+                          oracle_point_in_polygon, probe_points, star_ring)
 
-from patrolsim.geodata import (BALTIMORE_BBOX, LatLon, Polygon,
-                               points_in_polygon)
-from patrolsim.ingest import (IngestError, Neighborhood, assign_neighborhoods,
-                              coordinates, filter_valid,
-                              hull_bbox, load_neighborhoods, parse_crime_csv,
+from patrolsim.geodata import BALTIMORE_BBOX, LatLon, Polygon, points_in_polygon
+from patrolsim.ingest import (DATE_FORMATS, CrimeIncident, IngestError,
+                              Neighborhood, _match_date, assign_neighborhoods,
+                              coordinates, filter_valid, hull_bbox,
+                              load_neighborhoods, parse_crime_csv,
                               partition_by_month)
 
 CRIME_CSV = """id,lat,lon,date,type
@@ -57,8 +62,10 @@ class TestParseCrimeCsv:
     def test_month_parsed(self, crime_csv):
         incidents, _ = parse_crime_csv(crime_csv, "generic")
         assert incidents[0].timestamp.month == 3
-        assert incidents[0].location == LatLon(39.31, -76.62)
-        assert incidents[0].crime_type == "BURGLARY"
+        assert (incidents[0].lat, incidents[0].lon) == (39.31, -76.62)
+        # The whole row: the type column is not read.
+        assert incidents[0] == CrimeIncident(
+            "1", 39.31, -76.62, datetime(2019, 3, 15, 14, 30), "Baltimore")
 
     def test_both_date_formats(self, crime_csv):
         incidents, _ = parse_crime_csv(crime_csv, "generic")
@@ -88,16 +95,14 @@ class TestParseCrimeCsv:
 
 
 def make_incident(lat, lon, month, day=10):
-    from datetime import datetime
-    from patrolsim.ingest import CrimeIncident
-    return CrimeIncident(id=f"{lat}-{lon}-{month}", location=LatLon(lat, lon),
-                         timestamp=datetime(2019, month, day), city="Baltimore",
-                         crime_type="X")
+    return CrimeIncident(id=f"{lat}-{lon}-{month}", lat=lat, lon=lon,
+                         timestamp=datetime(2019, month, day), city="Baltimore")
 
 
-def in_neighborhood(nb, p: LatLon) -> bool:
-    """Whether one of the neighborhood's polygons contains the point."""
-    return any(points_in_polygon(np.array([p.lat]), np.array([p.lon]),
+def in_neighborhood(nb, p) -> bool:
+    """Whether one of the neighborhood's polygons contains the (lat, lon)
+    point."""
+    return any(points_in_polygon(np.array([p[0]]), np.array([p[1]]),
                                  poly)[0] for poly in nb.polygons)
 
 
@@ -263,9 +268,9 @@ class TestLoadNeighborhoods:
                          "M,50,45,50000,15\n")
         nbs = load_neighborhoods(str(bpath), str(dpath))
         assert len(nbs[0].polygons) == 2
-        assert in_neighborhood(nbs[0], LatLon(39.29, -76.64))
-        assert in_neighborhood(nbs[0], LatLon(39.29, -76.59))
-        assert not in_neighborhood(nbs[0], LatLon(39.29, -76.615))
+        assert in_neighborhood(nbs[0], (39.29, -76.64))
+        assert in_neighborhood(nbs[0], (39.29, -76.59))
+        assert not in_neighborhood(nbs[0], (39.29, -76.615))
 
 
 class TestAssignNeighborhoods:
@@ -285,7 +290,8 @@ class TestAssignNeighborhoods:
                      for i in range(20)]
         assigned, _ = assign_neighborhoods(incidents, nbs)
         for inc in assigned:
-            assert in_neighborhood(by_id[inc.neighborhood_id], inc.location)
+            assert in_neighborhood(by_id[inc.neighborhood_id],
+                                   (inc.lat, inc.lon))
 
     def test_overlap_first_match_wins(self, boundary_files):
         nbs = load_neighborhoods(*boundary_files)
@@ -332,12 +338,12 @@ class TestAssignNeighborhoods:
         points = probe_points(rng, all_rings, 300)
         for parts in parts_of:
             points += probe_points(rng, parts[0], 4)
-        incidents = [make_incident(p.lat, p.lon, 3) for p in points]
+        incidents = [make_incident(*p, 3) for p in points]
 
         expected = []
         for inc in incidents:
             for nb, parts in zip(neighborhoods, parts_of):
-                if any(oracle_point_in_polygon(inc.location, rings)
+                if any(oracle_point_in_polygon((inc.lat, inc.lon), rings)
                        for rings in parts):
                     expected.append(nb.id)
                     break
@@ -394,3 +400,251 @@ def test_hull_bbox_stops_at_the_pole(tmp_path):
     box = hull_bbox(load_neighborhoods(str(bpath), str(dpath)))
     assert (box.lat_min, box.lat_max) == (pytest.approx(88.99), 90.0)
     assert (box.lon_min, box.lon_max) == (pytest.approx(178.99), 180.0)
+
+
+# --- the per-object ingest steps this module replaced, kept as oracles -------
+
+def oracle_parse_date(raw: str) -> datetime | None:
+    """The strptime loop over DATE_FORMATS."""
+    raw = raw.strip()
+    for fmt in DATE_FORMATS:
+        try:
+            return datetime.strptime(raw, fmt)
+        except ValueError:
+            continue
+    return None
+
+
+def oracle_parse_crime_csv(path, mapping, city="Baltimore"):
+    """parse_crime_csv as csv.DictReader rows and LatLon range checks; the
+    rows as (id, lat, lon, timestamp, city) tuples."""
+    rows, dropped = [], 0
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        for key in ("id", "lat", "lon", "date"):
+            if mapping[key] not in header:
+                raise IngestError(f"mapped column {mapping[key]!r} missing")
+        for row in reader:
+            try:
+                location = LatLon(float(row[mapping["lat"]]),
+                                  float(row[mapping["lon"]]))
+            except (TypeError, ValueError):
+                dropped += 1
+                continue
+            ts = oracle_parse_date(row[mapping["date"]] or "")
+            if ts is None:
+                dropped += 1
+                continue
+            rows.append((str(row[mapping["id"]]), location.lat, location.lon,
+                         ts, city))
+    return rows, dropped
+
+
+def oracle_assign(incidents, parts_of):
+    """Each incident's first containing neighborhood (an index into
+    parts_of, whose entries are polygons as lists of (lat, lon) rings), or
+    -1: polygons walked in order, each testing only the incidents still
+    unassigned inside its bounding box, with the per-edge loop."""
+    lat = np.array([inc.lat for inc in incidents]).reshape(-1)
+    lon = np.array([inc.lon for inc in incidents]).reshape(-1)
+    owner = np.full(len(incidents), -1)
+    for k, parts in enumerate(parts_of):
+        for rings in parts:
+            verts = [v for ring in rings for v in ring]
+            lat_min, lat_max = min(v[0] for v in verts), max(v[0] for v in verts)
+            lon_min, lon_max = min(v[1] for v in verts), max(v[1] for v in verts)
+            near = np.flatnonzero((owner < 0)
+                                  & (lat >= lat_min) & (lat <= lat_max)
+                                  & (lon >= lon_min) & (lon <= lon_max))
+            inside = loop_points_in_polygon(lat[near], lon[near], rings)
+            owner[near[inside]] = k
+    return owner.tolist()
+
+
+# Digits of other scripts, which strptime's \d reads as their values.
+UNICODE_DIGITS = {"3": "٣", "5": "５", "7": "१", "9": "৯",
+                  "0": "٠", "1": "１"}
+
+
+@st.composite
+def date_like(draw):
+    """Strings near the DATE_FORMATS: 1-2 digit fields, Feb 29 and 30,
+    second 60, repeated or odd blanks, Unicode digits, stray text. About
+    one in ten of them parses."""
+    def pick(usual, odd):
+        return draw(st.sampled_from(usual) if draw(st.booleans())
+                    or draw(st.booleans()) else st.sampled_from(odd))
+
+    year = pick(["2019", "2020", "2000"], ["1900", "0000", "19", "20190"])
+    month = pick(["2", "02", "3", "12"], ["1", "13", "0", "00", "123"])
+    day = pick(["28", "29", "30", "1", "01", " 5", "15"],
+               ["31", "0", "32", "  5", "305"])
+    date = draw(st.sampled_from([f"{year}-{month}-{day}",
+                                 f"{month}/{day}/{year}"])
+                if draw(st.integers(0, 5)) else
+                st.just(f"{year}/{month}/{day}"))
+    hour = pick(["0", "00", "9", "09", "23"], ["24", "7 ", "099"])
+    minute = pick(["0", "5", "05", "59"], ["60", "5 5", ""])
+    second = pick(["0", "00", "7", "59"], ["60", "61", "600"])
+    clock = draw(st.sampled_from(["", f"{hour}:{minute}",
+                                  f"{hour}:{minute}:{second}"])
+                 if draw(st.integers(0, 5)) else
+                 st.just(f"{hour}:{minute}:{second}:{second}"))
+    gap = pick([" ", "  ", "\t", " \t "], ["\u3000", "T", ""])
+    text = date + (gap + clock if clock else "")
+    if not draw(st.integers(0, 3)):
+        text = "".join(UNICODE_DIGITS.get(c, c) if draw(st.booleans()) else c
+                       for c in text)
+    blanks = st.sampled_from(["", "", " ", "  ", "\t", "\n", "\u00a0"])
+    return draw(blanks) + text + draw(blanks) + draw(st.sampled_from(
+        [""] * 6 + ["x", " PM", "Z"]))
+
+
+class TestDateOracle:
+    @settings(max_examples=1500, deadline=None)
+    @given(st.one_of(date_like(), st.text(max_size=24)))
+    def test_regex_equals_strptime(self, raw):
+        assert _match_date(raw) == oracle_parse_date(raw)
+
+    @pytest.mark.parametrize("raw,expected", [
+        ("2020-02-29", datetime(2020, 2, 29)),
+        ("2019-02-29", None),
+        ("2019-02-30 10:00", None),
+        ("2019-03-15 14:30:60", None),
+        ("2019-03-15 14:30:59", datetime(2019, 3, 15, 14, 30, 59)),
+        ("3/5/2019 7:05", datetime(2019, 3, 5, 7, 5)),
+        ("2019-3- 5", datetime(2019, 3, 5)),
+        ("  2019-03-15\t \t14:30  ", datetime(2019, 3, 15, 14, 30)),
+        ("٢٠١٩-03-15", datetime(2019, 3, 15)),
+        ("2019-03-15T14:30", None),
+        ("", None),
+    ])
+    def test_examples(self, raw, expected):
+        assert _match_date(raw) == oracle_parse_date(raw) == expected
+
+
+CSV_NAMES = ["id", "lat", "lon", "date", "type", "x"]
+CSV_FIELDS = ["7", "a,b", 'q"uote', "two\nlines", "", " ", "39.3", "-76.6",
+              " 39.31 ", "nan", "inf", "-inf", "91", "-180.5", "1e1", "x",
+              "2019-03-15 14:30", "03/20/2019 09:15", "2019-02-30",
+              "2019-03-15 14:30:60", " 2019-03-15 ", "2019-3-5 7:05"]
+
+
+@st.composite
+def crime_csv_text(draw):
+    """A crime CSV: the mapped names in a header that may repeat names or
+    carry others, then rows of any length among blank lines."""
+    header = draw(st.permutations(CSV_NAMES[:4]))
+    header += draw(st.lists(st.sampled_from(CSV_NAMES), max_size=3))
+    header = draw(st.permutations(header))
+    rows = draw(st.lists(st.lists(st.sampled_from(CSV_FIELDS),
+                                  max_size=len(header) + 2), max_size=25))
+    lines = [header] + rows
+    out = []
+    for row in lines:
+        buf = _csv_line(row)
+        out.append(buf)
+        if draw(st.integers(0, 5)) == 0:
+            out.append(draw(st.sampled_from(["\n", "\r\n"])))
+    return "".join(out)
+
+
+def _csv_line(row):
+    import io
+    buf = io.StringIO()
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()
+
+
+class TestParseOracle:
+    MAPPING = {"id": "id", "lat": "lat", "lon": "lon", "date": "date"}
+
+    @settings(max_examples=300, deadline=None)
+    @given(crime_csv_text(), st.booleans())
+    def test_equals_dictreader(self, tmp_path_factory, text, with_type):
+        path = tmp_path_factory.mktemp("csv") / "crimes.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        # A mapping that still names a type column: ignored.
+        mapping = dict(self.MAPPING, **({"type": "type"} if with_type else {}))
+        incidents, dropped = parse_crime_csv(str(path), mapping, "Gen")
+        rows, expected_dropped = oracle_parse_crime_csv(str(path), mapping,
+                                                        "Gen")
+        assert [tuple(i) for i in incidents] == [r + (None,) for r in rows]
+        assert dropped == expected_dropped
+
+    def test_dictreader_edge_cases(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text(
+            "lat,id,lat,lon,date\n"                   # "lat" repeated
+            "\n"                                       # blank: skipped
+            "0,1,39.3,-76.6,2019-03-15 14:30,extra\n"  # extra field ignored
+            "0,2,39.3,-76.6\n"                         # short: no date
+            "0,3,39.3\n"                               # short: no lon
+            '0,"4,5",39.3,-76.6,"2019-03-15\n14:30"\n'  # quoted comma, newline
+            "0,6,nan,-76.6,2019-03-15\n"
+            "0,7,39.3,-181,2019-03-15\n", encoding="utf-8")
+        incidents, dropped = parse_crime_csv(str(path), self.MAPPING)
+        assert [(i.id, i.timestamp) for i in incidents] == [
+            ("1", datetime(2019, 3, 15, 14, 30)),
+            ("4,5", datetime(2019, 3, 15, 14, 30))]
+        assert dropped == 4
+        assert oracle_parse_crime_csv(str(path), self.MAPPING) == (
+            [tuple(i)[:5] for i in incidents], dropped)
+
+    def test_short_row_without_id_keeps_none(self, tmp_path):
+        # DictReader reads a missing id field as None, and str(None) is kept.
+        path = tmp_path / "short.csv"
+        path.write_text("lat,lon,date,id\n39.3,-76.6,2019-03-15\n",
+                        encoding="utf-8")
+        incidents, dropped = parse_crime_csv(str(path), self.MAPPING)
+        assert [i.id for i in incidents] == ["None"] and dropped == 0
+        assert oracle_parse_crime_csv(str(path), self.MAPPING)[0][0][0] == "None"
+
+
+class TestAssignOracle:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12))
+    def test_equals_per_polygon_loop(self, seed, n_neighborhoods):
+        # Star polygons on a grid of offsets (horizontal edges), some with
+        # holes or a second part; every 4th neighborhood repeats an earlier
+        # one, so that overlaps are decided by input order. Points fall on
+        # vertices, on vertex latitudes, on horizontal edges and on the
+        # boxes' edges.
+        rng = np.random.default_rng(seed)
+        parts_of = []
+        for k in range(n_neighborhoods):
+            if k % 4 == 3:
+                parts_of.append(parts_of[int(rng.integers(k))])
+                continue
+            parts = []
+            for _ in range(1 + (rng.random() < 0.3)):
+                lat0 = rng.uniform(39.28, 39.30)
+                lon0 = rng.uniform(-76.62, -76.60)
+                radius = rng.uniform(0.004, 0.02)
+                step = radius / 4 if rng.random() < 0.6 else None
+                rings = [star_ring(rng, lat0, lon0, radius,
+                                   int(rng.integers(6, 16)), step)]
+                if rng.random() < 0.4:
+                    rings.append(star_ring(rng, lat0, lon0, 0.3 * radius, 6,
+                                           0.3 * radius / 4))
+                parts.append(rings)
+            parts_of.append(parts)
+        all_rings = [ring for parts in parts_of for rings in parts
+                     for ring in rings]
+        points = probe_points(rng, all_rings, 200)
+        points += horizontal_edge_points(rng, all_rings, 40)
+        incidents = [CrimeIncident(f"c{i}", lat, lon, datetime(2019, 3, 1),
+                                   "Gen") for i, (lat, lon) in enumerate(points)]
+        neighborhoods = [Neighborhood(
+            id=f"N{k}", name=f"N{k}",
+            polygons=tuple(Polygon(r[0], r[1:]) for r in parts),
+            pct_black=0.3, pct_white=0.6, pct_neither=0.1,
+            median_income=50_000.0, poverty_rate=0.1)
+            for k, parts in enumerate(parts_of)]
+
+        owner = oracle_assign(incidents, parts_of)
+        assigned, dropped = assign_neighborhoods(incidents, neighborhoods)
+        assert assigned == [CrimeIncident(*inc[:5], f"N{k}")
+                            for inc, k in zip(incidents, owner) if k >= 0]
+        assert dropped == owner.count(-1)

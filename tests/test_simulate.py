@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
                            sample_patrol)
-from patrolsim.geodata import LatLon, count_within
+from patrolsim.geodata import count_within
 from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
                               Neighborhood, Polygon)
 from patrolsim.metrics import group_rates
@@ -23,8 +23,8 @@ BBOX = SYNTH_BBOX
 
 
 def make_neighborhood(nb_id, pct_black, pct_white, pct_neither):
-    poly = Polygon([LatLon(39.20, -76.71), LatLon(39.37, -76.71),
-                    LatLon(39.37, -76.53), LatLon(39.20, -76.53)])
+    poly = Polygon([(39.20, -76.71), (39.37, -76.71),
+                    (39.37, -76.53), (39.20, -76.53)])
     return Neighborhood(id=nb_id, name=nb_id, polygons=(poly,),
                         pct_black=pct_black, pct_white=pct_white,
                         pct_neither=pct_neither,
@@ -32,10 +32,10 @@ def make_neighborhood(nb_id, pct_black, pct_white, pct_neither):
 
 
 def make_incident(uv, nb_id="N", ident="c1"):
-    return CrimeIncident(id=ident,
-                         location=LatLon(*denormalize_coords(*uv, BBOX)),
+    lat, lon = denormalize_coords(*uv, BBOX)
+    return CrimeIncident(id=ident, lat=lat, lon=lon,
                          timestamp=datetime(2020, 3, 15), city="Synth",
-                         crime_type="X", neighborhood_id=nb_id)
+                         neighborhood_id=nb_id)
 
 
 def pts(*rows) -> np.ndarray:
@@ -44,7 +44,7 @@ def pts(*rows) -> np.ndarray:
 
 
 def locations(incidents) -> np.ndarray:
-    return pts(*((inc.location.lat, inc.location.lon) for inc in incidents))
+    return pts(*((inc.lat, inc.lon) for inc in incidents))
 
 
 def to_points(uv) -> np.ndarray:

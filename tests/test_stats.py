@@ -319,10 +319,9 @@ class TestCorrelations:
 
 
 def make_nb(nb_id, pct_black, income=50_000.0, poverty=0.2):
-    from patrolsim.geodata import LatLon
     from patrolsim.ingest import Polygon
-    poly = Polygon([LatLon(39.20, -76.71), LatLon(39.37, -76.71),
-                    LatLon(39.37, -76.53), LatLon(39.20, -76.53)])
+    poly = Polygon([(39.20, -76.71), (39.37, -76.71),
+                    (39.37, -76.53), (39.20, -76.53)])
     return Neighborhood(id=nb_id, name=nb_id, polygons=(poly,),
                         pct_black=pct_black, pct_white=1.0 - pct_black,
                         pct_neither=0.0, median_income=income,
