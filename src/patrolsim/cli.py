@@ -13,6 +13,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import sys
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from operator import attrgetter
@@ -331,20 +332,27 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
 
 def _run_one_month(cell: Cell, slice_: MonthSlice,
                    neighborhoods: dict[str, Neighborhood], bbox: BoundingBox,
-                   train_cfg: TrainConfig, sim_cfg: SimConfig,
-                   replicate: int) -> tuple[simulate.MonthRunResult,
-                                            metrics.MonthlyBiasRecord]:
-    if cell.mode == "detected":
-        result = simulate.run_month_detected(slice_, neighborhoods, train_cfg,
-                                             sim_cfg, bbox, replicate)
-    else:
-        result = simulate.run_month_reported(slice_, neighborhoods, sim_cfg,
-                                             replicate)
-    rates = metrics.group_rates(result.outcomes.groups,
-                                result.outcomes.credits)
-    record = metrics.monthly_record(cell.city, cell.year, slice_.month,
-                                    cell.mode, rates, replicate)
-    return result, record
+                   train_cfg: TrainConfig, sim_cfgs: list[SimConfig],
+                   replicate: int) -> list[tuple[simulate.MonthRunResult,
+                                                 metrics.MonthlyBiasRecord]]:
+    """One (cell, month, replicate) under each sim config in turn; a detected
+    cell trains its GAN once (build_plan gives all configs one seed)."""
+    trained = (simulate.train_month(slice_, train_cfg, bbox, train_cfg.seed,
+                                    replicate)
+               if cell.mode == "detected" else None)
+    outputs = []
+    for sim_cfg in sim_cfgs:
+        if trained is None:
+            result = simulate.run_month_reported(slice_, neighborhoods,
+                                                 sim_cfg, replicate)
+        else:
+            result = simulate.run_month_detected(slice_, neighborhoods,
+                                                 trained, sim_cfg, replicate)
+        rates = metrics.group_rates(result.outcomes.groups,
+                                    result.outcomes.credits)
+        outputs.append((result, metrics.monthly_record(
+            cell.city, cell.year, slice_.month, cell.mode, rates, replicate)))
+    return outputs
 
 
 def _run_key(cell: Cell, month: int, replicate: int) -> str:
@@ -364,12 +372,13 @@ def _task(args):
 
 @dataclass
 class MonthRuns:
-    """What `run_months` ran. `results[i]`, `records[i]` and `failed[i]`
-    belong to the i-th sim config, in (cell, month, replicate) order;
-    `attempted` lists the (cell, month, replicate) runs of each sim config."""
+    """What `run_months` ran. `results[i]` and `records[i]` belong to the
+    i-th sim config, in (cell, month, replicate) order; `attempted` lists
+    the (cell, month, replicate) runs, and `failed` maps the key of each
+    one that raised, under every sim config, to its error."""
     results: list[list[simulate.MonthRunResult]]
     records: list[list[metrics.MonthlyBiasRecord]]
-    failed: list[dict[str, str]]
+    failed: dict[str, str]
     attempted: list[tuple[Cell, int, int]]
     loaded: dict[tuple[str, int], CityYearData]
     skipped: list[str]
@@ -378,8 +387,8 @@ class MonthRuns:
 
 def run_months(plan: ExperimentPlan, cells: list[Cell],
                sim_cfgs: list[SimConfig], jobs: int) -> MonthRuns:
-    """Run every (sim config, cell, month, replicate), serially or on `jobs`
-    processes; results keep that order whatever `jobs` is.
+    """Run every (cell, month, replicate) under each sim config, serially or
+    on `jobs` processes; results keep that order whatever `jobs` is.
 
     Each distinct (city, year) loads once. A cell that fails to load and a
     month-run that raises count as failures; every other run still runs.
@@ -392,7 +401,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
         except (IngestError, OSError) as exc:
             log.error("%s %s failed to load: %s", *key, exc)
     skipped: list[str] = []
-    inputs = []
+    tasks = []
     for cell in cells:
         data = loaded.get((cell.city, cell.year))
         if data is None:
@@ -402,12 +411,10 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
             if month not in by_month:
                 skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
                 continue
-            inputs += [(cell, by_month[month], data, rep)
-                       for rep in range(plan.replicates)]
+            tasks += [(cell, by_month[month], data.neighborhoods, data.bbox,
+                       plan.train_cfg, sim_cfgs, rep)
+                      for rep in range(plan.replicates)]
 
-    tasks = [(cell, slice_, data.neighborhoods, data.bbox, plan.train_cfg,
-              sim_cfg, rep)
-             for sim_cfg in sim_cfgs for cell, slice_, data, rep in inputs]
     if jobs > 1 and len(tasks) > 1:
         # Imported here, so that a command on one job does not load it.
         from concurrent.futures import ProcessPoolExecutor
@@ -416,18 +423,15 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     else:
         outputs = [_task(task) for task in tasks]
 
-    attempted = [(cell, slice_.month, rep) for cell, slice_, _, rep in inputs]
-    results, records, failed = [], [], []
-    for k in range(len(sim_cfgs)):
-        outs = outputs[k * len(inputs):(k + 1) * len(inputs)]
-        failed.append({_run_key(*run): out for run, out in zip(attempted, outs)
-                       if isinstance(out, str)})
-        ran = [out for out in outs if not isinstance(out, str)]
-        results.append([result for result, _ in ran])
-        records.append([record for _, record in ran])
+    attempted = [(task[0], task[1].month, task[-1]) for task in tasks]
+    failed = {_run_key(*run): out for run, out in zip(attempted, outputs)
+              if isinstance(out, str)}
+    ran = [out for out in outputs if not isinstance(out, str)]
+    results = [[outs[k][0] for outs in ran] for k in range(len(sim_cfgs))]
+    records = [[outs[k][1] for outs in ran] for k in range(len(sim_cfgs))]
     load_failures = sum((c.city, c.year) not in loaded for c in cells)
     return MonthRuns(results, records, failed, attempted, loaded, skipped,
-                     load_failures + sum(map(len, failed)))
+                     load_failures + len(failed))
 
 
 def _annual_summaries(cells: list[Cell],
@@ -445,7 +449,7 @@ def _annual_summaries(cells: list[Cell],
 
 def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
     """Run every (cell, month, replicate) of the plan and write monthly.csv,
-    annual.csv and manifest.json."""
+    annual.csv, observations.csv and manifest.json."""
     runs = run_months(plan, plan.cells, [plan.sim_cfg], jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
     if plan.cells:
@@ -454,28 +458,41 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
         _write_csv(plan.out_dir, "annual.csv", metrics.ANNUAL_CSV_HEADER,
                    map(metrics.annual_csv_row,
                        _annual_summaries(plan.cells, runs.records[0])))
-        _write_manifest(plan, plan.cells, runs, runs.failed[0])
+        observations, excluded = stats.build_neighborhood_dataset(
+            runs.results[0], {city: data.neighborhoods
+                              for (city, _), data in runs.loaded.items()})
+        columns = [f.name for f in fields(stats.NeighborhoodObservation)]
+        _write_csv(plan.out_dir, "observations.csv", columns,
+                   map(attrgetter(*columns), observations))
+        log.info("%d observations, %d with an unknown neighborhood excluded",
+                 len(observations), excluded)
+        _write_manifest(plan, plan.cells, runs, runs.failed)
     return runs
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
 
 def _field(value) -> str:
     """How a value is written in a CSV field: None as empty, any float
-    (numpy's too) as its shortest round-trip repr, the rest as str."""
+    (numpy's too) as its shortest round-trip repr, the rest as str, quoted
+    as in RFC 4180 when it holds a comma, a quote, "\r" or "\n" (csv.writer
+    leaves a lone "\r" unquoted, and a reader ends the row there)."""
     if value is None:
         return ""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return str(value)
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
 def _write_csv(out_dir: str, name: str, header, rows) -> None:
-    """Write out_dir/name: the header, then one line per row of values;
-    a field holding a comma, quote or newline is quoted."""
+    """Write out_dir/name: the header, then one "\n"-ended line per row of
+    values, each written as `_field` writes it."""
     with open(os.path.join(out_dir, name), "w", encoding="utf-8",
               newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(map(_field, row) for row in rows)
+        for row in (header, *rows):
+            fh.write(",".join(map(_field, row)) + "\n")
 
 
 def _write_json(out_dir: str, name: str, obj) -> None:
@@ -538,8 +555,7 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
                 "avg_gini", "total_detected", "months_counted"), rows)
     _write_manifest(plan, [cell], runs, {
         f"{sweep.parameter}={value}/{key}": error
-        for value, failed in zip(sweep.values, runs.failed)
-        for key, error in failed.items()})
+        for value in sweep.values for key, error in runs.failed.items()})
     return runs.failures
 
 
@@ -610,27 +626,23 @@ def _evaluate_condition(crimes, groups, patrols, sim_cfg: SimConfig,
 
 # --- stats ----------------------------------------------------------------
 
-def run_stats(plan: ExperimentPlan, jobs: int = 1,
-              runs: MonthRuns | None = None) -> int:
-    """Neighborhood dataset, OLS regression, and correlations.
-
-    Re-runs the grid deterministically when invoked standalone; `all`
-    passes the grid's month-runs through.
-    """
-    if runs is None:
-        runs = run_grid(plan, jobs)
-    neighborhoods = {city: data.neighborhoods
-                     for (city, _), data in runs.loaded.items()}
-    observations, excluded = stats.build_neighborhood_dataset(
-        runs.results[0], neighborhoods)
-    os.makedirs(plan.out_dir, exist_ok=True)
-
-    columns = [f.name for f in fields(stats.NeighborhoodObservation)]
-    _write_csv(plan.out_dir, "observations.csv", columns,
-               map(attrgetter(*columns), observations))
-    log.info("stats: %d observations, %d zero-crime units excluded",
-             len(observations), excluded)
-
+def run_stats(plan: ExperimentPlan, jobs: int) -> int:
+    """OLS regression and correlations of the observations.csv that grid
+    wrote; without one, a warning and nothing written."""
+    path = os.path.join(plan.out_dir, "observations.csv")
+    if not os.path.exists(path):
+        log.warning("no observations.csv in %s; nothing to fit", plan.out_dir)
+        return 0
+    kinds = get_type_hints(stats.NeighborhoodObservation)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            observations = [stats.NeighborhoodObservation(
+                **{key: kinds[key](value) for key, value in row.items()})
+                for row in reader]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}, line {reader.line_num}: not an "
+                              f"observations row ({exc!r})") from exc
     try:
         _write_csv(plan.out_dir, "regression.csv", stats.REGRESSION_CSV_HEADER,
                    stats.regression_rows(stats.ols_fit(
@@ -644,7 +656,7 @@ def run_stats(plan: ExperimentPlan, jobs: int = 1,
         correlations = []
     _write_csv(plan.out_dir, "correlations.csv",
                stats.CORRELATIONS_CSV_HEADER, correlations)
-    return runs.failures
+    return 0
 
 
 # --- subcommand wiring ----------------------------------------------------
@@ -688,10 +700,9 @@ def run_all(plan: ExperimentPlan, jobs: int) -> int:
     runs = run_grid(plan, jobs)
     if plan.debias:
         # The grid's manifest, rewritten with the debias facts added.
-        _write_manifest(plan, plan.cells, runs, runs.failed[0],
+        _write_manifest(plan, plan.cells, runs, runs.failed,
                         run_debias_experiment(plan, runs.loaded))
-    failures = run_stats(plan, jobs, runs)
-    return failures + run_plots(plan, jobs)
+    return runs.failures + run_stats(plan, jobs) + run_plots(plan, jobs)
 
 
 COMMANDS = {

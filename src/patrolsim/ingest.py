@@ -84,7 +84,6 @@ class CrimeIncident(NamedTuple):
 @dataclass(frozen=True)
 class Neighborhood:
     id: str
-    name: str
     polygons: tuple[Polygon, ...]
     pct_black: float
     pct_white: float
@@ -138,9 +137,10 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
     Returns (incidents, dropped_count); rows with unparseable or
     out-of-range coordinates or dates are skipped and counted. Rows are read
     as csv.DictReader reads them: blank lines are skipped, a short row's
-    missing fields read as None, the last of repeated header names wins and
-    extra fields are ignored. Duplicate ids are kept as-is. A file that is
-    not UTF-8 or not valid CSV is an IngestError naming the line.
+    missing fields read as None (a row without its id is dropped), the last
+    of repeated header names wins and extra fields are ignored. Duplicate
+    ids are kept as-is. A file that is not UTF-8 or not valid CSV is an
+    IngestError naming the line.
     """
     if isinstance(column_mapping, str):
         try:
@@ -182,11 +182,10 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
                     dropped += 1
                     continue
                 ts = _match_date(row[i_date] or "")
-                if ts is None:
+                if ts is None or row[i_id] is None:
                     dropped += 1
                     continue
-                incidents.append(CrimeIncident(str(row[i_id]), lat, lon, ts,
-                                               city))
+                incidents.append(CrimeIncident(row[i_id], lat, lon, ts, city))
         except UnicodeDecodeError as exc:
             line = _undecodable_line(path)
             raise IngestError(f"crime CSV {path}, line {line}: not UTF-8 "
@@ -351,7 +350,6 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
             pct_neither = max(0.0, 1.0 - pct_black - pct_white)
         out.append(Neighborhood(
             id=fid,
-            name=str(props.get("name", fid)),
             polygons=polygons,
             pct_black=pct_black,
             pct_white=pct_white,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gan import GanModel, TrainConfig, sample_patrol, train_gan
+from .gan import GanModel, LossHistory, TrainConfig, sample_patrol, train_gan
 from .geodata import BoundingBox, count_within
 from .ingest import RACE_GROUPS, MonthSlice, Neighborhood, coordinates
 
@@ -143,37 +143,42 @@ def _month_result(slice_: MonthSlice,
                           outcomes, patrols, mode_collapsed)
 
 
+def train_month(slice_: MonthSlice, gan_cfg: TrainConfig, bbox: BoundingBox,
+                master_seed: int, replicate: int = 0,
+                ) -> tuple[GanModel, LossHistory]:
+    """Detected mode's patrol GAN, trained on the month's coordinates with
+    the month-run's seed; one training serves every `SimConfig`."""
+    seed = month_run_seed(master_seed, slice_.city, slice_.year,
+                          slice_.month, "detected", replicate)
+    return train_gan(coordinates(slice_.incidents),
+                     replace(gan_cfg, seed=seed), bbox)
+
+
 def run_month_detected(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       gan_cfg: TrainConfig, sim_cfg: SimConfig,
-                       bbox: BoundingBox, replicate: int = 0,
-                       model: GanModel | None = None) -> MonthRunResult:
-    """Detected mode: GAN trained on the month's coordinates places patrols.
-
-    A pre-trained model may be supplied (debias experiment retrains on a
-    rebalanced set); otherwise the GAN is trained here on the slice.
-    `replicate` and the master seed `sim_cfg.seed` give the month-run's
-    seed (`month_run_seed`), as in reported mode.
-    """
+                       trained: tuple[GanModel, LossHistory],
+                       sim_cfg: SimConfig,
+                       replicate: int = 0) -> MonthRunResult:
+    """Detected mode: the (model, history) `train_month` returned places
+    patrols. `replicate` and the master seed `sim_cfg.seed` give the
+    month-run's seed (`month_run_seed`), as in reported mode."""
     if not slice_.incidents:
         raise ValueError("cannot run on an empty month slice")
+    model, history = trained
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
-    crimes = coordinates(slice_.incidents)
-    mode_collapsed = False
-    if model is None:
-        model, history = train_gan(crimes, replace(gan_cfg, seed=seed), bbox)
-        mode_collapsed = history.mode_collapsed
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
-    probs = noisy_or(crimes, patrols, sim_cfg)
+    probs = noisy_or(coordinates(slice_.incidents), patrols, sim_cfg)
     return _month_result(slice_, neighborhoods, "detected", patrols, probs,
-                         not sim_cfg.expected_value, rng, None, mode_collapsed)
+                         not sim_cfg.expected_value, rng, None,
+                         history.mode_collapsed)
 
 
 def run_month_reported(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       sim_cfg: SimConfig, replicate: int = 0) -> MonthRunResult:
+                       sim_cfg: SimConfig,
+                       replicate: int = 0) -> MonthRunResult:
     """Reported mode: citizen reports seed the detection pipeline."""
     if not slice_.incidents:
         raise ValueError("cannot run on an empty month slice")

@@ -41,14 +41,6 @@ class OlsFit:
     dof: int
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    pearson_r: float
-    pearson_p: float
-    spearman_rho: float
-    spearman_p: float
-
-
 class RankDeficientError(ValueError):
     def __init__(self, column: int):
         super().__init__(f"design matrix is rank deficient at column {column}")
@@ -228,12 +220,6 @@ def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
                    _rankdata(np.asarray(y, dtype=float)))
 
 
-def correlate(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
-    r, rp = pearson(x, y)
-    rho, rhop = spearman(x, y)
-    return CorrelationResult(r, rp, rho, rhop)
-
-
 def build_neighborhood_dataset(
         results: list[MonthRunResult],
         neighborhoods: dict[str, dict[str, Neighborhood]],
@@ -312,7 +298,5 @@ def correlation_rows(observations: list[NeighborhoodObservation],
     rows = []
     for name in CORRELATION_PREDICTORS:
         values = np.array([getattr(o, name) for o in observations])
-        c = correlate(values, rates)
-        rows.append((name, c.pearson_r, c.pearson_p, c.spearman_rho,
-                     c.spearman_p))
+        rows.append((name, *pearson(values, rates), *spearman(values, rates)))
     return rows

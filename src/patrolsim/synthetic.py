@@ -62,14 +62,14 @@ def synthetic_neighborhoods(cfg: SyntheticCityConfig) -> list[Neighborhood]:
     half = CLUSTER_HALF_WIDTH
     return [
         Neighborhood(
-            id="A", name="Cluster A",
+            id="A",
             polygons=(_square_polygon(CLUSTER_A, half, bbox),),
             pct_black=cfg.pct_black_a,
             pct_white=1.0 - cfg.pct_black_a - 0.05,
             pct_neither=0.05,
             median_income=32_000.0, poverty_rate=0.31),
         Neighborhood(
-            id="B", name="Cluster B",
+            id="B",
             polygons=(_square_polygon(CLUSTER_B, half, bbox),),
             pct_black=cfg.pct_black_b,
             pct_white=1.0 - cfg.pct_black_b - 0.05,

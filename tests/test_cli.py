@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
 import patrolsim
-from patrolsim import cli, gan, ingest, metrics, simulate
+from patrolsim import cli, gan, ingest, metrics, simulate, stats
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
 
@@ -372,9 +373,9 @@ class TestGrid:
         runs, seeds = [], []
         real_run, real_train = simulate.run_month_detected, simulate.train_gan
 
-        def run(slice_, nbs, train_cfg, sim_cfg, bbox, replicate=0):
+        def run(slice_, nbs, trained, sim_cfg, replicate=0):
             runs.append(f"Synth/2020/{slice_.month}/detected/r{replicate}")
-            return real_run(slice_, nbs, train_cfg, sim_cfg, bbox, replicate)
+            return real_run(slice_, nbs, trained, sim_cfg, replicate)
 
         def train(points, cfg, bbox):
             seeds.append(cfg.seed)
@@ -644,6 +645,64 @@ class TestSensitivity:
         totals = [float(line.split(",")[6]) for line in lines[1:]]
         assert totals == sorted(totals)  # larger radius detects more
 
+    @pytest.mark.parametrize("values", [[700], [300, 700, 1500]])
+    def test_one_training_per_month_run(self, tmp_path, monkeypatch, values):
+        # The GAN of a detected (month, replicate) serves every sweep value.
+        seeds = Counter()
+        real = simulate.train_gan
+
+        def train(points, cfg, bbox):
+            seeds[cfg.seed] += 1
+            return real(points, cfg, bbox)
+        monkeypatch.setattr(simulate, "train_gan", train)
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                      replicates=2, sensitivity={
+                          "parameter": "radius_ft", "values": values,
+                          "base_cell": SYNTH_CONFIG["cells"][0]})
+        assert main(["sensitivity", "--config",
+                     write_config(tmp_path, config)]) == 0
+        assert len(seeds) == 11 * 2 and set(seeds.values()) == {1}
+        assert len(read_rows(tmp_path / "out" / "sensitivity.csv")) == \
+            len(values)
+
+    @pytest.mark.parametrize("mode, semantics", [
+        ("detected", simulate.PATROL_FROM_REPORTS),
+        ("reported", simulate.PATROL_FROM_REPORTS),
+        ("reported", simulate.REPORT_IS_DETECTION)])
+    @pytest.mark.parametrize("parameter, values", [
+        ("radius_ft", [400, 1500.0]), ("n_officers", [5, 60]),
+        ("reporting_prob", [0.3, 0.9])])
+    def test_rows_match_a_grid_at_each_value(self, tmp_path, mode, semantics,
+                                             parameter, values):
+        # A value's row holds what a grid run with sim.<parameter> set to
+        # that value writes in annual.csv, at --jobs 1 and 2 alike.
+        cell = {"city": "Synth", "year": 2020, "mode": mode}
+        config = dict(SYNTH_CONFIG, cells=[cell], train={"epochs": 1},
+                      sim=dict(SYNTH_CONFIG["sim"],
+                               reported_mode_semantics=semantics),
+                      sensitivity={"parameter": parameter, "values": values,
+                                   "base_cell": cell})
+        sweeps = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"sweep{jobs}"
+            path = write_config(tmp_path, dict(config, output_dir=str(out)))
+            assert main(["sensitivity", "--config", path, "--jobs", jobs]) == 0
+            sweeps.append([(out / name).read_bytes()
+                           for name in ("sensitivity.csv", "manifest.json")])
+        assert sweeps[0] == sweeps[1]
+        rows = read_rows(tmp_path / "sweep1" / "sensitivity.csv")
+        assert [row["value"] for row in rows] == list(map(str, values))
+        for row, value in zip(rows, values):
+            out = tmp_path / f"grid-{value}"
+            path = write_config(tmp_path, dict(
+                config, output_dir=str(out),
+                sim=dict(config["sim"], **{parameter: value})))
+            assert main(["grid", "--config", path]) == 0
+            annual, = read_rows(out / "annual.csv")
+            assert {k: row[k] for k in annual if k in row} == {
+                k: annual[k] for k in annual if k in row}
+            assert len({k for k in annual if k in row}) == 5
+
     def test_sweep_loads_once_and_writes_no_subgrids(self, tmp_path,
                                                      monkeypatch):
         calls = count_loads(monkeypatch)
@@ -846,12 +905,67 @@ class TestStatsCommand:
     def test_outputs_written(self, tmp_path):
         out = tmp_path / "out"
         path = synth_config(tmp_path, out)
+        assert main(["grid", "--config", path]) == 0
         assert main(["stats", "--config", path]) == 0
         assert (out / "observations.csv").exists()
         assert (out / "correlations.csv").exists()
         with open(out / "observations.csv", encoding="utf-8") as fh:
             lines = fh.read().strip().split("\n")
         assert len(lines) == 3  # two synthetic neighborhoods
+
+    def test_grid_then_stats_equals_all(self, tmp_path):
+        config = dict(SYNTH_CONFIG, data_dir=str(tmp_path),
+                      data={"cities": {"Grid": write_grid_city(tmp_path)}},
+                      cells=[{"city": "Grid", "year": 2020,
+                              "mode": "detected"}])
+        staged, whole = tmp_path / "staged", tmp_path / "all"
+        path = write_config(tmp_path, dict(config, output_dir=str(staged)))
+        assert main(["grid", "--config", path]) == 0
+        assert main(["stats", "--config", path]) == 0
+        assert main(["all", "--config", write_config(
+            tmp_path, dict(config, output_dir=str(whole)))]) == 0
+        for name in ("observations.csv", "regression.csv", "correlations.csv"):
+            assert (staged / name).read_bytes() == (whole / name).read_bytes()
+        assert len(read_rows(staged / "regression.csv")) == 4
+        assert len(read_rows(staged / "correlations.csv")) == 4
+
+    def test_trains_no_gan(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        path = synth_config(tmp_path, out)
+        assert main(["grid", "--config", path]) == 0
+        written = {p.name: p.stat().st_mtime_ns for p in out.iterdir()}
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("stats trained a GAN")
+        monkeypatch.setattr(gan, "train_gan", no_training)
+        monkeypatch.setattr(simulate, "train_gan", no_training)
+        assert main(["stats", "--config", path]) == 0
+        # The grid's files are read, not rewritten.
+        assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()
+                if p.name in written} == written
+        assert (out / "correlations.csv").exists()
+
+    @pytest.mark.parametrize("row", ["A,S,2020,detected,0.5,0.1,0.2,3,0.1,9",
+                                     "A,S,2020,detected,0.5,0.1,0.2,3",
+                                     "A,S,2020,detected,half,0.1,0.2,3,0.1"])
+    def test_malformed_observations_are_a_data_error(self, tmp_path, row,
+                                                     caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "observations.csv").write_text(
+            ",".join(f.name for f in fields(stats.NeighborhoodObservation))
+            + f"\n{row}\n", encoding="utf-8")
+        assert main(["stats", "--config", synth_config(tmp_path, out)]) == 2
+        assert "observations.csv, line 2: not an observations row" in \
+            caplog.text
+        assert sorted(p.name for p in out.iterdir()) == ["observations.csv"]
+
+    def test_alone_warns_and_writes_nothing(self, tmp_path, caplog):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert main(["stats", "--config", synth_config(tmp_path, out)]) == 0
+        assert "no observations.csv" in caplog.text
+        assert list(out.iterdir()) == []
 
 
 class TestPlotsCommand:
@@ -922,7 +1036,9 @@ class TestStatsOutputs:
     def test_undefined_correlations_leave_the_header(self, tmp_path):
         # Two synthetic neighborhoods are too few to correlate.
         out = tmp_path / "out"
-        assert main(["stats", "--config", synth_config(tmp_path, out)]) == 0
+        path = synth_config(tmp_path, out)
+        assert main(["grid", "--config", path]) == 0
+        assert main(["stats", "--config", path]) == 0
         assert (out / "correlations.csv").read_text(encoding="utf-8") == \
             "predictor,pearson_r,pearson_p,spearman_rho,spearman_p\n"
         assert not (out / "regression.csv").exists()
@@ -945,7 +1061,9 @@ class TestStatsOutputs:
                       data_dir=str(tmp_path), data={"cities": bindings},
                       cells=[{"city": c, "year": 2019, "mode": "reported"}
                              for c in ("East", "West")])
-        assert main(["stats", "--config", write_config(tmp_path, config)]) == 0
+        path = write_config(tmp_path, config)
+        assert main(["grid", "--config", path]) == 0
+        assert main(["stats", "--config", path]) == 0
         rows = read_rows(tmp_path / "out" / "observations.csv")
         assert {(r["city"], r["pct_black"]) for r in rows} == {
             ("East", "0.5"), ("West", "0.1")}
@@ -958,6 +1076,28 @@ class TestCsvWriter:
                          "Springfield, IL", 'a "b"')])
         assert (tmp_path / "t.csv").read_text(encoding="utf-8") == (
             "a,b,c,d,e,f\n0.1,0.5,,3,\"Springfield, IL\",\"a \"\"b\"\"\"\n")
+
+    def test_observations_round_trip(self, tmp_path):
+        # Every line break in a field is quoted, a lone "\r" too, so that a
+        # CSV reader reads each id back whole and no later row shifts.
+        ids = ["a,b", 'q"q', "n\nl", "cr\rx", "crlf\r\n", "Čerešňová 東"]
+        observations = [stats.NeighborhoodObservation(
+            nb_id, "Gen\r", 2020, "detected", k / 7, k * 5 % 6 / 10,
+            k * k % 5 / 10, 30000.0 + 1000 * k * k, k % 3 / 10 + 0.05)
+            for k, nb_id in enumerate(ids)]
+        columns = [f.name for f in fields(stats.NeighborhoodObservation)]
+        cli._write_csv(str(tmp_path), "observations.csv", columns,
+                       map(attrgetter(*columns), observations))
+        assert [tuple(row.values()) for row in read_rows(
+            tmp_path / "observations.csv")] == [
+                tuple(repr(v) if type(v) is float else str(v)
+                      for v in attrgetter(*columns)(o))
+                for o in observations]
+        # stats reads the same observations back and fits them.
+        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path), cells=[])
+        assert main(["stats", "--config", write_config(tmp_path, config)]) == 0
+        assert len(read_rows(tmp_path / "regression.csv")) == 4
+        assert len(read_rows(tmp_path / "correlations.csv")) == 4
 
 
 def test_planning_imports_no_scipy(tmp_path):
@@ -1042,5 +1182,5 @@ class TestRunGridApi:
         assert runs.failures == 0
         assert [r.month for r in runs.records[0]] == list(range(2, 13))
         assert [r.month for r in runs.results[0]] == list(range(2, 13))
-        assert runs.failed == [{}]
+        assert runs.failed == {}
         assert set(runs.loaded["Synth", 2020].neighborhoods) == {"A", "B"}

@@ -327,7 +327,7 @@ class TestAssignNeighborhoods:
                     parts.append(rings)
             parts_of.append(parts)
             neighborhoods.append(Neighborhood(
-                id=f"N{k}", name=f"N{k}",
+                id=f"N{k}",
                 polygons=tuple(Polygon(r[0], r[1:]) for r in parts),
                 pct_black=0.3, pct_white=0.6, pct_neither=0.1,
                 median_income=50_000.0, poverty_rate=0.1))
@@ -433,7 +433,7 @@ def oracle_parse_crime_csv(path, mapping, city="Baltimore"):
                 dropped += 1
                 continue
             ts = oracle_parse_date(row[mapping["date"]] or "")
-            if ts is None:
+            if ts is None or row[mapping["id"]] is None:
                 dropped += 1
                 continue
             rows.append((str(row[mapping["id"]]), location.lat, location.lon,
@@ -592,14 +592,16 @@ class TestParseOracle:
         assert oracle_parse_crime_csv(str(path), self.MAPPING) == (
             [tuple(i)[:5] for i in incidents], dropped)
 
-    def test_short_row_without_id_keeps_none(self, tmp_path):
-        # DictReader reads a missing id field as None, and str(None) is kept.
+    def test_short_row_without_id_is_dropped(self, tmp_path):
+        # DictReader reads a missing id field as None: the row has no id, and
+        # is dropped rather than kept with the id "None".
         path = tmp_path / "short.csv"
-        path.write_text("lat,lon,date,id\n39.3,-76.6,2019-03-15\n",
-                        encoding="utf-8")
+        path.write_text("lat,lon,date,id\n39.3,-76.6,2019-03-15\n"
+                        "39.3,-76.6,2019-03-15,\n", encoding="utf-8")
         incidents, dropped = parse_crime_csv(str(path), self.MAPPING)
-        assert [i.id for i in incidents] == ["None"] and dropped == 0
-        assert oracle_parse_crime_csv(str(path), self.MAPPING)[0][0][0] == "None"
+        assert [i.id for i in incidents] == [""] and dropped == 1
+        assert oracle_parse_crime_csv(str(path), self.MAPPING) == (
+            [tuple(i)[:5] for i in incidents], dropped)
 
 
 class TestAssignOracle:
@@ -637,7 +639,7 @@ class TestAssignOracle:
         incidents = [CrimeIncident(f"c{i}", lat, lon, datetime(2019, 3, 1),
                                    "Gen") for i, (lat, lon) in enumerate(points)]
         neighborhoods = [Neighborhood(
-            id=f"N{k}", name=f"N{k}",
+            id=f"N{k}",
             polygons=tuple(Polygon(r[0], r[1:]) for r in parts),
             pct_black=0.3, pct_white=0.6, pct_neither=0.1,
             median_income=50_000.0, poverty_rate=0.1)

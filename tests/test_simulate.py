@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
-                           sample_patrol)
+from patrolsim.gan import (GanModel, LossHistory, TrainConfig,
+                           denormalize_coords, sample_patrol)
 from patrolsim.geodata import count_within
 from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
                               Neighborhood, Polygon)
@@ -14,7 +14,8 @@ from patrolsim.metrics import group_rates
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
                                 SimConfig, derive_seed, draw_groups,
                                 month_run_seed, noisy_or,
-                                run_month_detected, run_month_reported)
+                                run_month_detected, run_month_reported,
+                                train_month)
 from patrolsim.synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                                  synthetic_month_slice,
                                  synthetic_neighborhoods)
@@ -25,7 +26,7 @@ BBOX = SYNTH_BBOX
 def make_neighborhood(nb_id, pct_black, pct_white, pct_neither):
     poly = Polygon([(39.20, -76.71), (39.37, -76.71),
                     (39.37, -76.53), (39.20, -76.53)])
-    return Neighborhood(id=nb_id, name=nb_id, polygons=(poly,),
+    return Neighborhood(id=nb_id, polygons=(poly,),
                         pct_black=pct_black, pct_white=pct_white,
                         pct_neither=pct_neither,
                         median_income=50_000.0, poverty_rate=0.15)
@@ -49,6 +50,14 @@ def locations(incidents) -> np.ndarray:
 
 def to_points(uv) -> np.ndarray:
     return np.column_stack(denormalize_coords(uv[:, 0], uv[:, 1], BBOX))
+
+
+def run_detected(slice_, neighborhoods, train_cfg, sim_cfg):
+    """A detected month-run of replicate 0: the month's GAN, then patrols."""
+    return run_month_detected(slice_, neighborhoods,
+                              train_month(slice_, train_cfg, BBOX,
+                                          sim_cfg.seed),
+                              sim_cfg)
 
 
 CENTER = (BBOX.center.lat, BBOX.center.lon)
@@ -195,8 +204,8 @@ class TestColumnsMatchPerCrimeStream:
                             else mode))
         if mode == "detected":
             model = GanModel(BBOX, seed=seed)
-            result = run_month_detected(slice_, nbs, TrainConfig(epochs=0),
-                                        cfg, BBOX, model=model)
+            result = run_month_detected(slice_, nbs, (model, LossHistory()),
+                                        cfg)
             want = oracle_month(slice_, nbs, cfg, "detected", model)
         else:
             result = run_month_reported(slice_, nbs, cfg)
@@ -317,30 +326,32 @@ class TestRunMonthDetected:
         for expected in (False, True):
             cfg = SimConfig(p_officer=1.0, radius_ft=1e6, seed=1,
                             expected_value=expected)
-            result = run_month_detected(slice_, NBS, TrainConfig(epochs=0),
-                                        cfg, BBOX)
+            result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg)
             assert result.outcomes.credits.tolist() == [1.0] * 30
 
     def test_patrols_out_of_range_zero_detection(self):
         slice_ = co_located_slice(30)
         cfg = SimConfig(p_officer=1.0, radius_ft=1.0, seed=2)
-        result = run_month_detected(slice_, NBS, TrainConfig(epochs=0), cfg, BBOX)
+        result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg)
         # Untrained generator scatters; probability of a patrol within 1 ft
         # of the fixed crime point is nil.
         assert result.outcomes.credits.tolist() == [0.0] * 30
 
     def test_empty_slice_fatal(self):
+        empty = MonthSlice("S", 2020, 3, ())
         with pytest.raises(ValueError):
-            run_month_detected(MonthSlice("S", 2020, 3, ()), NBS,
-                               TrainConfig(epochs=0), SimConfig(), BBOX)
+            train_month(empty, TrainConfig(epochs=1), BBOX, 0)
+        with pytest.raises(ValueError):
+            run_month_detected(empty, NBS, (GanModel(BBOX), LossHistory()),
+                               SimConfig())
 
     def test_determinism(self):
         slice_ = synthetic_month_slice("Synth", 2020, 3,
                                        SyntheticCityConfig(incidents_per_month=40))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=99)
-        r1 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
-        r2 = run_month_detected(slice_, nbs, TrainConfig(epochs=2), cfg, BBOX)
+        r1 = run_detected(slice_, nbs, TrainConfig(epochs=2), cfg)
+        r2 = run_detected(slice_, nbs, TrainConfig(epochs=2), cfg)
         assert_same_outcomes(r1.outcomes, r2.outcomes)
         assert np.array_equal(r1.patrol_points, r2.patrol_points)
 
@@ -349,7 +360,7 @@ class TestRunMonthDetected:
                                        SyntheticCityConfig(incidents_per_month=60))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
-        result = run_month_detected(slice_, nbs, TrainConfig(epochs=0), cfg, BBOX)
+        result = run_detected(slice_, nbs, TrainConfig(epochs=0), cfg)
         probs = oracle_noisy_or(locations(slice_.incidents),
                                 result.patrol_points, cfg)
         assert result.outcomes.credits.tolist() == probs
@@ -359,8 +370,8 @@ class TestRunMonthDetected:
         slice_ = synthetic_month_slice("Synth", 2020, 4,
                                        SyntheticCityConfig(incidents_per_month=50))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
-        result = run_month_detected(slice_, nbs, TrainConfig(epochs=0),
-                                    SimConfig(seed=3), BBOX)
+        result = run_detected(slice_, nbs, TrainConfig(epochs=0),
+                              SimConfig(seed=3))
         assert sum(group_rates(result.outcomes.groups,
                                result.outcomes.credits).total.values()) == 50
         assert len(result.outcomes) == 50
@@ -380,8 +391,8 @@ class TestRunMonthDetected:
         model, _ = train_gan(locations(history.incidents),
                              TrainConfig(epochs=60, seed=7), BBOX)
         sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
-        result = run_month_detected(eval_slice, nbs, TrainConfig(epochs=0),
-                                    sim_cfg, BBOX, model=model)
+        result = run_month_detected(eval_slice, nbs, (model, LossHistory()),
+                                    sim_cfg)
         out = result.outcomes
         rate_a = np.mean(out.credits[out.neighborhood_ids == "A"])
         rate_b = np.mean(out.credits[out.neighborhood_ids == "B"])

@@ -11,7 +11,7 @@ from patrolsim.simulate import MonthOutcomes, MonthRunResult
 from patrolsim.stats import (CORRELATION_PREDICTORS, CORRELATIONS_CSV_HEADER,
                              REGRESSION_CSV_HEADER, NeighborhoodObservation,
                              RankDeficientError, build_neighborhood_dataset,
-                             correlate, correlation_rows, ols_fit, pearson,
+                             correlation_rows, ols_fit, pearson,
                              regression_design, regression_rows,
                              significance_stars, spearman, student_t_cdf)
 
@@ -309,20 +309,12 @@ class TestCorrelations:
         t = r * np.sqrt(23 / (1 - r * r))
         assert p == pytest.approx(2 * student_t_cdf(-abs(t), 23), abs=1e-14)
 
-    def test_correlate_bundles_both(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal(20)
-        y = rng.standard_normal(20)
-        c = correlate(x, y)
-        assert (c.pearson_r, c.pearson_p) == pearson(x, y)
-        assert (c.spearman_rho, c.spearman_p) == spearman(x, y)
-
 
 def make_nb(nb_id, pct_black, income=50_000.0, poverty=0.2):
     from patrolsim.ingest import Polygon
     poly = Polygon([(39.20, -76.71), (39.37, -76.71),
                     (39.37, -76.53), (39.20, -76.53)])
-    return Neighborhood(id=nb_id, name=nb_id, polygons=(poly,),
+    return Neighborhood(id=nb_id, polygons=(poly,),
                         pct_black=pct_black, pct_white=1.0 - pct_black,
                         pct_neither=0.0, median_income=income,
                         poverty_rate=poverty)
@@ -445,6 +437,13 @@ class TestReports:
         lines = self.written_lines(tmp_path, CORRELATIONS_CSV_HEADER,
                                    correlation_rows(obs))
         assert len(lines) == 1 + len(CORRELATION_PREDICTORS)
+        # Each row bundles Pearson's and Spearman's results for its predictor.
+        rates = np.array([o.detection_rate for o in obs])
+        columns = {name: np.array([getattr(o, name) for o in obs])
+                   for name in CORRELATION_PREDICTORS}
+        assert correlation_rows(obs) == [
+            (name, *pearson(x, rates), *spearman(x, rates))
+            for name, x in columns.items()]
         for line in lines[1:]:
             fields = line.split(",")
             assert len(fields) == 5
