@@ -8,7 +8,6 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 run failure(s).
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -266,10 +265,16 @@ def build_plan(config: dict) -> ExperimentPlan:
 
 @dataclass
 class CityYearData:
+    """A loaded city-year. Its neighborhoods carry no polygons: only
+    assignment reads them, and a month-run task would pickle them."""
     slices: list[MonthSlice]
     neighborhoods: dict[str, Neighborhood]
     bbox: BoundingBox
     checksum: str
+
+
+def _without_polygons(nbs: list[Neighborhood]) -> dict[str, Neighborhood]:
+    return {nb.id: replace(nb, polygons=()) for nb in nbs}
 
 
 def _file_sha256(path: str) -> str:
@@ -290,10 +295,9 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
     and each crime CSV are read only once.
     """
     if plan.synthetic is not None:
-        neighborhoods = {nb.id: nb
-                         for nb in synthetic_neighborhoods(plan.synthetic)}
-        slices = synthetic_year(city, year, plan.synthetic)
-        return CityYearData(slices, neighborhoods, SYNTH_BBOX,
+        nbs = synthetic_neighborhoods(plan.synthetic)
+        return CityYearData(synthetic_year(city, year, plan.synthetic),
+                            _without_polygons(nbs), SYNTH_BBOX,
                             plan.synthetic_checksum)
 
     binding = plan.cities.get(city)
@@ -318,14 +322,14 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
         bbox = ingest.hull_bbox(nbs)
     if ("crimes", city, crime_path) not in files:
         files["crimes", city, crime_path] = (ingest.parse_crime_csv(
-            crime_path, binding.column_mapping, city)[0],
+            crime_path, binding.column_mapping)[0],
             _file_sha256(crime_path))
     parsed, checksum = files["crimes", city, crime_path]
     incidents = [i for i in parsed if i.timestamp.year == year]
     incidents = ingest.filter_valid(incidents, bbox)
     incidents, _ = ingest.assign_neighborhoods(incidents, nbs)
-    slices = ingest.partition_by_month(incidents)
-    return CityYearData(slices, {nb.id: nb for nb in nbs}, bbox, checksum)
+    slices = ingest.partition_by_month(incidents, city, year)
+    return CityYearData(slices, _without_polygons(nbs), bbox, checksum)
 
 
 # --- month-run execution --------------------------------------------------
@@ -375,12 +379,14 @@ class MonthRuns:
     """What `run_months` ran. `results[i]` and `records[i]` belong to the
     i-th sim config, in (cell, month, replicate) order; `attempted` lists
     the (cell, month, replicate) runs, and `failed` maps the key of each
-    one that raised, under every sim config, to its error."""
+    one that raised, under every sim config, to its error. `files` is the
+    cache the loads shared (see `load_city_year`)."""
     results: list[list[simulate.MonthRunResult]]
     records: list[list[metrics.MonthlyBiasRecord]]
     failed: dict[str, str]
     attempted: list[tuple[Cell, int, int]]
     loaded: dict[tuple[str, int], CityYearData]
+    files: dict
     skipped: list[str]
     failures: int
 
@@ -406,7 +412,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
         data = loaded.get((cell.city, cell.year))
         if data is None:
             continue
-        by_month = {s.month: s for s in data.slices if s.incidents}
+        by_month = {s.month: s for s in data.slices if len(s.incidents)}
         for month in ingest.MONTHS:
             if month not in by_month:
                 skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
@@ -430,8 +436,8 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     results = [[outs[k][0] for outs in ran] for k in range(len(sim_cfgs))]
     records = [[outs[k][1] for outs in ran] for k in range(len(sim_cfgs))]
     load_failures = sum((c.city, c.year) not in loaded for c in cells)
-    return MonthRuns(results, records, failed, attempted, loaded, skipped,
-                     load_failures + len(failed))
+    return MonthRuns(results, records, failed, attempted, loaded, files,
+                     skipped, load_failures + len(failed))
 
 
 def _annual_summaries(cells: list[Cell],
@@ -561,8 +567,8 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
 
 # --- debias experiment ----------------------------------------------------
 
-def run_debias_experiment(plan: ExperimentPlan,
-                          loaded: dict | None = None) -> dict:
+def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
+                          files: dict | None = None) -> dict:
     """Biased vs rebalanced training comparison on one city-year; writes
     debias.csv and returns the facts that manifest.json records of it.
 
@@ -571,22 +577,23 @@ def run_debias_experiment(plan: ExperimentPlan,
     replaces a fraction of the training set with group-balanced synthetic
     points, and retrains the patrol GAN on the result. Both conditions are
     evaluated against the same crimes. A city-year in `loaded` (the grid's,
-    under `all`) is not loaded again.
+    under `all`) is not loaded again, and any other is loaded through the
+    `files` cache (the grid's too).
     """
     if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
     city, year = plan.debias.city, plan.debias.year
-    data = (loaded or {}).get((city, year)) or load_city_year(plan, city, year)
-    incidents = [inc for s in data.slices for inc in s.incidents]
-    if not incidents:
+    data = ((loaded or {}).get((city, year))
+            or load_city_year(plan, city, year, files))
+    if not sum(len(s.incidents) for s in data.slices):
         raise IngestError(f"no incidents for debias cell {city} {year}")
 
     seed = derive_seed(plan.sim_cfg.seed, "debias", city, year)
     rng = np.random.default_rng(seed)
-    crimes = ingest.coordinates(incidents)
-    groups = simulate.draw_groups([inc.neighborhood_id for inc in incidents],
-                                  data.neighborhoods,
-                                  rng.random(len(incidents)))
+    crimes = np.concatenate([s.incidents for s in data.slices])
+    groups = simulate.draw_groups(
+        np.concatenate([s.neighborhood_ids for s in data.slices]),
+        data.neighborhoods, rng.random(len(crimes)))
 
     train_cfg = replace(plan.train_cfg, seed=seed)
 
@@ -634,15 +641,10 @@ def run_stats(plan: ExperimentPlan, jobs: int) -> int:
         log.warning("no observations.csv in %s; nothing to fit", plan.out_dir)
         return 0
     kinds = get_type_hints(stats.NeighborhoodObservation)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        try:
-            observations = [stats.NeighborhoodObservation(
-                **{key: kinds[key](value) for key, value in row.items()})
-                for row in reader]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise IngestError(f"{path}, line {reader.line_num}: not an "
-                              f"observations row ({exc!r})") from exc
+    observations = ingest.read_csv_rows(
+        path, lambda row: stats.NeighborhoodObservation(
+            **{key: kinds[key](value) for key, value in row.items()}),
+        "an observations row")
     try:
         _write_csv(plan.out_dir, "regression.csv", stats.REGRESSION_CSV_HEADER,
                    stats.regression_rows(stats.ols_fit(
@@ -701,7 +703,7 @@ def run_all(plan: ExperimentPlan, jobs: int) -> int:
     if plan.debias:
         # The grid's manifest, rewritten with the debias facts added.
         _write_manifest(plan, plan.cells, runs, runs.failed,
-                        run_debias_experiment(plan, runs.loaded))
+                        run_debias_experiment(plan, runs.loaded, runs.files))
     return runs.failures + run_stats(plan, jobs) + run_plots(plan, jobs)
 
 

@@ -16,20 +16,17 @@ import numpy as np
 FEET_PER_DEGREE_LAT = 364_567.2
 
 
-@dataclass(frozen=True)
-class LatLon:
-    """One checked point in degrees north / degrees east (negative west),
-    such as a box corner. Crime rows carry floats, polygon rings and point
-    sets are (n, 2) float64 arrays of (lat, lon) rows."""
+_RANGE = np.array([90.0, 180.0])  # largest |lat| and |lon|
 
-    lat: float
-    lon: float
 
-    def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude out of range: {self.lat}")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude out of range: {self.lon}")
+def _check_range(points: np.ndarray) -> None:
+    """A ValueError naming the first latitude or longitude of the (lat, lon)
+    rows outside [-90, 90] or [-180, 180], or NaN."""
+    in_range = np.abs(points) <= _RANGE  # false for NaN
+    if not in_range.all():
+        row, col = np.argwhere(~in_range)[0]
+        raise ValueError(f"{('latitude', 'longitude')[col]} out of range: "
+                         f"{points[row, col]}")
 
 
 @dataclass(frozen=True)
@@ -40,21 +37,15 @@ class BoundingBox:
     lon_max: float
 
     def __post_init__(self):
-        LatLon(self.lat_min, self.lon_min)  # both corners in range
-        LatLon(self.lat_max, self.lon_max)
+        _check_range(np.array([[self.lat_min, self.lon_min],
+                               [self.lat_max, self.lon_max]], dtype=float))
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("degenerate bounding box")
 
     def contains(self, p) -> bool:
-        """Whether p (a LatLon, or a row with .lat and .lon) is in the
-        closed box."""
+        """Whether p (a row with .lat and .lon) is in the closed box."""
         return (self.lat_min <= p.lat <= self.lat_max
                 and self.lon_min <= p.lon <= self.lon_max)
-
-    @property
-    def center(self) -> LatLon:
-        return LatLon((self.lat_min + self.lat_max) / 2.0,
-                      (self.lon_min + self.lon_max) / 2.0)
 
 
 # Baltimore city bounding box used for coordinate validity filtering.
@@ -64,19 +55,12 @@ BALTIMORE_BBOX = BoundingBox(39.197, 39.372, -76.712, -76.529)
 def _feet_apart(lat_a, lon_a, lat_b, lon_b):
     """Equirectangular distance in feet, elementwise over floats or arrays.
 
-    Longitude differences are scaled by cos(mean latitude). The scalar and
-    the array paths share this one numpy expression, so a distance compared
-    against a radius rounds the same way in both.
+    Longitude differences are scaled by cos(mean latitude).
     """
     dlat = (lat_b - lat_a) * FEET_PER_DEGREE_LAT
     mean_lat = np.radians((lat_a + lat_b) / 2.0)
     dlon = (lon_b - lon_a) * FEET_PER_DEGREE_LAT * np.cos(mean_lat)
     return np.hypot(dlat, dlon)
-
-
-def distance_feet(a: LatLon, b: LatLon) -> float:
-    """Equirectangular distance in feet between two points."""
-    return float(_feet_apart(a.lat, a.lon, b.lat, b.lon))
 
 
 def count_within(points: np.ndarray, centers: np.ndarray,
@@ -124,19 +108,12 @@ class Polygon:
         self.edges = edges[:, edges[2] != 0.0]
 
 
-_RANGE = np.array([90.0, 180.0])  # largest |lat| and |lon|
-
-
 def _normalize_ring(ring) -> np.ndarray:
     ring = np.array(ring, dtype=float)
     if ring.ndim != 2 or ring.shape[1] != 2:
         raise ValueError(f"polygon ring must be (lat, lon) rows, "
                          f"got shape {ring.shape}")
-    in_range = np.abs(ring) <= _RANGE  # false for NaN
-    if not in_range.all():
-        row, col = np.argwhere(~in_range)[0]
-        raise ValueError(f"{('latitude', 'longitude')[col]} out of range: "
-                         f"{ring[row, col]}")
+    _check_range(ring)
     vertices = ring.tolist()
     if len(vertices) >= 2 and vertices[0] == vertices[-1]:
         ring, vertices = ring[:-1], vertices[:-1]

@@ -77,7 +77,6 @@ class CrimeIncident(NamedTuple):
     lat: float
     lon: float
     timestamp: datetime
-    city: str
     neighborhood_id: str | None = None
 
 
@@ -92,12 +91,16 @@ class Neighborhood:
     poverty_rate: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonthSlice:
+    """One month's crimes as columns, in input order: `incidents` holds
+    their locations, a float64 (n, 2) array of (lat, lon) rows, and
+    `neighborhood_ids` the (n,) str ids of their neighborhoods."""
     city: str
     year: int
     month: int
-    incidents: tuple[CrimeIncident, ...]
+    incidents: np.ndarray
+    neighborhood_ids: np.ndarray
 
 
 class IngestError(Exception):
@@ -130,8 +133,8 @@ def _undecodable_line(path: str) -> int:
     return 0
 
 
-def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
-                    city: str = "Baltimore") -> tuple[list[CrimeIncident], int]:
+def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
+                    ) -> tuple[list[CrimeIncident], int]:
     """Parse one incident CSV.
 
     Returns (incidents, dropped_count); rows with unparseable or
@@ -177,7 +180,7 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
                 except (TypeError, ValueError):
                     dropped += 1
                     continue
-                # The comparisons LatLon makes, false for NaN too.
+                # In [-90, 90] and [-180, 180], and false for NaN.
                 if not (-90.0 <= lat <= 90.0 and -180.0 <= lon <= 180.0):
                     dropped += 1
                     continue
@@ -185,7 +188,7 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
                 if ts is None or row[i_id] is None:
                     dropped += 1
                     continue
-                incidents.append(CrimeIncident(row[i_id], lat, lon, ts, city))
+                incidents.append(CrimeIncident(row[i_id], lat, lon, ts))
         except UnicodeDecodeError as exc:
             line = _undecodable_line(path)
             raise IngestError(f"crime CSV {path}, line {line}: not UTF-8 "
@@ -196,6 +199,19 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str,
     if dropped:
         log.info("parse_crime_csv(%s): dropped %d malformed rows", path, dropped)
     return incidents, dropped
+
+
+def read_csv_rows(path: str, parse, what: str) -> list:
+    """`parse` of each csv.DictReader row of the file at `path`. A row that
+    `parse` cannot read (a KeyError, TypeError or ValueError) is an
+    IngestError naming the file, the line and `what` a row should be."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        try:
+            return [parse(row) for row in reader]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise IngestError(f"{path}, line {reader.line_num}: not {what} "
+                              f"({exc!r})") from exc
 
 
 def coordinates(incidents) -> np.ndarray:
@@ -392,7 +408,7 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
     owner = np.empty_like(found)
     owner[order] = found
     ids = [nb.id for nb in neighborhoods]
-    assigned = [CrimeIncident(*inc[:5], ids[k])
+    assigned = [CrimeIncident(*inc[:4], ids[k])
                 for inc, k in zip(incidents, owner.tolist()) if k >= 0]
     dropped = len(incidents) - len(assigned)
     if dropped:
@@ -400,20 +416,17 @@ def assign_neighborhoods(incidents: list[CrimeIncident],
     return assigned, dropped
 
 
-def partition_by_month(incidents: list[CrimeIncident]) -> list[MonthSlice]:
-    """Split one city-year's incidents into per-month slices."""
-    if not incidents:
-        return []
-    cities = {inc.city for inc in incidents}
-    years = {inc.timestamp.year for inc in incidents}
-    if len(cities) != 1 or len(years) != 1:
-        raise IngestError("partition_by_month expects a single (city, year)")
-    city, year = cities.pop(), years.pop()
+def partition_by_month(incidents: list[CrimeIncident], city: str,
+                       year: int) -> list[MonthSlice]:
+    """Split the assigned incidents of the caller's (city, year) into one
+    column slice per month that has any, in month order."""
     by_month: dict[int, list[CrimeIncident]] = {}
     for inc in incidents:
         by_month.setdefault(inc.timestamp.month, []).append(inc)
-    return [MonthSlice(city, year, m, tuple(by_month[m]))
-            for m in sorted(by_month)]
+    return [MonthSlice(city, year, m, coordinates(rows),
+                       np.array([inc.neighborhood_id for inc in rows],
+                                dtype=str))
+            for m, rows in sorted(by_month.items())]
 
 
 def hull_bbox(neighborhoods: list[Neighborhood], pad: float = 0.01) -> BoundingBox:

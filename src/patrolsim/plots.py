@@ -5,10 +5,11 @@ is a standalone well-formed SVG document.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import os
 from dataclasses import dataclass
+
+from .ingest import read_csv_rows
 
 WIDTH, HEIGHT = 720, 440
 MARGIN = 60
@@ -160,11 +161,16 @@ def scatter_chart(points: list[tuple[float, float]], title: str,
     return canvas.render()
 
 
-def _series_key(row: dict) -> str:
-    """One line per cell and replicate; replicate 0 keeps the cell's name."""
+def _monthly_row(row: dict) -> tuple[str, float, dict[str, float | None]]:
+    """(series key, month, values) of one monthly.csv row, an empty value
+    read as None. One line per cell and replicate; replicate 0 keeps the
+    cell's name."""
     rep = int(row["replicate"])
-    return (f"{row['city']} {row['year']} {row['mode']}"
-            + (f" r{rep}" if rep else ""))
+    key = (f"{row['city']} {row['year']} {row['mode']}"
+           + (f" r{rep}" if rep else ""))
+    return key, float(row["month"]), {
+        column: None if row[column] == "" else float(row[column])
+        for column in ("dir", "parity_gap", "gini")}
 
 
 def emit_plots(monthly_csv_path: str, out_dir: str,
@@ -172,10 +178,10 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
                y_max: float | None = 100.0) -> list[str]:
     """Render the standard chart set from a monthly-metrics CSV.
 
-    Returns the list of files written; empty input produces none.
+    Returns the list of files written; empty input produces none. A row
+    either file cannot be read from is an IngestError naming the line.
     """
-    with open(monthly_csv_path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = read_csv_rows(monthly_csv_path, _monthly_row, "a monthly row")
     written: list[str] = []
     if not rows:
         return written
@@ -183,16 +189,14 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
 
     def cell_series(column: str, flag_aware: bool) -> list[Series]:
         series: dict[str, Series] = {}
-        for row in rows:
-            key = _series_key(row)
+        for key, month, values in rows:
             s = series.setdefault(key, Series(key, [], [] if flag_aware else None))
-            month = float(row["month"])
-            value = row[column]
-            if value == "":
+            value = values[column]
+            if value is None:
                 if flag_aware:
                     s.gaps.append(month)
                 continue
-            s.points.append((month, float(value)))
+            s.points.append((month, value))
         return list(series.values())
 
     charts = [
@@ -210,12 +214,14 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
         written.append(path)
 
     if observations_csv_path and os.path.exists(observations_csv_path):
-        with open(observations_csv_path, newline="", encoding="utf-8") as fh:
-            obs = list(csv.DictReader(fh))
+        obs = read_csv_rows(observations_csv_path, lambda o: {
+            column: float(o[column])
+            for column in ("pct_black", "pct_white", "detection_rate")},
+            "an observations row")
         for column, filename, xl in (
                 ("pct_black", "scatter_pct_black.svg", "share Black (fraction)"),
                 ("pct_white", "scatter_pct_white.svg", "share White (fraction)")):
-            pts = [(float(o[column]), float(o["detection_rate"])) for o in obs]
+            pts = [(o[column], o["detection_rate"]) for o in obs]
             if not pts:
                 continue
             path = os.path.join(out_dir, filename)

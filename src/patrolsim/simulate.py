@@ -17,7 +17,7 @@ import numpy as np
 
 from .gan import GanModel, LossHistory, TrainConfig, sample_patrol, train_gan
 from .geodata import BoundingBox, count_within
-from .ingest import RACE_GROUPS, MonthSlice, Neighborhood, coordinates
+from .ingest import RACE_GROUPS, MonthSlice, Neighborhood
 
 # How reported mode places patrols: from the reported-crime locations, or
 # treating a citizen report directly as a detection.
@@ -136,7 +136,7 @@ def _month_result(slice_: MonthSlice,
                   patrols: np.ndarray, probs: np.ndarray, sample: bool,
                   rng: np.random.Generator, reported: np.ndarray | None = None,
                   mode_collapsed: bool = False) -> MonthRunResult:
-    ids = np.array([i.neighborhood_id for i in slice_.incidents], dtype=str)
+    ids = slice_.neighborhood_ids
     outcomes = MonthOutcomes(ids, *draw_outcomes(probs, sample, rng, ids,
                                                  neighborhoods), reported)
     return MonthRunResult(slice_.city, slice_.year, slice_.month, mode,
@@ -150,8 +150,7 @@ def train_month(slice_: MonthSlice, gan_cfg: TrainConfig, bbox: BoundingBox,
     the month-run's seed; one training serves every `SimConfig`."""
     seed = month_run_seed(master_seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
-    return train_gan(coordinates(slice_.incidents),
-                     replace(gan_cfg, seed=seed), bbox)
+    return train_gan(slice_.incidents, replace(gan_cfg, seed=seed), bbox)
 
 
 def run_month_detected(slice_: MonthSlice,
@@ -162,14 +161,14 @@ def run_month_detected(slice_: MonthSlice,
     """Detected mode: the (model, history) `train_month` returned places
     patrols. `replicate` and the master seed `sim_cfg.seed` give the
     month-run's seed (`month_run_seed`), as in reported mode."""
-    if not slice_.incidents:
+    if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
     model, history = trained
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
-    probs = noisy_or(coordinates(slice_.incidents), patrols, sim_cfg)
+    probs = noisy_or(slice_.incidents, patrols, sim_cfg)
     return _month_result(slice_, neighborhoods, "detected", patrols, probs,
                          not sim_cfg.expected_value, rng, None,
                          history.mode_collapsed)
@@ -180,7 +179,7 @@ def run_month_reported(slice_: MonthSlice,
                        sim_cfg: SimConfig,
                        replicate: int = 0) -> MonthRunResult:
     """Reported mode: citizen reports seed the detection pipeline."""
-    if not slice_.incidents:
+    if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "reported", replicate)
@@ -192,7 +191,7 @@ def run_month_reported(slice_: MonthSlice,
                    if sim_cfg.expected_value else reported.astype(float))
         return _month_result(slice_, neighborhoods, "reported",
                              np.empty((0, 2)), credits, False, rng, reported)
-    crimes = coordinates(slice_.incidents)
+    crimes = slice_.incidents
     reporters = np.flatnonzero(reported)
     # With no reporters this draws nothing and places no patrol.
     pick = rng.choice(len(reporters), replace=False,

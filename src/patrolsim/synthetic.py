@@ -11,13 +11,12 @@ covariates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
 from .gan import denormalize_coords
 from .geodata import BoundingBox, Polygon
-from .ingest import MONTHS, CrimeIncident, MonthSlice, Neighborhood
+from .ingest import MONTHS, MonthSlice, Neighborhood
 from .simulate import derive_seed
 
 SYNTH_BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
@@ -92,21 +91,17 @@ def _sample_cluster_point(center: tuple[float, float], sigma: float,
 
 def synthetic_month_slice(city: str, year: int, month: int,
                           cfg: SyntheticCityConfig) -> MonthSlice:
+    """The month's incidents: the first round(incidents_per_month *
+    weight_a) in cluster A, the rest in cluster B."""
     rng = np.random.default_rng(derive_seed(cfg.seed, "synth", city, year, month))
-    n_a = int(round(cfg.incidents_per_month * cfg.weight_a))
-    incidents = []
-    for i in range(cfg.incidents_per_month):
-        if i < n_a:
-            center, nb_id = CLUSTER_A, "A"
-        else:
-            center, nb_id = CLUSTER_B, "B"
-        u, v = _sample_cluster_point(center, cfg.sigma, rng)
-        lat, lon = denormalize_coords(u, v, SYNTH_BBOX)
-        incidents.append(CrimeIncident(
-            id=f"{city}-{year}-{month:02d}-{i:04d}", lat=lat, lon=lon,
-            timestamp=datetime(year, month, 15, 12, 0), city=city,
-            neighborhood_id=nb_id))
-    return MonthSlice(city, year, month, tuple(incidents))
+    in_a = np.arange(cfg.incidents_per_month) < round(
+        cfg.incidents_per_month * cfg.weight_a)
+    uv = np.array([_sample_cluster_point(CLUSTER_A if a else CLUSTER_B,
+                                         cfg.sigma, rng)
+                   for a in in_a.tolist()], dtype=float).reshape(-1, 2)
+    lat, lon = denormalize_coords(uv[:, 0], uv[:, 1], SYNTH_BBOX)
+    return MonthSlice(city, year, month, np.column_stack((lat, lon)),
+                      np.where(in_a, "A", "B"))
 
 
 def synthetic_year(city: str, year: int,

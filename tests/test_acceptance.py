@@ -15,7 +15,7 @@ import pytest
 from patrolsim.cli import main
 from patrolsim.gan import (TrainConfig, denormalize_coords, normalize_coords,
                            sample_patrol, train_gan)
-from patrolsim.geodata import BoundingBox, LatLon, count_within, distance_feet
+from patrolsim.geodata import BoundingBox, count_within
 from patrolsim.metrics import (DIR_OK, GroupRates, bias_amplification_score,
                                disparate_impact_ratio, gini, parity_gap)
 from patrolsim.neuralnet import (BatchNorm, Dense, Dropout, LeakyReLU,
@@ -23,9 +23,10 @@ from patrolsim.neuralnet import (BatchNorm, Dense, Dropout, LeakyReLU,
 from patrolsim.simulate import SimConfig, noisy_or
 from patrolsim.stats import ols_fit, pearson, spearman, student_t_cdf
 from patrolsim.synthetic import SYNTH_BBOX
+from test_geodata import LatLon, bbox_center, distance_feet
 
 BBOX = SYNTH_BBOX
-CENTER = np.array([[BBOX.center.lat, BBOX.center.lon]])
+CENTER = np.array([[bbox_center(BBOX).lat, bbox_center(BBOX).lon]])
 
 
 def uniform_points(rng, n):

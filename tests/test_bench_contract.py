@@ -68,3 +68,13 @@ def test_debias_spans_are_recorded(tmp_path):
                  "cli.evaluate_condition.s"):
         assert layers[name] > 0, name
     assert layers["simulate.crimes_evaluated"] > 0
+
+
+def test_synth_grid_traced(tmp_path):
+    # The synthetic months of the synth-grid workload: 4 cells of 11
+    # months of 128 crimes each.
+    bench = load_bench()
+    report = traced(tmp_path, "grid", bench.grid_config(3, tmp_path))
+    layers = report["layers"]
+    assert layers["synthetic.year.s"] > 0
+    assert layers["simulate.crimes_evaluated"] == 4 * 11 * 128

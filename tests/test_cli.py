@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -14,6 +16,7 @@ import patrolsim
 from patrolsim import cli, gan, ingest, metrics, simulate, stats
 from patrolsim.cli import (ConfigError, build_plan, load_config, main,
                            run_grid, run_sensitivity)
+from patrolsim.geodata import Polygon
 
 SYNTH_CONFIG = {
     "seed": 7,
@@ -41,6 +44,17 @@ def count_loads(monkeypatch):
         return real(plan, city, year, *files)
     monkeypatch.setattr(cli, "load_city_year", counting)
     return calls
+
+
+def count_reads(monkeypatch):
+    """Count the calls of the two ingest functions that read a city's files."""
+    reads = Counter()
+    for name in ("parse_crime_csv", "load_neighborhoods"):
+        def counting(*args, _real=getattr(ingest, name), _name=name):
+            reads[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(ingest, name, counting)
+    return reads
 
 
 def write_city(tmp_path, crimes):
@@ -392,12 +406,7 @@ class TestGrid:
 
     def test_city_files_read_once(self, tmp_path, monkeypatch):
         # One crime CSV holds both years; each year keeps only its own rows.
-        reads = Counter()
-        for name in ("parse_crime_csv", "load_neighborhoods"):
-            def counting(*args, _real=getattr(ingest, name), _name=name):
-                reads[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(ingest, name, counting)
+        reads = count_reads(monkeypatch)
         binding = write_city(tmp_path, [
             ("1", "2019-03-15 14:30"), ("2", "2019-04-02 09:00"),
             ("3", "2019-04-20 22:10"), ("4", "2020-05-01 08:00"),
@@ -409,6 +418,27 @@ class TestGrid:
         assert {key: sum(len(s.incidents) for s in data.slices)
                 for key, data in runs.loaded.items()} == {("Gen", 2019): 3,
                                                           ("Gen", 2020): 2}
+
+    def test_month_run_tasks_carry_no_polygons(self, tmp_path, monkeypatch):
+        # Under --jobs > 1 each task is pickled whole; the polygons stay in
+        # the load that assigns crimes to them.
+        pickled = set()
+
+        class Recorder(pickle.Pickler):
+            def reducer_override(self, obj):
+                pickled.add(type(obj))
+                return NotImplemented
+
+        def recording(args, _real=cli._task):
+            Recorder(io.BytesIO()).dump(args)
+            return _real(args)
+        monkeypatch.setattr(cli, "_task", recording)
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30"),
+                                        ("2", "2019-04-02 09:00")])
+        runs = run_grid(build_plan(city_config(tmp_path, binding, [2019])))
+        assert runs.failures == 0 and len(runs.attempted) == 2
+        assert ingest.Neighborhood in pickled
+        assert Polygon not in pickled
 
     def test_empty_plan_succeeds(self, tmp_path):
         config = dict(SYNTH_CONFIG, cells=[])
@@ -979,6 +1009,27 @@ class TestPlotsCommand:
                      "gini_trend.svg"):
             assert (plot_dir / name).exists()
 
+    @pytest.mark.parametrize("name,text", [
+        ("monthly.csv", "city,year,month\nS,2020\n"),
+        ("monthly.csv", ",".join(metrics.MONTHLY_CSV_HEADER)
+         + "\nS,2020,x,detected,0,0.3,0.2,0.1,1.5,ok,0.1,0.28,0.028\n"),
+        ("observations.csv", ",".join(
+            f.name for f in fields(stats.NeighborhoodObservation))
+         + "\nA,S,2020,detected,0.5,half,0.2,3,0.1\n"),
+    ])
+    def test_malformed_input_is_a_data_error(self, tmp_path, caplog, name,
+                                             text):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "monthly.csv").write_text(
+            ",".join(metrics.MONTHLY_CSV_HEADER)
+            + "\nS,2020,3,detected,0,0.3,0.2,0.1,1.5,ok,0.1,0.28,0.028\n",
+            encoding="utf-8")
+        (out / name).write_text(text, encoding="utf-8")
+        assert main(["plots", "--config", synth_config(tmp_path, out)]) == 2
+        assert f"{name}, line 2: not a" in caplog.text
+        assert "Traceback" not in caplog.text
+
     def test_plots_without_grid_noop(self, tmp_path):
         out = tmp_path / "out"
         path = synth_config(tmp_path, out)
@@ -1004,6 +1055,17 @@ class TestAll:
         assert main(["all", "--config", path]) == 0
         assert calls == [("Synth", 2020)]
         assert (out / "debias.csv").exists()
+
+    def test_debias_year_outside_the_grid_reads_files_once(self, tmp_path,
+                                                            monkeypatch):
+        reads = count_reads(monkeypatch)
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30")] + [
+            (str(i), f"2020-0{i % 3 + 3}-11 17:45") for i in range(2, 42)])
+        config = dict(city_config(tmp_path, binding, [2019]),
+                      debias={"city": "Gen", "year": 2020})
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 0
+        assert reads == {"parse_crime_csv": 1, "load_neighborhoods": 1}
+        assert (tmp_path / "out" / "debias.csv").exists()
 
     def test_ingest_summary(self, tmp_path, capsys):
         out = tmp_path / "out"

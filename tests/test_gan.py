@@ -7,9 +7,10 @@ from patrolsim import gan
 from patrolsim.gan import (DTYPE, LATENT_DIM, GanModel, TrainConfig,
                            denormalize_coords, normalize_coords,
                            rebalance_training_set, sample_patrol, train_gan)
-from patrolsim.geodata import BoundingBox, LatLon
+from patrolsim.geodata import BoundingBox
 from patrolsim.ingest import RACE_GROUPS
 from patrolsim.neuralnet import Adam, BatchNorm
+from test_geodata import LatLon, bbox_center
 
 BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
 
@@ -65,7 +66,8 @@ def boxes_and_points(draw):
 
 class TestCoordinateMap:
     def test_center_maps_to_origin(self):
-        u, v = normalize_coords(BBOX.center.lat, BBOX.center.lon, BBOX)
+        u, v = normalize_coords(bbox_center(BBOX).lat, bbox_center(BBOX).lon,
+                                BBOX)
         assert (u, v) == pytest.approx((0.0, 0.0))
 
     def test_corner_maps_to_minus_one(self):
@@ -205,7 +207,7 @@ class TestSamplePatrol:
 
 
 BLACK, WHITE, NEITHER = range(3)  # indices into RACE_GROUPS
-CENTER = np.array([[BBOX.center.lat, BBOX.center.lon]])
+CENTER = np.array([[bbox_center(BBOX).lat, bbox_center(BBOX).lon]])
 
 
 def labeled_two_cluster(n_per, seed, n_neither=10):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -8,8 +9,29 @@ from hypothesis import strategies as st
 
 from patrolsim import geodata
 from patrolsim.geodata import (BALTIMORE_BBOX, FEET_PER_DEGREE_LAT, BoundingBox,
-                               LatLon, Polygon, count_within, distance_feet,
-                               points_in_polygon)
+                               Polygon, count_within, points_in_polygon)
+
+
+@dataclass(frozen=True)
+class LatLon:
+    """One point in degrees north and east, range-checked as geodata checks
+    box corners and ring vertices."""
+    lat: float
+    lon: float
+
+    def __post_init__(self):
+        geodata._check_range(np.array([[self.lat, self.lon]]))
+
+
+def distance_feet(a: LatLon, b: LatLon) -> float:
+    """The distance count_within compares with a radius: its kernel
+    `_feet_apart` at two points."""
+    return float(geodata._feet_apart(a.lat, a.lon, b.lat, b.lon))
+
+
+def bbox_center(box: BoundingBox) -> LatLon:
+    return LatLon((box.lat_min + box.lat_max) / 2.0,
+                  (box.lon_min + box.lon_max) / 2.0)
 
 
 def haversine_feet(a: LatLon, b: LatLon) -> float:

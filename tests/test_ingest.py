@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_geodata import (horizontal_edge_points, loop_points_in_polygon,
-                          oracle_point_in_polygon, probe_points, star_ring)
+from test_geodata import (LatLon, horizontal_edge_points,
+                          loop_points_in_polygon, oracle_point_in_polygon,
+                          probe_points, star_ring)
 
-from patrolsim.geodata import BALTIMORE_BBOX, LatLon, Polygon, points_in_polygon
+from patrolsim.geodata import BALTIMORE_BBOX, Polygon, points_in_polygon
 from patrolsim.ingest import (DATE_FORMATS, CrimeIncident, IngestError,
                               Neighborhood, _match_date, assign_neighborhoods,
                               coordinates, filter_valid, hull_bbox,
@@ -65,7 +66,7 @@ class TestParseCrimeCsv:
         assert (incidents[0].lat, incidents[0].lon) == (39.31, -76.62)
         # The whole row: the type column is not read.
         assert incidents[0] == CrimeIncident(
-            "1", 39.31, -76.62, datetime(2019, 3, 15, 14, 30), "Baltimore")
+            "1", 39.31, -76.62, datetime(2019, 3, 15, 14, 30))
 
     def test_both_date_formats(self, crime_csv):
         incidents, _ = parse_crime_csv(crime_csv, "generic")
@@ -96,7 +97,7 @@ class TestParseCrimeCsv:
 
 def make_incident(lat, lon, month, day=10):
     return CrimeIncident(id=f"{lat}-{lon}-{month}", lat=lat, lon=lon,
-                         timestamp=datetime(2019, month, day), city="Baltimore")
+                         timestamp=datetime(2019, month, day))
 
 
 def in_neighborhood(nb, p) -> bool:
@@ -360,23 +361,36 @@ class TestAssignNeighborhoods:
 class TestPartitionByMonth:
     def test_two_months(self):
         incidents = [make_incident(39.3, -76.6, 2), make_incident(39.3, -76.6, 3)]
-        slices = partition_by_month(incidents)
+        slices = partition_by_month(incidents, "Baltimore", 2019)
         assert [(s.month, len(s.incidents)) for s in slices] == [(2, 1), (3, 1)]
 
     def test_empty(self):
-        assert partition_by_month([]) == []
+        assert partition_by_month([], "Baltimore", 2019) == []
+
+    def test_columns(self):
+        rows = [CrimeIncident(str(i), lat, -76.6, datetime(2019, m, 1), f"N{i}")
+                for i, (lat, m) in enumerate(((39.3, 4), (39.31, 2),
+                                              (39.32, 4)))]
+        slices = partition_by_month(rows, "Baltimore", 2019)
+        assert [(s.city, s.year, s.month) for s in slices] == [
+            ("Baltimore", 2019, 2), ("Baltimore", 2019, 4)]
+        assert [s.incidents.tolist() for s in slices] == [
+            [[39.31, -76.6]], [[39.3, -76.6], [39.32, -76.6]]]
+        assert all(s.incidents.dtype == np.float64 for s in slices)
+        assert [s.neighborhood_ids.tolist() for s in slices] == [
+            ["N1"], ["N0", "N2"]]
 
     def test_single_month(self):
         incidents = [make_incident(39.3, -76.6, 7, day=d % 28 + 1)
                      for d in range(100)]
-        slices = partition_by_month(incidents)
+        slices = partition_by_month(incidents, "Baltimore", 2019)
         assert len(slices) == 1
         assert len(slices[0].incidents) == 100
 
     def test_size_conservation(self):
         incidents = [make_incident(39.3, -76.6, m % 11 + 2) for m in range(57)]
         filtered = filter_valid(incidents, BALTIMORE_BBOX)
-        slices = partition_by_month(filtered)
+        slices = partition_by_month(filtered, "Baltimore", 2019)
         assert sum(len(s.incidents) for s in slices) == len(filtered)
 
 
@@ -415,9 +429,9 @@ def oracle_parse_date(raw: str) -> datetime | None:
     return None
 
 
-def oracle_parse_crime_csv(path, mapping, city="Baltimore"):
+def oracle_parse_crime_csv(path, mapping):
     """parse_crime_csv as csv.DictReader rows and LatLon range checks; the
-    rows as (id, lat, lon, timestamp, city) tuples."""
+    rows as (id, lat, lon, timestamp) tuples."""
     rows, dropped = [], 0
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -437,7 +451,7 @@ def oracle_parse_crime_csv(path, mapping, city="Baltimore"):
                 dropped += 1
                 continue
             rows.append((str(row[mapping["id"]]), location.lat, location.lon,
-                         ts, city))
+                         ts))
     return rows, dropped
 
 
@@ -567,9 +581,8 @@ class TestParseOracle:
         path.write_text(text, encoding="utf-8", newline="")
         # A mapping that still names a type column: ignored.
         mapping = dict(self.MAPPING, **({"type": "type"} if with_type else {}))
-        incidents, dropped = parse_crime_csv(str(path), mapping, "Gen")
-        rows, expected_dropped = oracle_parse_crime_csv(str(path), mapping,
-                                                        "Gen")
+        incidents, dropped = parse_crime_csv(str(path), mapping)
+        rows, expected_dropped = oracle_parse_crime_csv(str(path), mapping)
         assert [tuple(i) for i in incidents] == [r + (None,) for r in rows]
         assert dropped == expected_dropped
 
@@ -590,7 +603,7 @@ class TestParseOracle:
             ("4,5", datetime(2019, 3, 15, 14, 30))]
         assert dropped == 4
         assert oracle_parse_crime_csv(str(path), self.MAPPING) == (
-            [tuple(i)[:5] for i in incidents], dropped)
+            [tuple(i)[:4] for i in incidents], dropped)
 
     def test_short_row_without_id_is_dropped(self, tmp_path):
         # DictReader reads a missing id field as None: the row has no id, and
@@ -601,7 +614,7 @@ class TestParseOracle:
         incidents, dropped = parse_crime_csv(str(path), self.MAPPING)
         assert [i.id for i in incidents] == [""] and dropped == 1
         assert oracle_parse_crime_csv(str(path), self.MAPPING) == (
-            [tuple(i)[:5] for i in incidents], dropped)
+            [tuple(i)[:4] for i in incidents], dropped)
 
 
 class TestAssignOracle:
@@ -636,8 +649,8 @@ class TestAssignOracle:
                      for ring in rings]
         points = probe_points(rng, all_rings, 200)
         points += horizontal_edge_points(rng, all_rings, 40)
-        incidents = [CrimeIncident(f"c{i}", lat, lon, datetime(2019, 3, 1),
-                                   "Gen") for i, (lat, lon) in enumerate(points)]
+        incidents = [CrimeIncident(f"c{i}", lat, lon, datetime(2019, 3, 1))
+                     for i, (lat, lon) in enumerate(points)]
         neighborhoods = [Neighborhood(
             id=f"N{k}",
             polygons=tuple(Polygon(r[0], r[1:]) for r in parts),
@@ -647,6 +660,6 @@ class TestAssignOracle:
 
         owner = oracle_assign(incidents, parts_of)
         assigned, dropped = assign_neighborhoods(incidents, neighborhoods)
-        assert assigned == [CrimeIncident(*inc[:5], f"N{k}")
+        assert assigned == [CrimeIncident(*inc[:4], f"N{k}")
                             for inc, k in zip(incidents, owner) if k >= 0]
         assert dropped == owner.count(-1)

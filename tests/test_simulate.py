@@ -9,7 +9,7 @@ from patrolsim.gan import (GanModel, LossHistory, TrainConfig,
                            denormalize_coords, sample_patrol)
 from patrolsim.geodata import count_within
 from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
-                              Neighborhood, Polygon)
+                              Neighborhood, Polygon, partition_by_month)
 from patrolsim.metrics import group_rates
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
                                 SimConfig, derive_seed, draw_groups,
@@ -19,6 +19,7 @@ from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
 from patrolsim.synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                                  synthetic_month_slice,
                                  synthetic_neighborhoods)
+from test_geodata import bbox_center
 
 BBOX = SYNTH_BBOX
 
@@ -35,17 +36,18 @@ def make_neighborhood(nb_id, pct_black, pct_white, pct_neither):
 def make_incident(uv, nb_id="N", ident="c1"):
     lat, lon = denormalize_coords(*uv, BBOX)
     return CrimeIncident(id=ident, lat=lat, lon=lon,
-                         timestamp=datetime(2020, 3, 15), city="Synth",
-                         neighborhood_id=nb_id)
+                         timestamp=datetime(2020, 3, 15), neighborhood_id=nb_id)
+
+
+def month_slice(incidents) -> MonthSlice:
+    """The Synth month of rows made by `make_incident`, as ingest builds it."""
+    [slice_] = partition_by_month(list(incidents), "Synth", 2020)
+    return slice_
 
 
 def pts(*rows) -> np.ndarray:
     """(lat, lon) rows as an (n, 2) array."""
     return np.array(rows, dtype=float).reshape(-1, 2)
-
-
-def locations(incidents) -> np.ndarray:
-    return pts(*((inc.lat, inc.lon) for inc in incidents))
 
 
 def to_points(uv) -> np.ndarray:
@@ -60,7 +62,7 @@ def run_detected(slice_, neighborhoods, train_cfg, sim_cfg):
                               sim_cfg)
 
 
-CENTER = (BBOX.center.lat, BBOX.center.lon)
+CENTER = (bbox_center(BBOX).lat, bbox_center(BBOX).lon)
 CORNER = (BBOX.lat_max, BBOX.lon_max)
 
 
@@ -87,7 +89,7 @@ def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, mode, 0)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
-    crimes = locations(slice_.incidents)
+    crimes = slice_.incidents
     sample, reported, patrols = not sim_cfg.expected_value, None, pts()
     if mode == "detected":
         patrols = sample_patrol(model, sim_cfg.n_officers, rng)
@@ -107,8 +109,7 @@ def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
     if mode == "detected" \
             or sim_cfg.reported_mode_semantics == PATROL_FROM_REPORTS:
         probs = oracle_noisy_or(crimes, patrols, sim_cfg)
-    groups, credits = oracle_draws([inc.neighborhood_id
-                                    for inc in slice_.incidents],
+    groups, credits = oracle_draws(slice_.neighborhood_ids.tolist(),
                                    neighborhoods, probs, sample, rng)
     return groups, credits, reported, patrols
 
@@ -178,9 +179,9 @@ class TestColumnsMatchPerCrimeStream:
                for i, s in enumerate(shares)}
         uv = np.random.default_rng(seed).uniform(-spread, spread,
                                                  (len(picks), 2))
-        slice_ = MonthSlice("Synth", 2020, 3, tuple(
+        slice_ = month_slice(
             make_incident(p, nb_id=f"n{k % len(shares)}", ident=f"c{i}")
-            for i, (p, k) in enumerate(zip(uv, picks))))
+            for i, (p, k) in enumerate(zip(uv, picks)))
         return nbs, slice_
 
     @settings(max_examples=40, deadline=None)
@@ -216,8 +217,8 @@ class TestColumnsMatchPerCrimeStream:
         assert out.credits.tolist() == credits
         assert (out.reported is None if reported is None
                 else out.reported.tolist() == reported)
-        assert out.neighborhood_ids.tolist() == [
-            inc.neighborhood_id for inc in slice_.incidents]
+        assert out.neighborhood_ids.tolist() == \
+            slice_.neighborhood_ids.tolist()
         assert len(out) == len(slice_.incidents)
         assert result.patrol_points.dtype == np.float64
         assert np.array_equal(result.patrol_points, patrols)
@@ -229,7 +230,7 @@ class TestColumnsMatchPerCrimeStream:
            seed=st.integers(0, 2**32))
     def test_debias_labelling(self, shares, picks, seed):
         nbs, slice_ = self.city(shares, picks, 0.5, seed)
-        ids = [inc.neighborhood_id for inc in slice_.incidents]
+        ids = slice_.neighborhood_ids.tolist()
         rng, oracle_rng = (np.random.default_rng(seed) for _ in range(2))
         groups = draw_groups(ids, nbs, rng.random(len(ids)))
         want, _ = oracle_draws(ids, nbs, [0.0] * len(ids), False, oracle_rng)
@@ -310,8 +311,7 @@ def assert_same_outcomes(a, b):
 
 
 def co_located_slice(n, uv=(0.0, 0.0)):
-    return MonthSlice("Synth", 2020, 3,
-                      tuple(make_incident(uv, ident=f"c{i}") for i in range(n)))
+    return month_slice(make_incident(uv, ident=f"c{i}") for i in range(n))
 
 
 NBS = {"N": make_neighborhood("N", 0.5, 0.4, 0.1)}
@@ -338,7 +338,8 @@ class TestRunMonthDetected:
         assert result.outcomes.credits.tolist() == [0.0] * 30
 
     def test_empty_slice_fatal(self):
-        empty = MonthSlice("S", 2020, 3, ())
+        empty = MonthSlice("S", 2020, 3, np.empty((0, 2)),
+                           np.array([], dtype=str))
         with pytest.raises(ValueError):
             train_month(empty, TrainConfig(epochs=1), BBOX, 0)
         with pytest.raises(ValueError):
@@ -361,7 +362,7 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
         result = run_detected(slice_, nbs, TrainConfig(epochs=0), cfg)
-        probs = oracle_noisy_or(locations(slice_.incidents),
+        probs = oracle_noisy_or(slice_.incidents,
                                 result.patrol_points, cfg)
         assert result.outcomes.credits.tolist() == probs
         assert len({0.0, 1.0}.union(probs)) > 2
@@ -388,7 +389,7 @@ class TestRunMonthDetected:
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(cfg)}
 
         from patrolsim.gan import train_gan
-        model, _ = train_gan(locations(history.incidents),
+        model, _ = train_gan(history.incidents,
                              TrainConfig(epochs=60, seed=7), BBOX)
         sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
         result = run_month_detected(eval_slice, nbs, (model, LossHistory()),
@@ -455,12 +456,11 @@ class TestRunMonthReported:
                                            REPORT_IS_DETECTION])
     def test_crimes_sharing_an_id_are_reported_apart(self, semantics):
         # Each crime draws its own report, whatever its id: a month whose
-        # crimes all share one id runs exactly as with distinct ids.
+        # CSV rows all share one id runs exactly as with distinct ids.
         uv = np.random.default_rng(9).uniform(-0.8, 0.8, (40, 2))
-        distinct = MonthSlice("Synth", 2020, 3, tuple(
-            make_incident(p, ident=f"c{i}") for i, p in enumerate(uv)))
-        shared = MonthSlice("Synth", 2020, 3, tuple(
-            make_incident(p, ident="dup") for p in uv))
+        distinct = month_slice(
+            make_incident(p, ident=f"c{i}") for i, p in enumerate(uv))
+        shared = month_slice(make_incident(p, ident="dup") for p in uv)
         for seed in (1, 2, 3):
             cfg = SimConfig(reporting_prob=0.5, seed=seed,
                             reported_mode_semantics=semantics)
