@@ -576,9 +576,10 @@ def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
     debiased first trains the conditional GAN on race-labeled incidents,
     replaces a fraction of the training set with group-balanced synthetic
     points, and retrains the patrol GAN on the result. Both conditions are
-    evaluated against the same crimes. A city-year in `loaded` (the grid's,
-    under `all`) is not loaded again, and any other is loaded through the
-    `files` cache (the grid's too).
+    evaluated against the same crimes, each as soon as its model is
+    trained, and no trained model outlives the next training. A city-year
+    in `loaded` (the grid's, under `all`) is not loaded again, and any other
+    is loaded through the `files` cache (the grid's too).
     """
     if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
@@ -596,17 +597,13 @@ def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
         data.neighborhoods, rng.random(len(crimes)))
 
     train_cfg = replace(plan.train_cfg, seed=seed)
-
-    biased_model, biased_history = gan.train_gan(crimes, train_cfg, data.bbox)
-    cond_model, _ = gan.train_gan(crimes, train_cfg, data.bbox, groups)
-    rebalanced = gan.rebalance_training_set(crimes, cond_model, rng,
-                                            plan.debias.replace_fraction)
-    debiased_model, debiased_history = gan.train_gan(rebalanced, train_cfg,
-                                                     data.bbox)
-
-    os.makedirs(plan.out_dir, exist_ok=True)
     rows = []
-    for name, model in (("biased", biased_model), ("debiased", debiased_model)):
+    collapsed = {}
+
+    def condition(name: str, points: np.ndarray) -> None:
+        """Train the patrol GAN on `points` and evaluate its patrols, with
+        the condition's own rng; the model is dropped on return."""
+        model, history = gan.train_gan(points, train_cfg, data.bbox)
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
         rates = _evaluate_condition(crimes, groups, patrols, plan.sim_cfg,
@@ -614,14 +611,22 @@ def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
         rows.append((name, *metrics.disparate_impact_ratio(rates),
                      rates.rate("Black") or 0.0, rates.rate("White") or 0.0,
                      metrics.parity_gap(rates)))
+        collapsed[name] = history.mode_collapsed
+
+    condition("biased", crimes)
+    cond_model, _ = gan.train_gan(crimes, train_cfg, data.bbox, groups)
+    rebalanced = gan.rebalance_training_set(crimes, cond_model, rng,
+                                            plan.debias.replace_fraction)
+    del cond_model
+    condition("debiased", rebalanced)
+
+    os.makedirs(plan.out_dir, exist_ok=True)
     _write_csv(plan.out_dir, "debias.csv",
                ("condition", "dir", "dir_flag", "rate_black", "rate_white",
                 "parity_gap"), rows)
     # The conditional GAN runs no collapse check, so it has no flag.
     return {"data_checksums": {f"{city}-{year}": data.checksum},
-            "seed": seed,
-            "mode_collapsed": {"biased": biased_history.mode_collapsed,
-                               "debiased": debiased_history.mode_collapsed}}
+            "seed": seed, "mode_collapsed": collapsed}
 
 
 def _evaluate_condition(crimes, groups, patrols, sim_cfg: SimConfig,

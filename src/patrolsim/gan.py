@@ -117,12 +117,14 @@ class GanModel:
                             groups: np.ndarray | None = None) -> np.ndarray:
         """Inference-mode generator pass: running BN stats, no dropout. A
         conditional model needs one group per sample, the patrol GAN none.
-        Returns DTYPE rows."""
+        Returns DTYPE rows; the generator keeps no activation caches."""
         if (groups is not None) != self.conditional:
             raise ValueError("a conditional model needs groups, the patrol "
                              "GAN takes none")
-        return self.generator.forward(
+        out = self.generator.forward(
             np.hstack([_latent(rng, n), _one_hot(groups, n)]), training=False)
+        self.generator.release()
+        return out
 
 
 def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
@@ -201,6 +203,11 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
         history.g_loss.append(eg)
         history.d_loss.append(ed)
 
+    # Training is over: the model keeps only its weights and batch-norm
+    # running statistics from here on, the collapse check included.
+    del g_opt, d_opt
+    model.generator.release()
+    model.discriminator.release()
     history.mode_collapsed = _detect_mode_collapse(model, real, cfg.seed)
     return history
 
@@ -214,20 +221,30 @@ def _detect_mode_collapse(model: GanModel, real: np.ndarray, seed: int) -> bool:
     if real.shape[0] < 4 or model.conditional:
         return False
     rng = np.random.default_rng(seed ^ 0x5EED)
-    # Cheap 2-means on the real data.
-    centers = real[rng.choice(real.shape[0], 2, replace=False)]
-    for _ in range(20):
-        d = np.linalg.norm(real[:, None, :] - centers[None, :, :], axis=2)
-        assign = d.argmin(axis=1)
-        for k in (0, 1):
-            if np.any(assign == k):
-                centers[k] = real[assign == k].mean(axis=0)
+    centers = _two_means(real, rng)
     if np.linalg.norm(centers[0] - centers[1]) < 0.2:
         return False  # effectively unimodal
     sample = model.generate_normalized(500, rng)
     d = np.linalg.norm(sample[:, None, :] - centers[None, :, :], axis=2)
     share = np.bincount(d.argmin(axis=1), minlength=2) / sample.shape[0]
     return bool(share.min() < MODE_COLLAPSE_MIN_SHARE)
+
+
+def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Cheap 2-means: the two centres, after at most 20 Lloyd iterations
+    from two distinct points drawn with `rng`."""
+    centers = points[rng.choice(points.shape[0], 2, replace=False)]
+    previous = None
+    for _ in range(20):
+        d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+        assign = d.argmin(axis=1)
+        if np.array_equal(assign, previous):
+            break  # the same means again: the centres are at a fixed point
+        for k in (0, 1):
+            if np.any(assign == k):
+                centers[k] = points[assign == k].mean(axis=0)
+        previous = assign
+    return centers
 
 
 def train_gan(points: np.ndarray, cfg: TrainConfig, bbox: BoundingBox,

@@ -7,6 +7,12 @@ reference the finite-difference gradient checks run in, and the GAN trains
 in float32. Gradients and Adam moments follow their parameter's dtype, and
 `Dense` rejects an input of another dtype, so one stray float64 array cannot
 silently promote a float32 network back to float64.
+
+Memory: a backward assigns its layer's parameter gradients, and
+`Network.release` drops them with every forward cache. `Dense` and
+`BatchNorm` cache only in a training-mode forward, so their backward after
+an inference-mode forward raises; the activations and dropout cache in
+either mode.
 """
 
 from __future__ import annotations
@@ -23,6 +29,8 @@ class Layer:
 
     params: list[np.ndarray]
     grads: list[np.ndarray]
+    # The attributes forward sets for backward.
+    _caches: tuple[str, ...] = ()
 
     def __init__(self):
         self.params = []
@@ -37,8 +45,22 @@ class Layer:
         parameter gradients are not computed and `grads` keeps its values."""
         raise NotImplementedError
 
+    def release(self) -> None:
+        """Drop the parameter gradients and the forward caches."""
+        self.grads = []
+        for name in self._caches:
+            setattr(self, name, None)
+
+    def _training_cache(self, cache):
+        if cache is None:
+            raise RuntimeError(f"{type(self).__name__} backward needs a "
+                               f"training-mode forward first")
+        return cache
+
 
 class Dense(Layer):
+    _caches = ("_x",)
+
     def __init__(self, n_in: int, n_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
         super().__init__()
@@ -50,7 +72,6 @@ class Dense(Layer):
             dtype, copy=False)
         self.b = np.zeros(n_out, dtype)
         self.params = [self.w, self.b]
-        self.grads = [np.zeros_like(self.w), np.zeros_like(self.b)]
         self._x = None
 
     def forward(self, x, training, rng=None):
@@ -59,23 +80,24 @@ class Dense(Layer):
         if x.dtype != self.w.dtype:
             raise ValueError(f"dense dtype mismatch: {x.dtype} input vs "
                              f"{self.w.dtype} weights")
-        self._x = x
+        self._x = x if training else None
         return x @ self.w + self.b
 
     def backward(self, grad_out, param_grads=True):
+        x = self._training_cache(self._x)
         if param_grads:
-            self.grads[0][...] = self._x.T @ grad_out
-            self.grads[1][...] = grad_out.sum(axis=0)
+            self.grads = [x.T @ grad_out, grad_out.sum(axis=0)]
         return grad_out @ self.w.T
 
 
 class BatchNorm(Layer):
+    _caches = ("_cache",)
+
     def __init__(self, width: int, dtype=np.float64):
         super().__init__()
         self.gamma = np.ones(width, dtype)
         self.beta = np.zeros(width, dtype)
         self.params = [self.gamma, self.beta]
-        self.grads = [np.zeros_like(self.gamma), np.zeros_like(self.beta)]
         self.running_mean = np.zeros(width, dtype)
         self.running_var = np.ones(width, dtype)
         self._cache = None
@@ -92,15 +114,14 @@ class BatchNorm(Layer):
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std)
+        self._cache = (x_hat, inv_std) if training else None
         return self.gamma * x_hat + self.beta
 
     def backward(self, grad_out, param_grads=True):
-        x_hat, inv_std = self._cache
+        x_hat, inv_std = self._training_cache(self._cache)
         n = grad_out.shape[0]
         if param_grads:
-            self.grads[0][...] = (grad_out * x_hat).sum(axis=0)
-            self.grads[1][...] = grad_out.sum(axis=0)
+            self.grads = [(grad_out * x_hat).sum(axis=0), grad_out.sum(axis=0)]
         dx_hat = grad_out * self.gamma
         # Batch-statistics backward (mean and variance both depend on x).
         return inv_std / n * (
@@ -114,6 +135,8 @@ class LeakyReLU(Layer):
     """Branch-free: on numpy 2.4.6 a select over a random mask (`np.where`)
     costs about 18 times a `maximum`. The outputs are bitwise those of the
     select form."""
+
+    _caches = ("_mask",)
 
     def __init__(self, slope: float = 0.2):
         super().__init__()
@@ -142,6 +165,8 @@ class LeakyReLU(Layer):
 class Dropout(Layer):
     """Inverted dropout: survivors scaled at train time, identity at inference."""
 
+    _caches = ("_mask",)
+
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
@@ -167,6 +192,8 @@ class Dropout(Layer):
 
 
 class Tanh(Layer):
+    _caches = ("_y",)
+
     def forward(self, x, training, rng=None):
         self._y = np.tanh(x)
         return self._y
@@ -176,6 +203,8 @@ class Tanh(Layer):
 
 
 class Sigmoid(Layer):
+    _caches = ("_y",)
+
     def forward(self, x, training, rng=None):
         # One exp of a non-positive argument: no overflow in either tail,
         # in float32 as in float64.
@@ -207,6 +236,13 @@ class Network:
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out, param_grads)
         return grad_out
+
+    def release(self) -> None:
+        """Drop every layer's gradients and forward caches, keeping the
+        parameters and batch-norm running statistics: all that inference
+        needs. A backward then needs a training-mode forward first."""
+        for layer in self.layers:
+            layer.release()
 
     def parameters(self) -> list[np.ndarray]:
         return [p for layer in self.layers for p in layer.params]
@@ -250,7 +286,9 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+        # Strict: a gradient list one short would shift every later pair.
+        for p, g, m, v in zip(self.params, grads, self.m, self.v,
+                              strict=True):
             step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
             m += step

@@ -49,6 +49,17 @@ def traced(tmp_path, command, config):
     return report
 
 
+def check_step_time(tmp_path, layers):
+    """`gan.step_ms` is `_train_loop` time less the collapse check's, per
+    step: the check has to run inside `_train_loop`."""
+    spans = json.loads((tmp_path / "spans.json").read_text())["spans"]
+    names = {span[0]: span[1] for span in spans}
+    checks = [span for span in spans if span[1] == "gan._detect_mode_collapse"]
+    assert checks
+    assert all(names[span[4]] == "gan._train_loop" for span in checks)
+    assert layers["gan.step_ms"] > 0
+
+
 def test_city_all_ingest_counts_match_the_planted_city(tmp_path):
     bench = load_bench()
     config = bench.city_config(3, tmp_path)
@@ -68,6 +79,7 @@ def test_debias_spans_are_recorded(tmp_path):
                  "cli.evaluate_condition.s"):
         assert layers[name] > 0, name
     assert layers["simulate.crimes_evaluated"] > 0
+    check_step_time(tmp_path, layers)
 
 
 def test_synth_grid_traced(tmp_path):
@@ -78,3 +90,4 @@ def test_synth_grid_traced(tmp_path):
     layers = report["layers"]
     assert layers["synthetic.year.s"] > 0
     assert layers["simulate.crimes_evaluated"] == 4 * 11 * 128
+    check_step_time(tmp_path, layers)

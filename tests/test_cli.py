@@ -1,10 +1,12 @@
 import csv
+import gc
 import io
 import json
 import os
 import pickle
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from dataclasses import fields, replace
 from operator import attrgetter
@@ -914,6 +916,25 @@ class TestDebiasManifest:
         flags = json.loads(written[0])["debias"]["mode_collapsed"]
         assert sorted(flags) == ["biased", "debiased"]
         assert all(type(flag) is bool for flag in flags.values())
+
+    def test_each_model_is_freed_before_the_next_training(self, tmp_path,
+                                                          monkeypatch):
+        models, alive = [], []
+        real = gan.train_gan
+
+        def tracking(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in models))
+            model, history = real(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model, history
+
+        monkeypatch.setattr(gan, "train_gan", tracking)
+        path = synth_config(tmp_path, tmp_path / "out", cells=[],
+                            debias={"city": "Synth", "year": 2020})
+        assert main(["debias", "--config", path]) == 0
+        # Biased, conditional, debiased: none alive when the next starts.
+        assert alive == [0, 0, 0]
 
     def test_all_adds_debias_to_the_grid_manifest(self, tmp_path):
         grid_out, all_out = tmp_path / "grid", tmp_path / "all"

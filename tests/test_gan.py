@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from patrolsim.gan import (DTYPE, LATENT_DIM, GanModel, TrainConfig,
                            rebalance_training_set, sample_patrol, train_gan)
 from patrolsim.geodata import BoundingBox
 from patrolsim.ingest import RACE_GROUPS
-from patrolsim.neuralnet import Adam, BatchNorm
+from patrolsim.neuralnet import Adam, BatchNorm, Dense
 from test_geodata import LatLon, bbox_center
 
 BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
@@ -405,14 +407,20 @@ class TestFloat32:
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 optimizers.append(self)
+
+            def step(self, grads):
+                # A trained model drops its gradients: keep the last ones.
+                self.grads = grads
+                super().step(grads)
         monkeypatch.setattr(gan, "Adam", RecordingAdam)
         points, groups = labeled_two_cluster(20, 24)
         model, history = train_gan(points, TrainConfig(epochs=2, seed=25),
                                    BBOX, groups if labeled else None)
         assert len(optimizers) == 2
-        arrays = [a for opt in optimizers for a in opt.params + opt.m + opt.v]
+        arrays = [a for opt in optimizers
+                  for a in opt.params + opt.grads + opt.m + opt.v]
         for net in (model.generator, model.discriminator):
-            arrays += net.parameters() + net.gradients()
+            arrays += net.parameters()
             arrays += [a for layer in net.layers
                        if isinstance(layer, BatchNorm)
                        for a in (layer.running_mean, layer.running_var)]
@@ -429,3 +437,70 @@ class TestFloat32:
         assert in_box(pts)
         assert same_bits(pts, np.array([oracle_denormalize(u, v, BBOX)
                                         for u, v in uv.tolist()]))
+
+
+def held_arrays(layer):
+    """Every array a layer holds, inside its lists and tuples too."""
+    held = []
+    for value in vars(layer).values():
+        items = value if isinstance(value, (list, tuple)) else [value]
+        held += [a for a in items if isinstance(a, np.ndarray)]
+    return held
+
+
+class TestTrainedModelMemory:
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_trained_model_keeps_only_its_weights(self, labeled):
+        # Two clusters, so the patrol GAN's collapse check samples 500 rows.
+        points, groups = labeled_two_cluster(20, 27)
+        model, _ = train_gan(points, TrainConfig(epochs=2, seed=28), BBOX,
+                             groups if labeled else None)
+        weights = 0
+        for net in (model.generator, model.discriminator):
+            for layer in net.layers:
+                if not isinstance(layer, (Dense, BatchNorm)):
+                    continue
+                kept = list(layer.params)
+                if isinstance(layer, BatchNorm):
+                    kept += [layer.running_mean, layer.running_var]
+                assert layer.grads == []
+                assert all(any(a is k for k in kept)
+                           for a in held_arrays(layer))
+                weights += sum(a.nbytes for a in kept)
+        assert len(pickle.dumps(model)) <= 1.3 * weights
+
+
+def oracle_two_means(points, rng):
+    """2-means at a fixed 20 Lloyd iterations, which `_two_means` may stop
+    early."""
+    centers = points[rng.choice(points.shape[0], 2, replace=False)]
+    for _ in range(20):
+        d = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=2)
+        assign = d.argmin(axis=1)
+        for k in (0, 1):
+            if np.any(assign == k):
+                centers[k] = points[assign == k].mean(axis=0)
+    return centers
+
+
+class TestTwoMeans:
+    def test_matches_twenty_iterations(self):
+        rng = np.random.default_rng(29)
+        for trial in range(300):
+            n = int(rng.integers(4, 400))
+            kind = trial % 3
+            if kind == 0:  # unimodal
+                points = rng.normal(0.0, 0.3, (n, 2))
+            elif kind == 1:  # bimodal
+                points = rng.normal(0.0, 0.1, (n, 2))
+                points[: n // 3] += rng.uniform(-1, 1, 2)
+            else:  # a coarse lattice: repeated points and equal distances
+                points = rng.integers(-3, 4, (n, 2)) / 4
+            points = points.astype(DTYPE)
+            seed = int(rng.integers(2 ** 32))
+            got_rng, want_rng = (np.random.default_rng(seed),
+                                 np.random.default_rng(seed))
+            assert same_bits(gan._two_means(points, got_rng),
+                             oracle_two_means(points, want_rng))
+            assert (got_rng.bit_generator.state
+                    == want_rng.bit_generator.state)

@@ -436,3 +436,39 @@ class TestNetwork:
         out1 = net.forward(x, training=False)
         out2 = net.forward(x, training=False)
         assert np.array_equal(out1, out2)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("make", [lambda: Dense(3, 4),
+                                      lambda: BatchNorm(3)])
+    @pytest.mark.parametrize("param_grads", [True, False])
+    def test_backward_after_inference_forward_raises(self, make,
+                                                     param_grads):
+        layer = make()
+        x = np.random.default_rng(30).standard_normal((5, 3))
+        out = layer.forward(x, True)
+        layer.forward(x, False)  # drops the training-mode cache
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            layer.backward(np.ones_like(out), param_grads)
+
+    def test_release_drops_gradients_and_caches(self):
+        rng = np.random.default_rng(31)
+        net = Network([Dense(3, 8, rng), BatchNorm(8), LeakyReLU(0.2),
+                       Dropout(0.3), Dense(8, 2, rng)])
+        x = rng.standard_normal((6, 3))
+        grad_out = rng.standard_normal((6, 2))
+        net.forward(x, True, np.random.default_rng(32))
+        want = net.backward(grad_out)
+        want_grads = [g.copy() for g in net.gradients()]
+        net.release()
+        assert net.gradients() == []
+        assert all(getattr(layer, name) is None for layer in net.layers
+                   for name in layer._caches)
+        with pytest.raises(RuntimeError, match="training-mode forward"):
+            net.backward(grad_out)
+        # A training-mode forward makes the network trainable again.
+        net.forward(x, True, np.random.default_rng(32))
+        assert np.array_equal(net.backward(grad_out), want)
+        assert len(net.gradients()) == len(want_grads)
+        for got, grad in zip(net.gradients(), want_grads):
+            assert np.array_equal(got, grad)
