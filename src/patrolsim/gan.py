@@ -139,8 +139,9 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
         batch = max(2, n // 2)
 
     rng = np.random.default_rng(cfg.seed)
-    g_opt = Adam(model.generator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
-    d_opt = Adam(model.discriminator.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+    gen, disc = model.generator, model.discriminator
+    g_opt = Adam(gen.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
+    d_opt = Adam(disc.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     # The patrol GAN has no label columns: each hstack copies its input.
     onehot = _one_hot(groups, n)
     # Training-by-sampling for the conditional variant: groups are drawn
@@ -173,27 +174,31 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
             # stacked on a generated one (target 0). The discriminator has
             # no batch norm, so the halves do not interact. The mean over
             # both halves, doubled, is the real loss plus the fake loss.
-            fake = model.generator.forward(
-                np.hstack([_latent(rng, batch), cond]), training=True)
-            p = model.discriminator.forward(
+            # Each forward cache ends at its last read: the generator's
+            # here right after the pass, every other one inside the
+            # backward that reads it. Each gradient lives from its backward
+            # until `Adam.step` has consumed it.
+            fake = gen.forward(np.hstack([_latent(rng, batch), cond]),
+                               training=True)
+            gen.release()  # no backward reads this pass
+            p = disc.forward(
                 np.hstack([np.vstack([x_real, fake]), np.vstack([cond, cond])]),
                 training=True, rng=rng)
             d_loss, grad_p = bce_loss(p, d_targets)
-            model.discriminator.backward(2.0 * grad_p)
-            d_opt.step(model.discriminator.gradients())
+            disc.backward(2.0 * grad_p)
+            _update(disc, d_opt)
             d_losses.append(2.0 * d_loss)
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
-            fake = model.generator.forward(
-                np.hstack([_latent(rng, batch), cond]), training=True)
-            p = model.discriminator.forward(np.hstack([fake, cond]),
-                                            training=True, rng=rng)
+            fake = gen.forward(np.hstack([_latent(rng, batch), cond]),
+                               training=True)
+            p = disc.forward(np.hstack([fake, cond]), training=True, rng=rng)
             g_loss, grad_p = bce_loss(p, g_targets)
-            # Input gradient only: the next discriminator step overwrites
-            # every discriminator gradient before Adam reads one.
-            grad_in = model.discriminator.backward(grad_p, param_grads=False)
-            model.generator.backward(grad_in[:, :2])
-            g_opt.step(model.generator.gradients())
+            # Input gradient only: the next discriminator step assigns
+            # every discriminator gradient afresh.
+            grad_in = disc.backward(grad_p, param_grads=False)
+            gen.backward(grad_in[:, :2])
+            _update(gen, g_opt)
             g_losses.append(g_loss)
 
         eg = float(np.mean(g_losses))
@@ -204,12 +209,20 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
         history.d_loss.append(ed)
 
     # Training is over: the model keeps only its weights and batch-norm
-    # running statistics from here on, the collapse check included.
+    # running statistics from here on, the collapse check included (each
+    # step already left both networks released).
     del g_opt, d_opt
-    model.generator.release()
-    model.discriminator.release()
     history.mode_collapsed = _detect_mode_collapse(model, real, cfg.seed)
     return history
+
+
+def _update(net: Network, opt: Adam) -> None:
+    """One Adam update of `net` from the gradients its last backward
+    assigned. The network is released first, so the step's list holds the
+    only reference to each gradient, and each is freed once consumed."""
+    grads = net.gradients()
+    net.release()
+    opt.step(grads)
 
 
 def _detect_mode_collapse(model: GanModel, real: np.ndarray, seed: int) -> bool:

@@ -5,14 +5,24 @@ sigmoid; binary cross-entropy head; Adam optimizer. `Dense` and `BatchNorm`
 take the dtype of their parameters, float64 by default: float64 is the
 reference the finite-difference gradient checks run in, and the GAN trains
 in float32. Gradients and Adam moments follow their parameter's dtype, and
-`Dense` rejects an input of another dtype, so one stray float64 array cannot
-silently promote a float32 network back to float64.
+`Dense` and `BatchNorm` reject an input of another dtype, so one stray
+float64 array cannot silently promote a float32 network back to float64.
 
 Memory: a backward assigns its layer's parameter gradients, and
-`Network.release` drops them with every forward cache. `Dense` and
-`BatchNorm` cache only in a training-mode forward, so their backward after
-an inference-mode forward raises; the activations and dropout cache in
-either mode.
+`Network.release` drops them with every forward cache; `Network.backward`
+drops each layer's caches as soon as its backward has read them. `Dense` and `BatchNorm` cache only in a training-mode forward;
+the activations and dropout cache in either mode. A backward with no cache
+to read (after a release, or for `Dense` and `BatchNorm` after an
+inference-mode forward) raises `RuntimeError`. `Adam.step` consumes its
+gradient list: each gradient becomes the denominator buffer once read, and
+its entry is set to None. The GAN's training step (`gan._train_loop`) uses
+these so that each piece of state ends at its last read and only one
+network's caches or gradients exist at a time: on 2 vCPUs a debias run's
+peak RSS fell 49.2 -> 45.7 MB and its minor page faults 14.6k -> 11.7k
+(README "Memory", BENCH_20.json). The kernels skip the
+temporaries of the plain expressions and still round to the same bits:
+batch norm takes the mean once and scales in place, dense adds its bias in
+place, and dropout caches a bool mask and one scale.
 """
 
 from __future__ import annotations
@@ -31,10 +41,13 @@ class Layer:
     grads: list[np.ndarray]
     # The attributes forward sets for backward.
     _caches: tuple[str, ...] = ()
+    # What a backward needs first: any forward, or (Dense, BatchNorm) a
+    # training-mode one.
+    _needs = "a forward"
 
     def __init__(self):
         self.params = []
-        self.grads = []
+        self.release()
 
     def forward(self, x: np.ndarray, training: bool, rng=None) -> np.ndarray:
         raise NotImplementedError
@@ -48,18 +61,25 @@ class Layer:
     def release(self) -> None:
         """Drop the parameter gradients and the forward caches."""
         self.grads = []
+        self.drop_caches()
+
+    def drop_caches(self) -> None:
+        """Drop the forward caches; the parameter gradients stay."""
         for name in self._caches:
             setattr(self, name, None)
 
-    def _training_cache(self, cache):
+    def _cached(self, cache):
+        """A forward cache for backward; None (released, or never set)
+        raises."""
         if cache is None:
-            raise RuntimeError(f"{type(self).__name__} backward needs a "
-                               f"training-mode forward first")
+            raise RuntimeError(f"{type(self).__name__} backward needs "
+                               f"{self._needs} first")
         return cache
 
 
 class Dense(Layer):
     _caches = ("_x",)
+    _needs = "a training-mode forward"
 
     def __init__(self, n_in: int, n_out: int,
                  rng: np.random.Generator | None = None, dtype=np.float64):
@@ -72,7 +92,6 @@ class Dense(Layer):
             dtype, copy=False)
         self.b = np.zeros(n_out, dtype)
         self.params = [self.w, self.b]
-        self._x = None
 
     def forward(self, x, training, rng=None):
         if x.shape[1] != self.w.shape[0]:
@@ -81,17 +100,23 @@ class Dense(Layer):
             raise ValueError(f"dense dtype mismatch: {x.dtype} input vs "
                              f"{self.w.dtype} weights")
         self._x = x if training else None
-        return x @ self.w + self.b
+        y = x @ self.w
+        y += self.b
+        return y
 
     def backward(self, grad_out, param_grads=True):
-        x = self._training_cache(self._x)
+        x = self._cached(self._x)
         if param_grads:
             self.grads = [x.T @ grad_out, grad_out.sum(axis=0)]
         return grad_out @ self.w.T
 
 
 class BatchNorm(Layer):
+    """Like `Dense`, rejects an input of another dtype than its parameters:
+    forward and backward compute in place in that dtype."""
+
     _caches = ("_cache",)
+    _needs = "a training-mode forward"
 
     def __init__(self, width: int, dtype=np.float64):
         super().__init__()
@@ -100,35 +125,49 @@ class BatchNorm(Layer):
         self.params = [self.gamma, self.beta]
         self.running_mean = np.zeros(width, dtype)
         self.running_var = np.ones(width, dtype)
-        self._cache = None
 
     def forward(self, x, training, rng=None):
+        if x.dtype != self.gamma.dtype:
+            raise ValueError(f"batchnorm dtype mismatch: {x.dtype} input vs "
+                             f"{self.gamma.dtype} parameters")
         if training:
             if x.shape[0] < 2:
                 raise ValueError("batchnorm training needs batch size >= 2")
             mean = x.mean(axis=0)
-            var = x.var(axis=0)
+            x_hat = x - mean
+            # Bitwise x.var(axis=0), which squares its own x - mean.
+            var = np.square(x_hat).mean(axis=0)
             self.running_mean = (1 - BN_MOMENTUM) * self.running_mean + BN_MOMENTUM * mean
             self.running_var = (1 - BN_MOMENTUM) * self.running_var + BN_MOMENTUM * var
         else:
-            mean, var = self.running_mean, self.running_var
+            var = self.running_var
+            x_hat = x - self.running_mean
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = (x - mean) * inv_std
+        x_hat *= inv_std
+        # Training keeps x_hat for backward; inference scales it in place.
         self._cache = (x_hat, inv_std) if training else None
-        return self.gamma * x_hat + self.beta
+        y = self.gamma * x_hat if training else np.multiply(
+            self.gamma, x_hat, out=x_hat)
+        y += self.beta
+        return y
 
     def backward(self, grad_out, param_grads=True):
-        x_hat, inv_std = self._training_cache(self._cache)
+        x_hat, inv_std = self._cached(self._cache)
         n = grad_out.shape[0]
         if param_grads:
             self.grads = [(grad_out * x_hat).sum(axis=0), grad_out.sum(axis=0)]
         dx_hat = grad_out * self.gamma
-        # Batch-statistics backward (mean and variance both depend on x).
-        return inv_std / n * (
-            n * dx_hat
-            - dx_hat.sum(axis=0)
-            - x_hat * (dx_hat * x_hat).sum(axis=0)
-        )
+        # Batch-statistics backward (mean and variance both depend on x),
+        # in place: inv_std / n * (n * dx_hat - dx_hat.sum(axis=0)
+        #                          - x_hat * (dx_hat * x_hat).sum(axis=0)).
+        dx_sum = dx_hat.sum(axis=0)
+        t = dx_hat * x_hat
+        np.multiply(x_hat, t.sum(axis=0), out=t)
+        dx_hat *= n
+        dx_hat -= dx_sum
+        dx_hat -= t
+        dx_hat *= inv_std / n
+        return dx_hat
 
 
 class LeakyReLU(Layer):
@@ -143,7 +182,6 @@ class LeakyReLU(Layer):
         if not 0.0 < slope < 1.0:
             raise ValueError("leaky relu slope must be in (0, 1)")
         self.slope = slope
-        self._mask = None
 
     def forward(self, x, training, rng=None):
         # One byte per activation; a cached float multiplier would cost 4-8.
@@ -156,39 +194,55 @@ class LeakyReLU(Layer):
     def backward(self, grad_out, param_grads=True):
         # Each multiplier is exactly 1 or the slope, so the product rounds
         # as the selected `grad_out` or `slope * grad_out` does.
-        k = self._mask.astype(grad_out.dtype)
+        k = self._cached(self._mask).astype(grad_out.dtype)
         np.maximum(k, self.slope, out=k)
         k *= grad_out
         return k
 
 
 class Dropout(Layer):
-    """Inverted dropout: survivors scaled at train time, identity at inference."""
+    """Inverted dropout: survivors scaled at train time, identity at inference.
 
-    _caches = ("_mask",)
+    A training-mode forward caches a bool keep mask and the scale 1 / keep
+    rounded to the input's dtype. Multiplying by the mask and then by the
+    scale is bitwise a multiply by the float mask (0 or the scale), at
+    +-0, +-inf and NaN too: x * 1 is x exactly, and x * 0 is a zero or a
+    NaN that the positive scale keeps. Scaling first could overflow.
+    """
+
+    _caches = ("_mask", "_scale")
 
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must be in [0, 1)")
         self.rate = rate
-        self._mask = None
 
     def forward(self, x, training, rng=None):
         if not training or self.rate == 0.0:
-            self._mask = None
+            # Identity: no mask, but a scale, so backward knows it ran.
+            self._mask, self._scale = None, 1
             return x
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
         keep = 1.0 - self.rate
-        self._mask = (rng.random(x.shape) < keep).astype(x.dtype)
-        self._mask /= keep
-        return x * self._mask
+        self._mask = rng.random(x.shape) < keep
+        # The float mask's nonzero value: one divided by keep in x's dtype.
+        self._scale = np.true_divide(1, keep, dtype=x.dtype)
+        return self._apply(x)
 
     def backward(self, grad_out, param_grads=True):
+        self._cached(self._scale)
         if self._mask is None:
             return grad_out
-        return grad_out * self._mask
+        return self._apply(grad_out)
+
+    def _apply(self, a):
+        # The dtype of `a` times the float mask, which has the scale's.
+        out = np.multiply(a, self._mask,
+                          dtype=np.result_type(a.dtype, self._scale.dtype))
+        out *= self._scale
+        return out
 
 
 class Tanh(Layer):
@@ -199,7 +253,8 @@ class Tanh(Layer):
         return self._y
 
     def backward(self, grad_out, param_grads=True):
-        return grad_out * (1.0 - self._y ** 2)
+        y = self._cached(self._y)
+        return grad_out * (1.0 - y ** 2)
 
 
 class Sigmoid(Layer):
@@ -213,7 +268,8 @@ class Sigmoid(Layer):
         return self._y
 
     def backward(self, grad_out, param_grads=True):
-        return grad_out * self._y * (1.0 - self._y)
+        y = self._cached(self._y)
+        return grad_out * y * (1.0 - y)
 
 
 class Network:
@@ -232,9 +288,13 @@ class Network:
 
     def backward(self, grad_out: np.ndarray,
                  param_grads: bool = True) -> np.ndarray:
-        """Backpropagate to the input; see `Layer.backward` for `param_grads`."""
+        """Backpropagate to the input; see `Layer.backward` for `param_grads`.
+        Consumes the forward caches: each layer's go as soon as its backward
+        has read them, while the layers below assign their gradients, so a
+        second backward needs a new forward first."""
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out, param_grads)
+            layer.drop_caches()
         return grad_out
 
     def release(self) -> None:
@@ -281,14 +341,20 @@ class Adam:
 
         Rounds as `p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)` does, so the
         bias corrections stay divisions of the moments rather than one folded
-        scalar; two temporaries per parameter, freed on return.
+        scalar. Consumes `grads`, one gradient per parameter, of its shape
+        and dtype: once read, each holds the denominator, and its entry is
+        set to None, so a gradient the caller holds nowhere else is freed
+        before the next parameter's update. One temporary per parameter.
         """
+        if len(grads) != len(self.params):
+            # A gradient list one short would shift every later pair.
+            raise ValueError(f"Adam.step got {len(grads)} gradients for "
+                             f"{len(self.params)} parameters")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        # Strict: a gradient list one short would shift every later pair.
-        for p, g, m, v in zip(self.params, grads, self.m, self.v,
-                              strict=True):
+        for i, (p, m, v) in enumerate(zip(self.params, self.m, self.v)):
+            g, grads[i] = grads[i], None
             step = np.multiply(g, 1.0 - self.beta1)
             m *= self.beta1
             m += step
@@ -298,8 +364,9 @@ class Adam:
             v += step
             np.divide(m, b1t, out=step)
             step *= self.lr
-            denom = np.divide(v, b2t)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            step /= denom
+            np.divide(v, b2t, out=g)  # g is read: the denominator
+            np.sqrt(g, out=g)
+            g += self.eps
+            step /= g
             p -= step
+            del g, step  # freed before the next parameter's temporary

@@ -409,8 +409,9 @@ class TestFloat32:
                 optimizers.append(self)
 
             def step(self, grads):
-                # A trained model drops its gradients: keep the last ones.
-                self.grads = grads
+                # A trained model drops its gradients, and `step` consumes
+                # the list it is given: keep the last ones.
+                self.grads = list(grads)
                 super().step(grads)
         monkeypatch.setattr(gan, "Adam", RecordingAdam)
         points, groups = labeled_two_cluster(20, 24)
@@ -468,6 +469,41 @@ class TestTrainedModelMemory:
                            for a in held_arrays(layer))
                 weights += sum(a.nbytes for a in kept)
         assert len(pickle.dumps(model)) <= 1.3 * weights
+
+
+class TestStepLifetimes:
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_no_network_holds_state_while_adam_steps(self, monkeypatch,
+                                                     labeled):
+        # Each Adam update runs with both networks released: no forward
+        # cache and no gradient list, only the list the step consumes.
+        models, seen = [], []
+
+        class RecordingModel(GanModel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                models.append(self)
+
+        class CheckingAdam(Adam):
+            def step(self, grads):
+                (model,) = models
+                layers = (model.generator.layers
+                          + model.discriminator.layers)
+                seen.append([(type(layer).__name__, name)
+                             for layer in layers
+                             for name in layer._caches
+                             if getattr(layer, name) is not None]
+                            + [(type(layer).__name__, "grads")
+                               for layer in layers if layer.grads])
+                super().step(grads)
+        monkeypatch.setattr(gan, "GanModel", RecordingModel)
+        monkeypatch.setattr(gan, "Adam", CheckingAdam)
+        points, groups = labeled_two_cluster(20, 29)
+        train_gan(points, TrainConfig(epochs=2, seed=30), BBOX,
+                  groups if labeled else None)
+        # 50 points at batch 25 (n < 2 * 64): two steps per epoch, each
+        # with a discriminator and a generator update.
+        assert seen == [[]] * 8
 
 
 def oracle_two_means(points, rng):

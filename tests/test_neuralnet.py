@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from patrolsim.neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU,
-                                 Network, Sigmoid, Tanh, bce_loss)
+from patrolsim.neuralnet import (BN_EPS, BN_MOMENTUM, Adam, BatchNorm, Dense,
+                                 Dropout, LeakyReLU, Network, Sigmoid, Tanh,
+                                 bce_loss)
 
 FD_H = 1e-5
 
@@ -47,6 +48,26 @@ def finite_diff_param_grad(layer, x, param, training=True):
 def max_rel_error(a, b):
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
     return float(np.max(np.abs(a - b) / scale))
+
+
+def same_bits(a, b):
+    """Equal dtype, shape and bits: NaN payloads and signed zeros too."""
+    a, b = np.asarray(a), np.asarray(b)
+    uint = np.dtype(f"u{a.itemsize}")
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(uint), b.view(uint)))
+
+
+def float_elements(dtype):
+    """Floats of `dtype`: any finite value, or one of the specials (signed
+    zeros, infinities, NaNs, subnormal, tiny and huge magnitudes)."""
+    info = np.finfo(dtype)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                info.smallest_subnormal, -info.smallest_subnormal,
+                info.tiny, -info.tiny, info.max, -info.max]
+    return st.one_of(st.sampled_from(specials),
+                     st.floats(allow_nan=False, allow_infinity=False,
+                               width=info.bits))
 
 
 class TestDense:
@@ -126,13 +147,7 @@ class TestActivations:
     @given(data=st.data())
     def test_leaky_relu_is_bitwise_the_where_form(self, dtype, data):
         info = np.finfo(dtype)
-        specials = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
-                    info.smallest_subnormal, -info.smallest_subnormal,
-                    info.tiny, -info.tiny, info.max, -info.max]
-        elements = st.one_of(
-            st.sampled_from(specials),
-            st.floats(allow_nan=False, allow_infinity=False,
-                      width=info.bits))
+        elements = float_elements(dtype)
         shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
         x = data.draw(arrays(dtype, shape, elements=elements))
         grad_out = data.draw(arrays(dtype, shape, elements=elements))
@@ -203,6 +218,17 @@ class TestActivations:
         assert out[0, 0] < 1e-30 and out[0, 1] == 1.0
 
 
+def oracle_dropout(x, grad_out, rate, training, rng):
+    """Dropout forward and backward with a float mask, the form the layer's
+    outputs must match bit for bit."""
+    if not training or rate == 0.0:
+        return x, grad_out
+    keep = 1.0 - rate
+    mask = (rng.random(x.shape) < keep).astype(x.dtype)
+    mask /= keep
+    return x * mask, grad_out * mask
+
+
 class TestDropout:
     def test_inference_identity(self):
         layer = Dropout(0.3)
@@ -242,7 +268,46 @@ class TestDropout:
         x = np.ones((4, 4))
         out = layer.forward(x, True, rng)
         grad = layer.backward(np.ones_like(out))
-        assert np.array_equal(grad, layer._mask)
+        # The cached mask is bool; times the cached scale it is the float
+        # mask the gradient must equal.
+        assert np.array_equal(grad, layer._mask * layer._scale)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_is_bitwise_the_float_mask_form(self, dtype, data):
+        elements = float_elements(dtype)
+        shape = data.draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+        x = data.draw(arrays(dtype, shape, elements=elements))
+        grad_out = data.draw(arrays(dtype, shape, elements=elements))
+        rate = data.draw(st.one_of(st.sampled_from([0.0, 0.3, 0.5]),
+                                   st.floats(0.0, 1.0, exclude_max=True)))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        training = data.draw(st.booleans())
+        x_before, grad_before = x.copy(), grad_out.copy()
+        layer = Dropout(rate)
+
+        rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        # inf * 0 and overflow warn in either form.
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = layer.forward(x, training, rng)
+            grad_in = layer.backward(grad_out)
+            want_out, want_grad = oracle_dropout(x, grad_out, rate, training,
+                                                 ref_rng)
+        assert same_bits(out, want_out)
+        assert same_bits(grad_in, want_grad)
+        # The same draws, and the inputs left as they were.
+        assert rng.random() == ref_rng.random()
+        assert same_bits(x, x_before) and same_bits(grad_out, grad_before)
+
+    def test_caches_a_bool_mask_and_one_scale(self):
+        layer = Dropout(0.3)
+        x = np.ones((16, 8), np.float32)
+        layer.forward(x, True, np.random.default_rng(4))
+        assert layer._mask.dtype == bool and layer._mask.shape == x.shape
+        assert layer._scale == np.float32(1.0) / np.float32(0.7)
+        assert np.asarray(layer._scale).dtype == np.float32
 
     def test_float32_mask_keeps_the_input_dtype(self):
         x = np.ones((4, 4), np.float32)
@@ -253,7 +318,75 @@ class TestDropout:
         assert np.array_equal(out, ref.astype(np.float32))
 
 
+def oracle_batchnorm_forward(x, gamma, beta, running_mean, running_var,
+                             training):
+    """BatchNorm forward as plain expressions: (output, x_hat, inv_std,
+    running mean, running var), the reference the layer must match bit for
+    bit."""
+    if training:
+        mean = x.mean(axis=0)
+        var = x.var(axis=0)
+        running_mean = (1 - BN_MOMENTUM) * running_mean + BN_MOMENTUM * mean
+        running_var = (1 - BN_MOMENTUM) * running_var + BN_MOMENTUM * var
+    else:
+        mean, var = running_mean, running_var
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    x_hat = (x - mean) * inv_std
+    return gamma * x_hat + beta, x_hat, inv_std, running_mean, running_var
+
+
+def oracle_batchnorm_backward(grad_out, x_hat, inv_std, gamma):
+    """(input gradient, gamma gradient, beta gradient)."""
+    n = grad_out.shape[0]
+    dx_hat = grad_out * gamma
+    grad_in = inv_std / n * (
+        n * dx_hat
+        - dx_hat.sum(axis=0)
+        - x_hat * (dx_hat * x_hat).sum(axis=0)
+    )
+    return grad_in, (grad_out * x_hat).sum(axis=0), grad_out.sum(axis=0)
+
+
 class TestBatchNorm:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_is_bitwise_the_expression_form(self, dtype, data):
+        width = data.draw(st.integers(1, 5))
+        values = st.floats(-1e4, 1e4, width=np.finfo(dtype).bits)
+
+        def draw(shape, elements=values):
+            return data.draw(arrays(dtype, shape, elements=elements))
+
+        layer = BatchNorm(width, dtype)
+        layer.gamma[...] = draw(width)
+        layer.beta[...] = draw(width)
+        state = [layer.gamma.copy(), layer.beta.copy(),
+                 layer.running_mean.copy(), layer.running_var.copy()]
+        # A few training batches, then an inference batch on the running
+        # statistics they left.
+        for training in (True, True, False):
+            n = data.draw(st.integers(2 if training else 1, 8))
+            x = draw((n, width))
+            grad_out = draw((n, width))
+            out = layer.forward(x, training)
+            want, x_hat, inv_std, *running = oracle_batchnorm_forward(
+                x, *state, training)
+            state[2:] = running
+            assert same_bits(out, want)
+            assert same_bits(layer.running_mean, state[2])
+            assert same_bits(layer.running_var, state[3])
+            if training:
+                grad_in = layer.backward(grad_out)
+                want_grads = oracle_batchnorm_backward(grad_out, x_hat,
+                                                       inv_std, state[0])
+                for got, want in zip([grad_in] + layer.grads, want_grads):
+                    assert same_bits(got, want)
+
+    def test_dtype_mismatch_fatal(self):
+        with pytest.raises(ValueError, match="dtype mismatch"):
+            BatchNorm(2, np.float32).forward(np.ones((4, 2)), True)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_dtype_sets_parameters_and_running_stats(self, dtype):
         layer = BatchNorm(3, dtype)
@@ -378,11 +511,20 @@ class TestAdam:
             # Gradients spanning many magnitudes, zeros included.
             grads = [rng.standard_normal(s) * 10.0 ** rng.integers(-8, 3, s)
                      * (rng.random(s) < 0.9) for s in shapes]
-            opt.step(grads)
+            # `step` consumes its gradients: each side gets its own copy.
+            opt.step([g.copy() for g in grads])
             oracle_adam_step(ref, grads)
             for got, want in zip(opt.params + opt.m + opt.v,
                                  ref.params + ref.m + ref.v):
                 assert np.array_equal(got, want)
+
+    def test_step_consumes_its_gradient_list(self):
+        opt = Adam([np.zeros(3), np.zeros(2)])
+        grads = [np.ones(3), np.ones(2)]
+        opt.step(grads)
+        assert grads == [None, None]
+        with pytest.raises(ValueError, match="1 gradients for 2 parameters"):
+            opt.step([np.ones(3)])  # one short would shift every pair
 
     def test_first_step_bias_correction(self):
         p = np.array([1.0])
@@ -415,15 +557,24 @@ class TestNetwork:
         net = Network([Dense(3, 16, rng), BatchNorm(16), LeakyReLU(0.2),
                        Dropout(0.3), Dense(16, 8, rng), Tanh(),
                        Dense(8, 1, rng), Sigmoid()])
-        net.forward(rng.standard_normal((32, 3)), training=True, rng=rng)
+        x = rng.standard_normal((32, 3))
         grad_out = rng.standard_normal((32, 1))
+
+        def forward():
+            # A backward consumes the forward caches: each backward gets a
+            # forward of its own, with the same dropout draws.
+            net.forward(x, training=True, rng=np.random.default_rng(14))
+
+        forward()
         full = net.backward(grad_out)
         assert np.any(full != 0.0)
         before = [g.copy() for g in net.gradients()]
         for g in net.gradients():
             g.fill(7.0)
+        forward()
         assert np.array_equal(net.backward(grad_out, param_grads=False), full)
         assert all(np.all(g == 7.0) for g in net.gradients())
+        forward()
         assert np.array_equal(net.backward(grad_out), full)
         for got, want in zip(net.gradients(), before):
             assert np.array_equal(got, want)
@@ -450,6 +601,32 @@ class TestRelease:
         layer.forward(x, False)  # drops the training-mode cache
         with pytest.raises(RuntimeError, match="training-mode forward"):
             layer.backward(np.ones_like(out), param_grads)
+
+    @pytest.mark.parametrize("make", [
+        lambda: Dense(3, 3), lambda: BatchNorm(3), lambda: LeakyReLU(0.2),
+        lambda: Dropout(0.3), Tanh, Sigmoid])
+    def test_backward_after_release_raises(self, make):
+        layer = make()
+        x = np.random.default_rng(33).standard_normal((5, 3))
+        out = layer.forward(x, True, np.random.default_rng(34))
+        layer.release()
+        with pytest.raises(RuntimeError, match="forward first"):
+            layer.backward(np.ones_like(out))
+        with pytest.raises(RuntimeError, match="forward first"):
+            make().backward(np.ones_like(out))  # no forward at all
+
+    def test_backward_consumes_the_caches(self):
+        rng = np.random.default_rng(36)
+        net = Network([Dense(3, 8, rng), BatchNorm(8), LeakyReLU(0.2),
+                       Dropout(0.3), Dense(8, 2, rng), Tanh()])
+        net.forward(rng.standard_normal((6, 3)), True, rng)
+        net.backward(rng.standard_normal((6, 2)))
+        assert all(getattr(layer, name) is None for layer in net.layers
+                   for name in layer._caches)
+        assert [g.shape for g in net.gradients()] == [
+            (3, 8), (8,), (8,), (8,), (8, 2), (2,)]
+        with pytest.raises(RuntimeError, match="forward first"):
+            net.backward(np.ones((6, 2)))
 
     def test_release_drops_gradients_and_caches(self):
         rng = np.random.default_rng(31)
