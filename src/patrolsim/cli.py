@@ -20,7 +20,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from . import __version__, gan, ingest, metrics, plots, simulate, stats
+from . import __version__, gan, ingest, metrics, simulate, stats
 from .gan import TrainConfig
 from .geodata import BALTIMORE_BBOX, BoundingBox
 from .ingest import IngestError, MonthSlice, Neighborhood
@@ -337,9 +337,11 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
 def _run_one_month(cell: Cell, slice_: MonthSlice,
                    neighborhoods: dict[str, Neighborhood], bbox: BoundingBox,
                    train_cfg: TrainConfig, sim_cfgs: list[SimConfig],
-                   replicate: int) -> list[tuple[simulate.MonthRunResult,
-                                                 metrics.MonthlyBiasRecord]]:
-    """One (cell, month, replicate) under each sim config in turn; a detected
+                   replicate: int) -> list[tuple[metrics.MonthlyBiasRecord,
+                                                 stats.NeighborhoodTally,
+                                                 float]]:
+    """One (cell, month, replicate) under each sim config in turn, as its
+    (record, neighborhood tally, credit total in crime order); a detected
     cell trains its GAN once (build_plan gives all configs one seed)."""
     trained = (simulate.train_month(slice_, train_cfg, bbox, train_cfg.seed,
                                     replicate)
@@ -352,10 +354,15 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
         else:
             result = simulate.run_month_detected(slice_, neighborhoods,
                                                  trained, sim_cfg, replicate)
-        rates = metrics.group_rates(result.outcomes.groups,
-                                    result.outcomes.credits)
-        outputs.append((result, metrics.monthly_record(
-            cell.city, cell.year, slice_.month, cell.mode, rates, replicate)))
+        out = result.outcomes
+        rates = metrics.group_rates(out.groups, out.credits)
+        # np.cumsum adds the credits in crime order; np.sum adds pairwise.
+        outputs.append((
+            metrics.monthly_record(cell.city, cell.year, slice_.month,
+                                   cell.mode, rates, replicate),
+            stats.tally_neighborhoods((cell.city, cell.year, cell.mode),
+                                      slice_.neighborhood_ids, out.credits),
+            float(np.cumsum(out.credits)[-1])))
     return outputs
 
 
@@ -376,13 +383,14 @@ def _task(args):
 
 @dataclass
 class MonthRuns:
-    """What `run_months` ran. `results[i]` and `records[i]` belong to the
-    i-th sim config, in (cell, month, replicate) order; `attempted` lists
-    the (cell, month, replicate) runs, and `failed` maps the key of each
-    one that raised, under every sim config, to its error. `files` is the
-    cache the loads shared (see `load_city_year`)."""
-    results: list[list[simulate.MonthRunResult]]
+    """What `run_months` ran. `records[i]`, `tallies[i]` and `totals[i]`
+    belong to the i-th sim config, in (cell, month, replicate) order;
+    `attempted` lists the (cell, month, replicate) runs, and `failed` maps
+    the key of each one that raised, under every sim config, to its error.
+    `files` is the cache the loads shared (see `load_city_year`)."""
     records: list[list[metrics.MonthlyBiasRecord]]
+    tallies: list[list[stats.NeighborhoodTally]]
+    totals: list[list[float]]
     failed: dict[str, str]
     attempted: list[tuple[Cell, int, int]]
     loaded: dict[tuple[str, int], CityYearData]
@@ -433,11 +441,12 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     failed = {_run_key(*run): out for run, out in zip(attempted, outputs)
               if isinstance(out, str)}
     ran = [out for out in outputs if not isinstance(out, str)]
-    results = [[outs[k][0] for outs in ran] for k in range(len(sim_cfgs))]
-    records = [[outs[k][1] for outs in ran] for k in range(len(sim_cfgs))]
+    records, tallies, totals = ([[outs[k][j] for outs in ran]
+                                 for k in range(len(sim_cfgs))]
+                                for j in range(3))
     load_failures = sum((c.city, c.year) not in loaded for c in cells)
-    return MonthRuns(results, records, failed, attempted, loaded, files,
-                     skipped, load_failures + len(failed))
+    return MonthRuns(records, tallies, totals, failed, attempted, loaded,
+                     files, skipped, load_failures + len(failed))
 
 
 def _annual_summaries(cells: list[Cell],
@@ -465,7 +474,7 @@ def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
                    map(metrics.annual_csv_row,
                        _annual_summaries(plan.cells, runs.records[0])))
         observations, excluded = stats.build_neighborhood_dataset(
-            runs.results[0], {city: data.neighborhoods
+            runs.tallies[0], {city: data.neighborhoods
                               for (city, _), data in runs.loaded.items()})
         columns = [f.name for f in fields(stats.NeighborhoodObservation)]
         _write_csv(plan.out_dir, "observations.csv", columns,
@@ -544,14 +553,11 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
     runs = run_months(plan, [cell], sweep.sim_cfgs, jobs)
     os.makedirs(plan.out_dir, exist_ok=True)
     rows = []
-    for value, results, records in zip(sweep.values, runs.results,
-                                       runs.records):
+    for value, records, sums in zip(sweep.values, runs.records, runs.totals):
         if not records:
             continue
         s = metrics.annual_summary(records)  # all replicates of the cell
-        # Each month-run's credits, then their sums, added in order.
-        sums = [np.bincount(np.zeros(len(r.outcomes), int),
-                            weights=r.outcomes.credits)[0] for r in results]
+        # The month-runs' credit totals, added in order.
         total_detected = np.bincount(np.zeros(len(sums), int), weights=sums)[0]
         rows.append((sweep.parameter, value, s.avg_dir, s.max_dir,
                      s.avg_parity_gap, s.avg_gini, total_detected,
@@ -690,6 +696,8 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
     if not os.path.exists(monthly):
         log.warning("no monthly.csv in %s; nothing to plot", plan.out_dir)
         return 0
+    # Imported here, so that only a command that plots loads it.
+    from . import plots
     plots.emit_plots(monthly, os.path.join(plan.out_dir, "plots"),
                      os.path.join(plan.out_dir, "observations.csv"),
                      y_max=plan.plot_y_max)

@@ -51,27 +51,19 @@ class SimConfig:
 
 @dataclass(frozen=True, eq=False)
 class MonthOutcomes:
-    """A month's crimes as columns, in input order. A crime's group indexes
+    """A month's crimes as columns, in slice order. A crime's group indexes
     RACE_GROUPS; its credit is what it adds to its group's detected count.
-    `reported` is None outside reported mode."""
-    neighborhood_ids: np.ndarray
+    The patrols and report draws behind them are not kept."""
     groups: np.ndarray
     credits: np.ndarray
-    reported: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.groups)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonthRunResult:
-    city: str
-    year: int
-    month: int
-    mode: str
     outcomes: MonthOutcomes
-    patrol_points: np.ndarray  # (k, 2) (lat, lon) rows
-    mode_collapsed: bool = False
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -132,15 +124,10 @@ def draw_outcomes(probs: np.ndarray, sample: bool, rng: np.random.Generator,
 
 
 def _month_result(slice_: MonthSlice,
-                  neighborhoods: dict[str, Neighborhood], mode: str,
-                  patrols: np.ndarray, probs: np.ndarray, sample: bool,
-                  rng: np.random.Generator, reported: np.ndarray | None = None,
-                  mode_collapsed: bool = False) -> MonthRunResult:
-    ids = slice_.neighborhood_ids
-    outcomes = MonthOutcomes(ids, *draw_outcomes(probs, sample, rng, ids,
-                                                 neighborhoods), reported)
-    return MonthRunResult(slice_.city, slice_.year, slice_.month, mode,
-                          outcomes, patrols, mode_collapsed)
+                  neighborhoods: dict[str, Neighborhood], probs: np.ndarray,
+                  sample: bool, rng: np.random.Generator) -> MonthRunResult:
+    return MonthRunResult(MonthOutcomes(*draw_outcomes(
+        probs, sample, rng, slice_.neighborhood_ids, neighborhoods)))
 
 
 def train_month(slice_: MonthSlice, gan_cfg: TrainConfig, bbox: BoundingBox,
@@ -163,15 +150,14 @@ def run_month_detected(slice_: MonthSlice,
     month-run's seed (`month_run_seed`), as in reported mode."""
     if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
-    model, history = trained
+    model, _ = trained
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
     probs = noisy_or(slice_.incidents, patrols, sim_cfg)
-    return _month_result(slice_, neighborhoods, "detected", patrols, probs,
-                         not sim_cfg.expected_value, rng, None,
-                         history.mode_collapsed)
+    return _month_result(slice_, neighborhoods, probs,
+                         not sim_cfg.expected_value, rng)
 
 
 def run_month_reported(slice_: MonthSlice,
@@ -189,14 +175,13 @@ def run_month_reported(slice_: MonthSlice,
     if sim_cfg.reported_mode_semantics == REPORT_IS_DETECTION:
         credits = (np.full(len(reported), sim_cfg.reporting_prob)
                    if sim_cfg.expected_value else reported.astype(float))
-        return _month_result(slice_, neighborhoods, "reported",
-                             np.empty((0, 2)), credits, False, rng, reported)
+        return _month_result(slice_, neighborhoods, credits, False, rng)
     crimes = slice_.incidents
     reporters = np.flatnonzero(reported)
     # With no reporters this draws nothing and places no patrol.
     pick = rng.choice(len(reporters), replace=False,
                       size=min(sim_cfg.n_officers, len(reporters)))
     patrols = crimes[reporters[pick]]
-    return _month_result(slice_, neighborhoods, "reported", patrols,
+    return _month_result(slice_, neighborhoods,
                          noisy_or(crimes, patrols, sim_cfg),
-                         not sim_cfg.expected_value, rng, reported)
+                         not sim_cfg.expected_value, rng)

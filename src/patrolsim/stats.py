@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ingest import Neighborhood
-from .simulate import MonthRunResult
 
 RANK_DEFICIENCY_TOL = 1e-10
 
@@ -220,39 +219,45 @@ def spearman(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
                    _rankdata(np.asarray(y, dtype=float)))
 
 
+# One month-run's crimes by neighborhood: its (city, year, mode), the
+# sorted ids, each id's credits summed in crime order, each id's count.
+NeighborhoodTally = tuple[tuple[str, int, str], np.ndarray, np.ndarray,
+                          np.ndarray]
+
+
+def tally_neighborhoods(cell: tuple[str, int, str], neighborhood_ids,
+                        credits: np.ndarray) -> NeighborhoodTally:
+    ids, unit = np.unique(neighborhood_ids, return_inverse=True)
+    return (cell, ids, np.bincount(unit, weights=credits), np.bincount(unit))
+
+
 def build_neighborhood_dataset(
-        results: list[MonthRunResult],
+        tallies: list[NeighborhoodTally],
         neighborhoods: dict[str, dict[str, Neighborhood]],
         ) -> tuple[list[NeighborhoodObservation], int]:
     """One observation per (neighborhood, city, year, mode) with that unit's
-    pooled detection rate across months, the mean of its crimes' credits,
-    and the covariates of `neighborhoods[city][id]`; an id the city lacks is
-    excluded.
+    pooled detection rate across months (its credit sums added in the order
+    of `tallies`, over its crime count) and the covariates of
+    `neighborhoods[city][id]`; an id the city lacks is excluded.
 
     Returns (observations, excluded_count).
     """
-    cells: dict[tuple[str, int, str], list[MonthRunResult]] = {}
-    for res in results:
-        cells.setdefault((res.city, res.year, res.mode), []).append(res)
-    pooled = {}
-    for (city, year, mode), cell in cells.items():
-        ids, unit = np.unique(np.concatenate(
-            [r.outcomes.neighborhood_ids for r in cell]), return_inverse=True)
-        hits = np.bincount(unit, weights=np.concatenate(
-            [r.outcomes.credits for r in cell]))
+    pooled: dict[tuple[str, str, int, str], tuple[float, int]] = {}
+    for (city, year, mode), ids, hits, counts in tallies:
         for nb_id, hit, n in zip(ids.tolist(), hits.tolist(),
-                                 np.bincount(unit).tolist()):
-            pooled[nb_id, city, year, mode] = hit / n
+                                 counts.tolist()):
+            total, count = pooled.get((nb_id, city, year, mode), (0.0, 0))
+            pooled[nb_id, city, year, mode] = (total + hit, count + n)
     observations = []
     excluded = 0
-    for (nb_id, city, year, mode), rate in sorted(pooled.items()):
+    for (nb_id, city, year, mode), (hit, n) in sorted(pooled.items()):
         nb = neighborhoods[city].get(nb_id)
         if nb is None:
             excluded += 1
             continue
         observations.append(NeighborhoodObservation(
             neighborhood_id=nb_id, city=city, year=year, mode=mode,
-            detection_rate=rate,
+            detection_rate=hit / n,
             pct_black=nb.pct_black, pct_white=nb.pct_white,
             median_income=nb.median_income, poverty_rate=nb.poverty_rate))
     return observations, excluded
@@ -261,7 +266,7 @@ def build_neighborhood_dataset(
 def regression_design(observations: list[NeighborhoodObservation],
                       ) -> tuple[np.ndarray, np.ndarray]:
     x = np.array([[1.0, o.pct_black, o.median_income, o.poverty_rate]
-                  for o in observations])
+                  for o in observations]).reshape(-1, 4)
     y = np.array([o.detection_rate for o in observations])
     return x, y
 

@@ -421,6 +421,25 @@ class TestGrid:
                 for key, data in runs.loaded.items()} == {("Gen", 2019): 3,
                                                           ("Gen", 2020): 2}
 
+    def test_month_run_result_does_not_grow_with_its_crimes(self):
+        # A month-run returns tallies, which a --jobs worker pickles back:
+        # their size depends on the neighborhoods, not on the crimes.
+        sizes = []
+        for n in (100, 2000):
+            config = dict(SYNTH_CONFIG, data={"synthetic": {
+                "incidents_per_month": n, "seed": 7}})
+            plan = build_plan(config)
+            data = cli.load_city_year(plan, "Synth", 2020)
+            [slice_] = [s for s in data.slices if s.month == 2]
+            assert len(slice_.incidents) == n
+            assert set(slice_.neighborhood_ids.tolist()) == {"A", "B"}
+            out = cli._task((cli.Cell("Synth", 2020, "reported"), slice_,
+                             data.neighborhoods, data.bbox, plan.train_cfg,
+                             [plan.sim_cfg], 0))
+            assert not isinstance(out, str), out
+            sizes.append(len(pickle.dumps(out)))
+        assert abs(sizes[1] - sizes[0]) <= 64, sizes
+
     def test_month_run_tasks_carry_no_polygons(self, tmp_path, monkeypatch):
         # Under --jobs > 1 each task is pickled whole; the polygons stay in
         # the load that assigns crimes to them.
@@ -1018,6 +1037,19 @@ class TestStatsCommand:
         assert "no observations.csv" in caplog.text
         assert list(out.iterdir()) == []
 
+    def test_no_observations_skips_on_their_count(self, tmp_path, caplog):
+        # A city with no crimes gives an empty observations.csv; the
+        # regression is skipped for want of observations, not on a shape.
+        config = {"seed": 1, "output_dir": str(tmp_path / "out"),
+                  "cells": [{"city": "Synth", "year": 2020,
+                             "mode": "reported"}],
+                  "data": {"synthetic": {"incidents_per_month": 0}}}
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 0
+        assert read_rows(tmp_path / "out" / "observations.csv") == []
+        assert ("regression skipped: need more observations (0) than "
+                "regressors (4)") in caplog.text
+        assert "not enough values to unpack" not in caplog.text
+
 
 class TestPlotsCommand:
     def test_plots_after_grid(self, tmp_path):
@@ -1204,6 +1236,20 @@ def test_cli_import_loads_no_process_pool():
                    env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
 
 
+def test_grid_and_debias_load_no_plots(tmp_path):
+    # cli imports plots only in the command that plots.
+    config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                  debias={"city": "Synth", "year": 2020})
+    path = write_config(tmp_path, config)
+    code = ("import sys\n"
+            "from patrolsim.cli import main\n"
+            f"assert main(['grid', '--config', {path!r}]) == 0\n"
+            f"assert main(['debias', '--config', {path!r}]) == 0\n"
+            "assert 'patrolsim.plots' not in sys.modules, 'plots loaded'\n")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+
+
 def write_grid_city(tmp_path, side=3):
     """Files of a city of side x side square neighborhoods with varied
     demographics and four crimes in each per month, and its binding."""
@@ -1264,6 +1310,6 @@ class TestRunGridApi:
         runs = run_grid(plan)
         assert runs.failures == 0
         assert [r.month for r in runs.records[0]] == list(range(2, 13))
-        assert [r.month for r in runs.results[0]] == list(range(2, 13))
+        assert len(runs.tallies[0]) == len(runs.totals[0]) == 11
         assert runs.failed == {}
         assert set(runs.loaded["Synth", 2020].neighborhoods) == {"A", "B"}

@@ -1,10 +1,12 @@
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from patrolsim import simulate
 from patrolsim.gan import (GanModel, LossHistory, TrainConfig,
                            denormalize_coords, sample_patrol)
 from patrolsim.geodata import count_within
@@ -60,6 +62,15 @@ def run_detected(slice_, neighborhoods, train_cfg, sim_cfg):
                               train_month(slice_, train_cfg, BBOX,
                                           sim_cfg.seed),
                               sim_cfg)
+
+
+def recording_patrols(run, *args):
+    """`run(*args)` and the patrols it placed: those its Noisy-OR read, or
+    none when it ran no Noisy-OR."""
+    with mock.patch.object(simulate, "noisy_or",
+                           wraps=simulate.noisy_or) as spy:
+        result = run(*args)
+    return result, spy.call_args.args[1] if spy.called else pts()
 
 
 CENTER = (bbox_center(BBOX).lat, bbox_center(BBOX).lon)
@@ -203,26 +214,25 @@ class TestColumnsMatchPerCrimeStream:
                         reported_mode_semantics=(
                             PATROL_FROM_REPORTS if mode == "detected"
                             else mode))
+        # The report draws show in the credits (report_is_detection), the
+        # patrols (patrol_from_reports) and the group draws that follow.
         if mode == "detected":
             model = GanModel(BBOX, seed=seed)
-            result = run_month_detected(slice_, nbs, (model, LossHistory()),
-                                        cfg)
+            result, placed = recording_patrols(
+                run_month_detected, slice_, nbs, (model, LossHistory()), cfg)
             want = oracle_month(slice_, nbs, cfg, "detected", model)
         else:
-            result = run_month_reported(slice_, nbs, cfg)
+            result, placed = recording_patrols(run_month_reported, slice_,
+                                               nbs, cfg)
             want = oracle_month(slice_, nbs, cfg, "reported")
-        groups, credits, reported, patrols = want
+        groups, credits, _, patrols = want
         out = result.outcomes
         assert out.groups.tolist() == groups
         assert out.credits.tolist() == credits
-        assert (out.reported is None if reported is None
-                else out.reported.tolist() == reported)
-        assert out.neighborhood_ids.tolist() == \
-            slice_.neighborhood_ids.tolist()
         assert len(out) == len(slice_.incidents)
-        assert result.patrol_points.dtype == np.float64
-        assert np.array_equal(result.patrol_points, patrols)
-        assert result.patrol_points.shape == patrols.shape
+        assert placed.dtype == np.float64
+        assert np.array_equal(placed, patrols)
+        assert placed.shape == patrols.shape
 
     @settings(max_examples=25, deadline=None)
     @given(shares=st.lists(SHARES, min_size=1, max_size=4),
@@ -305,9 +315,8 @@ class TestNoisyOr:
 
 
 def assert_same_outcomes(a, b):
-    for column in ("neighborhood_ids", "groups", "credits", "reported"):
-        x, y = getattr(a, column), getattr(b, column)
-        assert (x is None and y is None) or x.tolist() == y.tolist()
+    for column in ("groups", "credits"):
+        assert getattr(a, column).tolist() == getattr(b, column).tolist()
 
 
 def co_located_slice(n, uv=(0.0, 0.0)):
@@ -351,19 +360,21 @@ class TestRunMonthDetected:
                                        SyntheticCityConfig(incidents_per_month=40))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=99)
-        r1 = run_detected(slice_, nbs, TrainConfig(epochs=2), cfg)
-        r2 = run_detected(slice_, nbs, TrainConfig(epochs=2), cfg)
+        r1, p1 = recording_patrols(run_detected, slice_, nbs,
+                                   TrainConfig(epochs=2), cfg)
+        r2, p2 = recording_patrols(run_detected, slice_, nbs,
+                                   TrainConfig(epochs=2), cfg)
         assert_same_outcomes(r1.outcomes, r2.outcomes)
-        assert np.array_equal(r1.patrol_points, r2.patrol_points)
+        assert np.array_equal(p1, p2)
 
     def test_expected_credits_are_noisy_or_probabilities(self):
         slice_ = synthetic_month_slice("Synth", 2020, 6,
                                        SyntheticCityConfig(incidents_per_month=60))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
-        result = run_detected(slice_, nbs, TrainConfig(epochs=0), cfg)
-        probs = oracle_noisy_or(slice_.incidents,
-                                result.patrol_points, cfg)
+        result, patrols = recording_patrols(run_detected, slice_, nbs,
+                                            TrainConfig(epochs=0), cfg)
+        probs = oracle_noisy_or(slice_.incidents, patrols, cfg)
         assert result.outcomes.credits.tolist() == probs
         assert len({0.0, 1.0}.union(probs)) > 2
 
@@ -395,8 +406,9 @@ class TestRunMonthDetected:
         result = run_month_detected(eval_slice, nbs, (model, LossHistory()),
                                     sim_cfg)
         out = result.outcomes
-        rate_a = np.mean(out.credits[out.neighborhood_ids == "A"])
-        rate_b = np.mean(out.credits[out.neighborhood_ids == "B"])
+        ids = eval_slice.neighborhood_ids
+        rate_a = np.mean(out.credits[ids == "A"])
+        rate_b = np.mean(out.credits[ids == "B"])
         assert rate_a > rate_b
 
 
@@ -405,16 +417,16 @@ class TestRunMonthReported:
         slice_ = co_located_slice(40)
         cfg = SimConfig(p_officer=1.0, reporting_prob=1.0,
                         radius_ft=1e6, n_officers=60, seed=4)
-        result = run_month_reported(slice_, NBS, cfg)
+        result, patrols = recording_patrols(run_month_reported, slice_,
+                                            NBS, cfg)
         assert result.outcomes.credits.tolist() == [1.0] * 40
-        assert result.outcomes.reported.all()
+        assert patrols.shape == (40, 2)  # every crime reported
 
     def test_low_reporting_few_detections(self):
         slice_ = co_located_slice(200)
         cfg = SimConfig(reporting_prob=0.01, seed=5)
-        result = run_month_reported(slice_, NBS, cfg)
-        reported = np.count_nonzero(result.outcomes.reported)
-        assert reported < 20
+        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg)
+        assert len(patrols) < 20  # one patrol per reported crime
 
     def test_zero_reports_still_emits_result(self):
         slice_ = co_located_slice(3)
@@ -422,10 +434,11 @@ class TestRunMonthReported:
         # find a seed where it does.
         for seed in range(50):
             cfg = SimConfig(reporting_prob=0.001, seed=seed)
-            result = run_month_reported(slice_, NBS, cfg)
-            if not result.outcomes.reported.any():
+            result, patrols = recording_patrols(run_month_reported, slice_,
+                                                NBS, cfg)
+            if not any(oracle_month(slice_, NBS, cfg, "reported")[2]):
                 assert result.outcomes.credits.tolist() == [0.0] * 3
-                assert result.patrol_points.shape == (0, 2)
+                assert patrols.shape == (0, 2)
                 return
         pytest.fail("no zero-report month found")
 
@@ -433,10 +446,11 @@ class TestRunMonthReported:
         slice_ = co_located_slice(100)
         cfg = SimConfig(reporting_prob=0.5, seed=6,
                         reported_mode_semantics=REPORT_IS_DETECTION)
-        result = run_month_reported(slice_, NBS, cfg)
-        out = result.outcomes
-        assert out.credits.tolist() == out.reported.astype(float).tolist()
-        assert result.patrol_points.shape == (0, 2)
+        result, patrols = recording_patrols(run_month_reported, slice_,
+                                            NBS, cfg)
+        reported = oracle_month(slice_, NBS, cfg, "reported")[2]
+        assert result.outcomes.credits.tolist() == list(map(float, reported))
+        assert patrols.shape == (0, 2)
 
     def test_report_is_detection_expected_credits(self):
         # Under expected_value a report's credit is its probability.
@@ -449,8 +463,8 @@ class TestRunMonthReported:
         slice_ = co_located_slice(10)
         cfg = SimConfig(reporting_prob=1.0, n_officers=60,
                         seed=7, reported_mode_semantics=PATROL_FROM_REPORTS)
-        result = run_month_reported(slice_, NBS, cfg)
-        assert result.patrol_points.shape == (10, 2)
+        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg)
+        assert patrols.shape == (10, 2)
 
     @pytest.mark.parametrize("semantics", [PATROL_FROM_REPORTS,
                                            REPORT_IS_DETECTION])
@@ -464,11 +478,11 @@ class TestRunMonthReported:
         for seed in (1, 2, 3):
             cfg = SimConfig(reporting_prob=0.5, seed=seed,
                             reported_mode_semantics=semantics)
-            a = run_month_reported(shared, NBS, cfg)
-            b = run_month_reported(distinct, NBS, cfg)
+            a, pa = recording_patrols(run_month_reported, shared, NBS, cfg)
+            b, pb = recording_patrols(run_month_reported, distinct, NBS, cfg)
             assert_same_outcomes(a.outcomes, b.outcomes)
-            assert np.array_equal(a.patrol_points, b.patrol_points)
-            assert 0 < np.count_nonzero(a.outcomes.reported) < 40
+            assert np.array_equal(pa, pb)
+            assert 0 < sum(oracle_month(shared, NBS, cfg, "reported")[2]) < 40
 
     def test_determinism(self):
         slice_ = co_located_slice(50)

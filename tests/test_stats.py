@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from patrolsim import cli, stats
 from patrolsim.ingest import Neighborhood
-from patrolsim.simulate import MonthOutcomes, MonthRunResult
 from patrolsim.stats import (CORRELATION_PREDICTORS, CORRELATIONS_CSV_HEADER,
                              REGRESSION_CSV_HEADER, NeighborhoodObservation,
                              RankDeficientError, build_neighborhood_dataset,
                              correlation_rows, ols_fit, pearson,
                              regression_design, regression_rows,
-                             significance_stars, spearman, student_t_cdf)
+                             significance_stars, spearman, student_t_cdf,
+                             tally_neighborhoods)
 
 
 def gaussian_elimination_ols(x, y):
@@ -320,14 +320,11 @@ def make_nb(nb_id, pct_black, income=50_000.0, poverty=0.2):
                         poverty_rate=poverty)
 
 
-def month_result(month, outcomes, city="B", year=2019, mode="detected"):
-    """A month-run of (neighborhood id, credit) pairs, all in group 0."""
+def month_tally(outcomes, city="B", year=2019, mode="detected"):
+    """The tally of a month-run of (neighborhood id, credit) pairs."""
     ids, credits = zip(*outcomes)
-    return MonthRunResult(city=city, year=year, month=month, mode=mode,
-                          outcomes=MonthOutcomes(
-                              np.array(ids), np.zeros(len(ids), dtype=int),
-                              np.array(credits, dtype=float)),
-                          patrol_points=np.empty((0, 2)))
+    return tally_neighborhoods((city, year, mode), np.array(ids),
+                               np.array(credits, dtype=float))
 
 
 def out(nb_id, credit):
@@ -337,54 +334,96 @@ def out(nb_id, credit):
 class TestBuildDataset:
     NBS = {"B": {"A": make_nb("A", 0.9), "B": make_nb("B", 0.1)}}
 
+    def test_tally_is_per_neighborhood(self):
+        tally = tally_neighborhoods(("B", 2019, "reported"),
+                                    np.array(["B", "A", "B"]),
+                                    np.array([0.25, 1.0, 0.5]))
+        cell, ids, hits, counts = tally
+        assert cell == ("B", 2019, "reported")
+        assert ids.tolist() == ["A", "B"]
+        assert hits.tolist() == [1.0, 0.75]
+        assert counts.tolist() == [1, 2]
+
     def test_pooling_across_months(self):
-        results = [month_result(2, [out("A", 1.0), out("A", 0.0)]),
-                   month_result(3, [out("A", 1.0), out("A", 1.0)])]
+        results = [month_tally([out("A", 1.0), out("A", 0.0)]),
+                   month_tally([out("A", 1.0), out("A", 1.0)])]
         obs, excluded = build_neighborhood_dataset(results, self.NBS)
         assert excluded == 0
         assert len(obs) == 1
         assert obs[0].detection_rate == pytest.approx(0.75)
         assert obs[0].pct_black == pytest.approx(0.9)
 
+    @staticmethod
+    def loop_sum(values):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+    def pooled(self, months):
+        return build_neighborhood_dataset(
+            [month_tally(outs) for outs in months], self.NBS)[0]
+
     def test_pooled_rate_sums_credits_in_input_order(self):
-        # Each unit's credits are added one by one across its months, as a
-        # loop would; a pairwise sum (np.sum) differs in the last bits.
+        # Each month's credits of a unit are added one by one in crime
+        # order, as a loop would, and then the month sums one by one in
+        # month order; a pairwise sum (np.sum) differs in the last bits.
         rng = np.random.default_rng(3)
         months = [[out(nb, c) for nb, c in zip(rng.choice(["A", "B"], 150),
                                                rng.random(150).tolist())]
                   for _ in range(3)]
-        obs, _ = build_neighborhood_dataset(
-            [month_result(m + 2, outs) for m, outs in enumerate(months)],
-            self.NBS)
+        obs = self.pooled(months)
+        assert len(obs) == 2
+        for o in obs:
+            hits = [[c for nb, c in outs if nb == o.neighborhood_id]
+                    for outs in months]
+            total = self.loop_sum(map(self.loop_sum, hits))
+            assert o.detection_rate == total / sum(map(len, hits))
+
+    def test_pooled_rate_of_draws_is_the_one_pass_sum(self):
+        # With 0/1 credits every partial sum is an exact integer, so the
+        # month sums pool to the one-pass sum over all crimes, bit for bit.
+        rng = np.random.default_rng(4)
+        months = [[out(nb, c) for nb, c in zip(
+            rng.choice(["A", "B"], n),
+            (rng.random(n) < 0.3).astype(float).tolist())]
+                  for n in (150, 1, 77, 300)]
+        obs = self.pooled(months)
+        assert len(obs) == 2
         for o in obs:
             hits = [c for outs in months for nb, c in outs
                     if nb == o.neighborhood_id]
-            total = 0.0
-            for c in hits:
-                total += c
-            assert o.detection_rate == total / len(hits)
+            assert o.detection_rate == self.loop_sum(hits) / len(hits)
 
     def test_unknown_neighborhood_excluded(self):
-        results = [month_result(2, [out("A", 1.0), out("ghost", 1.0)])]
+        results = [month_tally([out("A", 1.0), out("ghost", 1.0)])]
         obs, excluded = build_neighborhood_dataset(results, self.NBS)
         assert len(obs) == 1
         assert excluded == 1
 
     def test_expected_mode(self):
         # Credits under expected_value are the crimes' probabilities.
-        results = [month_result(2, [out("A", 0.2), out("A", 0.6)])]
+        results = [month_tally([out("A", 0.2), out("A", 0.6)])]
         obs, _ = build_neighborhood_dataset(results, self.NBS)
         assert obs[0].detection_rate == pytest.approx(0.4)
 
     def test_separate_cells_stay_separate(self):
-        results = [month_result(2, [out("A", 1.0)], mode="detected"),
-                   month_result(2, [out("A", 0.0)], mode="reported")]
+        results = [month_tally([out("A", 1.0)], mode="detected"),
+                   month_tally([out("A", 0.0)], mode="reported")]
         obs, _ = build_neighborhood_dataset(results, self.NBS)
         assert len(obs) == 2
         assert {o.mode for o in obs} == {"detected", "reported"}
 
+    def test_empty_design_has_four_columns(self):
+        # An empty dataset fails in ols_fit on its count, not on the shape.
+        x, y = regression_design([])
+        assert x.shape == (0, 4) and y.shape == (0,)
+        with pytest.raises(ValueError, match=r"need more observations "
+                           r"\(0\) than regressors \(4\)"):
+            ols_fit(x, y)
+
     def test_design_matrix_shape(self):
-        results = [month_result(2, [out("A", 1.0), out("B", 0.0)])]
+        results = [month_tally([out("A", 1.0), out("B", 0.0)])]
         obs, _ = build_neighborhood_dataset(results, self.NBS)
         x, y = regression_design(obs)
         assert x.shape == (2, 4)
