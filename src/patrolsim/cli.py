@@ -698,9 +698,10 @@ def run_plots(plan: ExperimentPlan, jobs: int) -> int:
         return 0
     # Imported here, so that only a command that plots loads it.
     from . import plots
-    plots.emit_plots(monthly, os.path.join(plan.out_dir, "plots"),
-                     os.path.join(plan.out_dir, "observations.csv"),
-                     y_max=plan.plot_y_max)
+    if not plots.emit_plots(monthly, os.path.join(plan.out_dir, "plots"),
+                            os.path.join(plan.out_dir, "observations.csv"),
+                            y_max=plan.plot_y_max):
+        log.warning("%s has no rows; nothing to plot", monthly)
     return 0
 
 

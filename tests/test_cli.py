@@ -1089,6 +1089,20 @@ class TestPlotsCommand:
         assert main(["plots", "--config", path]) == 0
         assert not (out / "plots").exists()
 
+    def test_empty_monthly_csv_is_logged(self, tmp_path, caplog):
+        # A city with no crimes gives a monthly.csv with no rows, so there
+        # is nothing to plot; the log says so, naming the file.
+        out = tmp_path / "out"
+        config = {"seed": 1, "output_dir": str(out),
+                  "cells": [{"city": "Synth", "year": 2020,
+                             "mode": "reported"}],
+                  "data": {"synthetic": {"incidents_per_month": 0}}}
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 0
+        assert read_rows(out / "monthly.csv") == []
+        assert not (out / "plots").exists()
+        assert (f"{out / 'monthly.csv'} has no rows; nothing to plot"
+                in caplog.text)
+
 
 class TestAll:
     def test_full_pipeline(self, tmp_path):
