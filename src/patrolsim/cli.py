@@ -343,17 +343,17 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
     """One (cell, month, replicate) under each sim config in turn, as its
     (record, neighborhood tally, credit total in crime order); a detected
     cell trains its GAN once (build_plan gives all configs one seed)."""
-    trained = (simulate.train_month(slice_, train_cfg, bbox, train_cfg.seed,
-                                    replicate)
-               if cell.mode == "detected" else None)
+    model = (simulate.train_month(slice_, train_cfg, bbox, train_cfg.seed,
+                                  replicate)[0]
+             if cell.mode == "detected" else None)
     outputs = []
     for sim_cfg in sim_cfgs:
-        if trained is None:
+        if model is None:
             result = simulate.run_month_reported(slice_, neighborhoods,
                                                  sim_cfg, replicate)
         else:
             result = simulate.run_month_detected(slice_, neighborhoods,
-                                                 trained, sim_cfg, replicate)
+                                                 model, sim_cfg, replicate)
         out = result.outcomes
         rates = metrics.group_rates(out.groups, out.credits)
         # np.cumsum adds the credits in crime order; np.sum adds pairwise.

@@ -13,6 +13,7 @@ import json
 import logging
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from typing import NamedTuple
@@ -133,6 +134,23 @@ def _undecodable_line(path: str) -> int:
     return 0
 
 
+@contextmanager
+def _csv_faults(reader, path: str, name: str):
+    """A line that `reader`, a csv reader or DictReader of the UTF-8 file at
+    `path`, finds not UTF-8 or not CSV (such as a field over csv's size
+    limit) becomes an IngestError naming `name` and the line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{name}, line {_undecodable_line(path)}: not "
+                          f"UTF-8 ({exc.reason})") from exc
+    except csv.Error as exc:
+        # A DictReader counts the lines of the rows it returned; its csv
+        # reader counts the line that failed too.
+        line = getattr(reader, "reader", reader).line_num
+        raise IngestError(f"{name}, line {line}: {exc}") from exc
+
+
 def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
                     ) -> tuple[list[CrimeIncident], int]:
     """Parse one incident CSV.
@@ -160,7 +178,7 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
     dropped = 0
     with fh:
         reader = csv.reader(fh)
-        try:
+        with _csv_faults(reader, path, f"crime CSV {path}"):
             header = next(reader, [])
             index = {name: i for i, name in enumerate(header)}
             for key in ("id", "lat", "lon", "date"):
@@ -189,26 +207,21 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
                     dropped += 1
                     continue
                 incidents.append(CrimeIncident(row[i_id], lat, lon, ts))
-        except UnicodeDecodeError as exc:
-            line = _undecodable_line(path)
-            raise IngestError(f"crime CSV {path}, line {line}: not UTF-8 "
-                              f"({exc.reason})") from exc
-        except csv.Error as exc:
-            raise IngestError(f"crime CSV {path}, line {reader.line_num}: "
-                              f"{exc}") from exc
     if dropped:
         log.info("parse_crime_csv(%s): dropped %d malformed rows", path, dropped)
     return incidents, dropped
 
 
 def read_csv_rows(path: str, parse, what: str) -> list:
-    """`parse` of each csv.DictReader row of the file at `path`. A row that
-    `parse` cannot read (a KeyError, TypeError or ValueError) is an
-    IngestError naming the file, the line and `what` a row should be."""
+    """`parse` of each csv.DictReader row of the file at `path`. A line that
+    is not UTF-8 or not CSV, or a row that `parse` cannot read (a KeyError,
+    TypeError or ValueError), is an IngestError naming the file and the
+    line; for a row, also `what` it should be."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         try:
-            return [parse(row) for row in reader]
+            with _csv_faults(reader, path, path):
+                return [parse(row) for row in reader]
         except (KeyError, TypeError, ValueError) as exc:
             raise IngestError(f"{path}, line {reader.line_num}: not {what} "
                               f"({exc!r})") from exc

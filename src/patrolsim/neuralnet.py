@@ -8,21 +8,18 @@ in float32. Gradients and Adam moments follow their parameter's dtype, and
 `Dense` and `BatchNorm` reject an input of another dtype, so one stray
 float64 array cannot silently promote a float32 network back to float64.
 
-Memory: a backward assigns its layer's parameter gradients, and
-`Network.release` drops them with every forward cache; `Network.backward`
-drops each layer's caches as soon as its backward has read them. `Dense` and `BatchNorm` cache only in a training-mode forward;
-the activations and dropout cache in either mode. A backward with no cache
-to read (after a release, or for `Dense` and `BatchNorm` after an
-inference-mode forward) raises `RuntimeError`. `Adam.step` consumes its
-gradient list: each gradient becomes the denominator buffer once read, and
-its entry is set to None. The GAN's training step (`gan._train_loop`) uses
-these so that each piece of state ends at its last read and only one
-network's caches or gradients exist at a time: on 2 vCPUs a debias run's
-peak RSS fell 49.2 -> 45.7 MB and its minor page faults 14.6k -> 11.7k
-(README "Memory", BENCH_20.json). The kernels skip the
-temporaries of the plain expressions and still round to the same bits:
-batch norm takes the mean once and scales in place, dense adds its bias in
-place, and dropout caches a bool mask and one scale.
+Memory: each layer has one forward-cache slot, `_cache`, holding what its
+backward reads. A forward fills it and the backward takes it, so a cache
+ends when the backward that reads it returns, and a second backward needs
+a new forward. `Dense` and `BatchNorm` cache only in a training-mode
+forward; the activations and dropout cache in either mode. A backward with
+nothing to take raises `RuntimeError`. A backward assigns its layer's
+parameter gradients, and `release` drops them with the cache. `Adam.step`
+consumes its gradient list: each gradient becomes the denominator buffer
+once read, and its entry is set to None. The kernels skip the temporaries
+of the plain expressions and still round to the same bits: batch norm
+takes the mean once and scales in place, dense adds its bias in place, and
+dropout caches a bool mask and one scale.
 """
 
 from __future__ import annotations
@@ -35,12 +32,11 @@ BCE_CLAMP = 1e-7
 
 
 class Layer:
-    """Base layer: forward caches whatever backward needs."""
+    """Base layer: forward puts in `_cache` whatever backward reads, and
+    backward takes it."""
 
     params: list[np.ndarray]
     grads: list[np.ndarray]
-    # The attributes forward sets for backward.
-    _caches: tuple[str, ...] = ()
     # What a backward needs first: any forward, or (Dense, BatchNorm) a
     # training-mode one.
     _needs = "a forward"
@@ -54,23 +50,20 @@ class Layer:
 
     def backward(self, grad_out: np.ndarray,
                  param_grads: bool = True) -> np.ndarray:
-        """Gradient w.r.t. the input. With `param_grads` False the
-        parameter gradients are not computed and `grads` keeps its values."""
+        """Gradient w.r.t. the input, from the forward cache it takes. With
+        `param_grads` False the parameter gradients are not computed and
+        `grads` keeps its values."""
         raise NotImplementedError
 
     def release(self) -> None:
-        """Drop the parameter gradients and the forward caches."""
+        """Drop the parameter gradients and the forward cache."""
         self.grads = []
-        self.drop_caches()
+        self._cache = None
 
-    def drop_caches(self) -> None:
-        """Drop the forward caches; the parameter gradients stay."""
-        for name in self._caches:
-            setattr(self, name, None)
-
-    def _cached(self, cache):
-        """A forward cache for backward; None (released, or never set)
-        raises."""
+    def _take(self):
+        """The forward cache, emptying the slot; an empty slot (released,
+        taken, or never filled) raises."""
+        cache, self._cache = self._cache, None
         if cache is None:
             raise RuntimeError(f"{type(self).__name__} backward needs "
                                f"{self._needs} first")
@@ -78,7 +71,6 @@ class Layer:
 
 
 class Dense(Layer):
-    _caches = ("_x",)
     _needs = "a training-mode forward"
 
     def __init__(self, n_in: int, n_out: int,
@@ -99,13 +91,13 @@ class Dense(Layer):
         if x.dtype != self.w.dtype:
             raise ValueError(f"dense dtype mismatch: {x.dtype} input vs "
                              f"{self.w.dtype} weights")
-        self._x = x if training else None
+        self._cache = x if training else None
         y = x @ self.w
         y += self.b
         return y
 
     def backward(self, grad_out, param_grads=True):
-        x = self._cached(self._x)
+        x = self._take()
         if param_grads:
             self.grads = [x.T @ grad_out, grad_out.sum(axis=0)]
         return grad_out @ self.w.T
@@ -115,7 +107,6 @@ class BatchNorm(Layer):
     """Like `Dense`, rejects an input of another dtype than its parameters:
     forward and backward compute in place in that dtype."""
 
-    _caches = ("_cache",)
     _needs = "a training-mode forward"
 
     def __init__(self, width: int, dtype=np.float64):
@@ -152,7 +143,7 @@ class BatchNorm(Layer):
         return y
 
     def backward(self, grad_out, param_grads=True):
-        x_hat, inv_std = self._cached(self._cache)
+        x_hat, inv_std = self._take()
         n = grad_out.shape[0]
         if param_grads:
             self.grads = [(grad_out * x_hat).sum(axis=0), grad_out.sum(axis=0)]
@@ -175,8 +166,6 @@ class LeakyReLU(Layer):
     costs about 18 times a `maximum`. The outputs are bitwise those of the
     select form."""
 
-    _caches = ("_mask",)
-
     def __init__(self, slope: float = 0.2):
         super().__init__()
         if not 0.0 < slope < 1.0:
@@ -185,7 +174,7 @@ class LeakyReLU(Layer):
 
     def forward(self, x, training, rng=None):
         # One byte per activation; a cached float multiplier would cost 4-8.
-        self._mask = x >= 0
+        self._cache = x >= 0
         # For a slope in (0, 1), max(x, slope * x) is x where x >= 0 and
         # slope * x elsewhere, also at -0.0, +-inf and NaN.
         y = self.slope * x
@@ -194,7 +183,7 @@ class LeakyReLU(Layer):
     def backward(self, grad_out, param_grads=True):
         # Each multiplier is exactly 1 or the slope, so the product rounds
         # as the selected `grad_out` or `slope * grad_out` does.
-        k = self._cached(self._mask).astype(grad_out.dtype)
+        k = self._take().astype(grad_out.dtype)
         np.maximum(k, self.slope, out=k)
         k *= grad_out
         return k
@@ -210,8 +199,6 @@ class Dropout(Layer):
     NaN that the positive scale keeps. Scaling first could overflow.
     """
 
-    _caches = ("_mask", "_scale")
-
     def __init__(self, rate: float):
         super().__init__()
         if not 0.0 <= rate < 1.0:
@@ -220,55 +207,50 @@ class Dropout(Layer):
 
     def forward(self, x, training, rng=None):
         if not training or self.rate == 0.0:
-            # Identity: no mask, but a scale, so backward knows it ran.
-            self._mask, self._scale = None, 1
+            # Identity: an empty cache, so backward knows a forward ran.
+            self._cache = ()
             return x
         if rng is None:
             raise ValueError("dropout in training mode needs an rng")
         keep = 1.0 - self.rate
-        self._mask = rng.random(x.shape) < keep
+        mask = rng.random(x.shape) < keep
         # The float mask's nonzero value: one divided by keep in x's dtype.
-        self._scale = np.true_divide(1, keep, dtype=x.dtype)
-        return self._apply(x)
+        scale = np.true_divide(1, keep, dtype=x.dtype)
+        self._cache = (mask, scale)
+        return self._apply(x, mask, scale)
 
     def backward(self, grad_out, param_grads=True):
-        self._cached(self._scale)
-        if self._mask is None:
-            return grad_out
-        return self._apply(grad_out)
+        cache = self._take()
+        return self._apply(grad_out, *cache) if cache else grad_out
 
-    def _apply(self, a):
+    @staticmethod
+    def _apply(a, mask, scale):
         # The dtype of `a` times the float mask, which has the scale's.
-        out = np.multiply(a, self._mask,
-                          dtype=np.result_type(a.dtype, self._scale.dtype))
-        out *= self._scale
+        out = np.multiply(a, mask, dtype=np.result_type(a.dtype, scale.dtype))
+        out *= scale
         return out
 
 
 class Tanh(Layer):
-    _caches = ("_y",)
-
     def forward(self, x, training, rng=None):
-        self._y = np.tanh(x)
-        return self._y
+        self._cache = y = np.tanh(x)
+        return y
 
     def backward(self, grad_out, param_grads=True):
-        y = self._cached(self._y)
+        y = self._take()
         return grad_out * (1.0 - y ** 2)
 
 
 class Sigmoid(Layer):
-    _caches = ("_y",)
-
     def forward(self, x, training, rng=None):
         # One exp of a non-positive argument: no overflow in either tail,
         # in float32 as in float64.
         e = np.exp(-np.abs(x))
-        self._y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
-        return self._y
+        self._cache = y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+        return y
 
     def backward(self, grad_out, param_grads=True):
-        y = self._cached(self._y)
+        y = self._take()
         return grad_out * y * (1.0 - y)
 
 
@@ -289,12 +271,10 @@ class Network:
     def backward(self, grad_out: np.ndarray,
                  param_grads: bool = True) -> np.ndarray:
         """Backpropagate to the input; see `Layer.backward` for `param_grads`.
-        Consumes the forward caches: each layer's go as soon as its backward
-        has read them, while the layers below assign their gradients, so a
-        second backward needs a new forward first."""
+        Each layer's backward takes its forward cache, so a second backward
+        needs a new forward first."""
         for layer in reversed(self.layers):
             grad_out = layer.backward(grad_out, param_grads)
-            layer.drop_caches()
         return grad_out
 
     def release(self) -> None:

@@ -142,15 +142,13 @@ def train_month(slice_: MonthSlice, gan_cfg: TrainConfig, bbox: BoundingBox,
 
 def run_month_detected(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       trained: tuple[GanModel, LossHistory],
-                       sim_cfg: SimConfig,
+                       model: GanModel, sim_cfg: SimConfig,
                        replicate: int = 0) -> MonthRunResult:
-    """Detected mode: the (model, history) `train_month` returned places
-    patrols. `replicate` and the master seed `sim_cfg.seed` give the
-    month-run's seed (`month_run_seed`), as in reported mode."""
+    """Detected mode: the model `train_month` trained places patrols.
+    `replicate` and the master seed `sim_cfg.seed` give the month-run's
+    seed (`month_run_seed`), as in reported mode."""
     if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
-    model, _ = trained
     seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
                           slice_.month, "detected", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))

@@ -389,9 +389,9 @@ class TestGrid:
         runs, seeds = [], []
         real_run, real_train = simulate.run_month_detected, simulate.train_gan
 
-        def run(slice_, nbs, trained, sim_cfg, replicate=0):
+        def run(slice_, nbs, model, sim_cfg, replicate=0):
             runs.append(f"Synth/2020/{slice_.month}/detected/r{replicate}")
-            return real_run(slice_, nbs, trained, sim_cfg, replicate)
+            return real_run(slice_, nbs, model, sim_cfg, replicate)
 
         def train(points, cfg, bbox):
             seeds.append(cfg.seed)
@@ -1102,6 +1102,38 @@ class TestPlotsCommand:
         assert not (out / "plots").exists()
         assert (f"{out / 'monthly.csv'} has no rows; nothing to plot"
                 in caplog.text)
+
+
+@pytest.mark.parametrize("fault", ["not-utf-8", "field-too-large"])
+@pytest.mark.parametrize("command,name", [("stats", "observations.csv"),
+                                          ("plots", "monthly.csv"),
+                                          ("plots", "observations.csv")])
+def test_unreadable_grid_csv_is_a_data_error(tmp_path, caplog, command, name,
+                                             fault):
+    # A byte that is not UTF-8, or a field over csv's 131,072-character
+    # limit, on line 3 of a file the grid wrote: exit 2 with a short
+    # message naming the file and the line, as for a crime CSV.
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = {"monthly.csv": (metrics.MONTHLY_CSV_HEADER,
+                            "S,2020,3,detected,0,0.3,0.2,0.1,1.5,ok,0.1,"
+                            "0.28,0.028"),
+            "observations.csv": (
+                [f.name for f in fields(stats.NeighborhoodObservation)],
+                "A,S,2020,detected,0.5,0.1,0.2,3,0.1")}
+    for file_name, (header, row) in rows.items():
+        # Enough rows that the decoder reads more than line 3 at once.
+        lines = [",".join(header).encode()] + [row.encode()] * 200
+        if file_name == name:
+            lines[2] = (b"\xc9" if fault == "not-utf-8"
+                        else b"x" * 200_000) + lines[2][1:]
+        (out / file_name).write_bytes(b"\n".join(lines) + b"\n")
+    assert main([command, "--config", synth_config(tmp_path, out)]) == 2
+    (error,) = [r.getMessage() for r in caplog.records
+                if r.levelname == "ERROR"]
+    assert f"{out / name}, line 3: " in error
+    assert len(error) < len(str(out / name)) + 100
+    assert "Traceback" not in caplog.text
 
 
 class TestAll:

@@ -489,10 +489,9 @@ class TestStepLifetimes:
                 (model,) = models
                 layers = (model.generator.layers
                           + model.discriminator.layers)
-                seen.append([(type(layer).__name__, name)
+                seen.append([(type(layer).__name__, "_cache")
                              for layer in layers
-                             for name in layer._caches
-                             if getattr(layer, name) is not None]
+                             if layer._cache is not None]
                             + [(type(layer).__name__, "grads")
                                for layer in layers if layer.grads])
                 super().step(grads)

@@ -267,10 +267,11 @@ class TestDropout:
         rng = np.random.default_rng(3)
         x = np.ones((4, 4))
         out = layer.forward(x, True, rng)
+        mask, scale = layer._cache
         grad = layer.backward(np.ones_like(out))
         # The cached mask is bool; times the cached scale it is the float
         # mask the gradient must equal.
-        assert np.array_equal(grad, layer._mask * layer._scale)
+        assert np.array_equal(grad, mask * scale)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @settings(max_examples=300, deadline=None)
@@ -305,9 +306,10 @@ class TestDropout:
         layer = Dropout(0.3)
         x = np.ones((16, 8), np.float32)
         layer.forward(x, True, np.random.default_rng(4))
-        assert layer._mask.dtype == bool and layer._mask.shape == x.shape
-        assert layer._scale == np.float32(1.0) / np.float32(0.7)
-        assert np.asarray(layer._scale).dtype == np.float32
+        mask, scale = layer._cache
+        assert mask.dtype == bool and mask.shape == x.shape
+        assert scale == np.float32(1.0) / np.float32(0.7)
+        assert np.asarray(scale).dtype == np.float32
 
     def test_float32_mask_keeps_the_input_dtype(self):
         x = np.ones((4, 4), np.float32)
@@ -615,14 +617,27 @@ class TestRelease:
         with pytest.raises(RuntimeError, match="forward first"):
             make().backward(np.ones_like(out))  # no forward at all
 
+    @pytest.mark.parametrize("make", [
+        lambda: Dense(3, 3), lambda: BatchNorm(3), lambda: LeakyReLU(0.2),
+        lambda: Dropout(0.3), Tanh, Sigmoid])
+    def test_layer_backward_takes_its_cache(self, make):
+        # Each layer's own backward empties its cache, without a Network
+        # around it: one training-mode forward serves one backward.
+        layer = make()
+        x = np.random.default_rng(37).standard_normal((5, 3))
+        out = layer.forward(x, True, np.random.default_rng(38))
+        layer.backward(np.ones_like(out))
+        with pytest.raises(RuntimeError, match="forward first"):
+            layer.backward(np.ones_like(out))
+        assert layer._cache is None
+
     def test_backward_consumes_the_caches(self):
         rng = np.random.default_rng(36)
         net = Network([Dense(3, 8, rng), BatchNorm(8), LeakyReLU(0.2),
                        Dropout(0.3), Dense(8, 2, rng), Tanh()])
         net.forward(rng.standard_normal((6, 3)), True, rng)
         net.backward(rng.standard_normal((6, 2)))
-        assert all(getattr(layer, name) is None for layer in net.layers
-                   for name in layer._caches)
+        assert all(layer._cache is None for layer in net.layers)
         assert [g.shape for g in net.gradients()] == [
             (3, 8), (8,), (8,), (8,), (8, 2), (2,)]
         with pytest.raises(RuntimeError, match="forward first"):
@@ -639,8 +654,7 @@ class TestRelease:
         want_grads = [g.copy() for g in net.gradients()]
         net.release()
         assert net.gradients() == []
-        assert all(getattr(layer, name) is None for layer in net.layers
-                   for name in layer._caches)
+        assert all(layer._cache is None for layer in net.layers)
         with pytest.raises(RuntimeError, match="training-mode forward"):
             net.backward(grad_out)
         # A training-mode forward makes the network trainable again.

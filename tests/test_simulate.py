@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patrolsim import simulate
-from patrolsim.gan import (GanModel, LossHistory, TrainConfig,
-                           denormalize_coords, sample_patrol)
+from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
+                           sample_patrol)
 from patrolsim.geodata import count_within
 from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
                               Neighborhood, Polygon, partition_by_month)
@@ -60,7 +60,7 @@ def run_detected(slice_, neighborhoods, train_cfg, sim_cfg):
     """A detected month-run of replicate 0: the month's GAN, then patrols."""
     return run_month_detected(slice_, neighborhoods,
                               train_month(slice_, train_cfg, BBOX,
-                                          sim_cfg.seed),
+                                          sim_cfg.seed)[0],
                               sim_cfg)
 
 
@@ -219,7 +219,7 @@ class TestColumnsMatchPerCrimeStream:
         if mode == "detected":
             model = GanModel(BBOX, seed=seed)
             result, placed = recording_patrols(
-                run_month_detected, slice_, nbs, (model, LossHistory()), cfg)
+                run_month_detected, slice_, nbs, model, cfg)
             want = oracle_month(slice_, nbs, cfg, "detected", model)
         else:
             result, placed = recording_patrols(run_month_reported, slice_,
@@ -352,8 +352,7 @@ class TestRunMonthDetected:
         with pytest.raises(ValueError):
             train_month(empty, TrainConfig(epochs=1), BBOX, 0)
         with pytest.raises(ValueError):
-            run_month_detected(empty, NBS, (GanModel(BBOX), LossHistory()),
-                               SimConfig())
+            run_month_detected(empty, NBS, GanModel(BBOX), SimConfig())
 
     def test_determinism(self):
         slice_ = synthetic_month_slice("Synth", 2020, 3,
@@ -403,8 +402,7 @@ class TestRunMonthDetected:
         model, _ = train_gan(history.incidents,
                              TrainConfig(epochs=60, seed=7), BBOX)
         sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
-        result = run_month_detected(eval_slice, nbs, (model, LossHistory()),
-                                    sim_cfg)
+        result = run_month_detected(eval_slice, nbs, model, sim_cfg)
         out = result.outcomes
         ids = eval_slice.neighborhood_ids
         rate_a = np.mean(out.credits[ids == "A"])
