@@ -218,7 +218,7 @@ def build_plan(config: dict) -> ExperimentPlan:
     cells = [parse_block(Cell, "cell", raw)
              for raw in _json_value("cells", config.get("cells", []), list)]
     sim = config.get("sim", {})
-    sim_cfg = parse_block(SimConfig, "sim", sim, seed=seed)
+    sim_cfg = parse_block(SimConfig, "sim", sim)
     train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
                             seed=seed)
     data = _json_value("data", config.get("data", {}), dict)
@@ -253,7 +253,7 @@ def build_plan(config: dict) -> ExperimentPlan:
                                   config["sensitivity"])
         sensitivity.sim_cfgs = [
             parse_block(SimConfig, "sensitivity",
-                        {**sim, sensitivity.parameter: value}, seed=seed)
+                        {**sim, sensitivity.parameter: value})
             for value in sensitivity.values]
     out_dir = _json_value("output_dir", config.get("output_dir", "out"), str)
     return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
@@ -337,23 +337,24 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
 def _run_one_month(cell: Cell, slice_: MonthSlice,
                    neighborhoods: dict[str, Neighborhood], bbox: BoundingBox,
                    train_cfg: TrainConfig, sim_cfgs: list[SimConfig],
-                   replicate: int) -> list[tuple[metrics.MonthlyBiasRecord,
-                                                 stats.NeighborhoodTally,
-                                                 float]]:
+                   replicate: int, seed: int,
+                   ) -> list[tuple[metrics.MonthlyBiasRecord,
+                                   stats.NeighborhoodTally, float]]:
     """One (cell, month, replicate) under each sim config in turn, as its
-    (record, neighborhood tally, credit total in crime order); a detected
-    cell trains its GAN once (build_plan gives all configs one seed)."""
-    model = (simulate.train_month(slice_, train_cfg, bbox, train_cfg.seed,
-                                  replicate)[0]
+    (record, neighborhood tally, credit total in crime order). `seed` is
+    the month-run's: a detected cell trains its GAN once on it, and the run
+    under each sim config draws from it."""
+    model = (gan.train_gan(slice_.incidents, replace(train_cfg, seed=seed),
+                           bbox)[0]
              if cell.mode == "detected" else None)
     outputs = []
     for sim_cfg in sim_cfgs:
         if model is None:
             result = simulate.run_month_reported(slice_, neighborhoods,
-                                                 sim_cfg, replicate)
+                                                 sim_cfg, seed)
         else:
             result = simulate.run_month_detected(slice_, neighborhoods,
-                                                 model, sim_cfg, replicate)
+                                                 model, sim_cfg, seed)
         out = result.outcomes
         rates = metrics.group_rates(out.groups, out.credits)
         # np.cumsum adds the credits in crime order; np.sum adds pairwise.
@@ -373,11 +374,12 @@ def _run_key(cell: Cell, month: int, replicate: int) -> str:
 def _task(args):
     """One month-run; an exception becomes its "ExcType: message" so that
     the other month-runs still finish."""
+    cell, slice_, *_, replicate, _seed = args
     try:
         return _run_one_month(*args)
     except Exception as exc:  # noqa: BLE001 - recorded per run, exit 3
         log.exception("month-run %s failed",
-                      _run_key(args[0], args[1].month, args[-1]))
+                      _run_key(cell, slice_.month, replicate))
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -385,14 +387,14 @@ def _task(args):
 class MonthRuns:
     """What `run_months` ran. `records[i]`, `tallies[i]` and `totals[i]`
     belong to the i-th sim config, in (cell, month, replicate) order;
-    `attempted` lists the (cell, month, replicate) runs, and `failed` maps
-    the key of each one that raised, under every sim config, to its error.
-    `files` is the cache the loads shared (see `load_city_year`)."""
+    `attempted` lists the (cell, month, replicate, seed) runs, and `failed`
+    maps the key of each one that raised, under every sim config, to its
+    error. `files` is the cache the loads shared (see `load_city_year`)."""
     records: list[list[metrics.MonthlyBiasRecord]]
     tallies: list[list[stats.NeighborhoodTally]]
     totals: list[list[float]]
     failed: dict[str, str]
-    attempted: list[tuple[Cell, int, int]]
+    attempted: list[tuple[Cell, int, int, int]]
     loaded: dict[tuple[str, int], CityYearData]
     files: dict
     skipped: list[str]
@@ -406,6 +408,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
 
     Each distinct (city, year) loads once. A cell that fails to load and a
     month-run that raises count as failures; every other run still runs.
+    Only here is a month-run's seed derived from the master seed.
     """
     loaded: dict[tuple[str, int], CityYearData] = {}
     files: dict = {}
@@ -426,7 +429,9 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
                 skipped.append(f"{cell.city}/{cell.year}/{month}/{cell.mode}")
                 continue
             tasks += [(cell, by_month[month], data.neighborhoods, data.bbox,
-                       plan.train_cfg, sim_cfgs, rep)
+                       plan.train_cfg, sim_cfgs, rep,
+                       simulate.month_run_seed(plan.seed, cell.city, cell.year,
+                                               month, cell.mode, rep))
                       for rep in range(plan.replicates)]
 
     if jobs > 1 and len(tasks) > 1:
@@ -437,8 +442,9 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     else:
         outputs = [_task(task) for task in tasks]
 
-    attempted = [(task[0], task[1].month, task[-1]) for task in tasks]
-    failed = {_run_key(*run): out for run, out in zip(attempted, outputs)
+    attempted = [(cell, slice_.month, rep, seed)
+                 for cell, slice_, *_, rep, seed in tasks]
+    failed = {_run_key(*run[:3]): out for run, out in zip(attempted, outputs)
               if isinstance(out, str)}
     ran = [out for out in outputs if not isinstance(out, str)]
     records, tallies, totals = ([[outs[k][j] for outs in ran]
@@ -529,11 +535,8 @@ def _write_manifest(plan: ExperimentPlan, cells: list[Cell], runs: MonthRuns,
                            for (city, year), data in runs.loaded.items()},
         "skipped_month_runs": runs.skipped,
         "failed_month_runs": failed,
-        "per_run_seeds": {
-            _run_key(c, m, rep): simulate.month_run_seed(
-                plan.sim_cfg.seed, c.city, c.year, m, c.mode, rep)
-            for c, m, rep in runs.attempted
-        },
+        "per_run_seeds": {_run_key(c, m, rep): seed
+                          for c, m, rep, seed in runs.attempted},
     }
     if debias is not None:
         manifest["debias"] = debias
@@ -595,7 +598,7 @@ def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
     if not sum(len(s.incidents) for s in data.slices):
         raise IngestError(f"no incidents for debias cell {city} {year}")
 
-    seed = derive_seed(plan.sim_cfg.seed, "debias", city, year)
+    seed = derive_seed(plan.seed, "debias", city, year)
     rng = np.random.default_rng(seed)
     crimes = np.concatenate([s.incidents for s in data.slices])
     groups = simulate.draw_groups(

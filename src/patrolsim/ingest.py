@@ -252,15 +252,12 @@ def _read_demographics(path: str) -> dict[str, dict[str, float | None]]:
     the file, the row id and the column; only pct_neither may be left empty
     (None), to be computed as the remainder. So is an id on two rows, and
     a row whose three group shares are all 0, which no group can be drawn
-    from.
+    from. A line that is not UTF-8 or not CSV, or a row without an id, is
+    an IngestError naming the file and the line (see `read_csv_rows`).
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [(str(row["id"]), row) for row in csv.DictReader(fh)]
-    except (OSError, KeyError, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestError(f"cannot read demographics {path}: {exc}") from exc
     demo = {}
-    for rid, row in rows:
+    for rid, row in read_csv_rows(path, lambda row: (str(row["id"]), row),
+                                  "a demographics row"):
         if rid in demo:
             raise IngestError(f"demographics {path}: id {rid!r} is on more "
                               f"than one row")
@@ -338,8 +335,9 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
                        id_property: str = "id") -> list[Neighborhood]:
     """Join boundary GeoJSON features with a demographics CSV keyed by id.
 
-    Ids present in only one source are dropped with a warning. pct_neither
-    is computed as the remainder when the CSV does not carry it.
+    Ids present in only one source are dropped with a warning; no id in
+    both is an IngestError naming both files. pct_neither is computed as
+    the remainder when the CSV does not carry it.
     """
     try:
         with open(boundary_path, encoding="utf-8") as fh:
@@ -386,6 +384,9 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
             median_income=row["median_income"],
             poverty_rate=_share(row, "poverty_rate", divisors),
         ))
+    if not out:
+        raise IngestError(f"no feature of boundaries {boundary_path} has a "
+                          f"row in demographics {demographics_path}")
     return out
 
 

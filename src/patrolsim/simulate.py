@@ -11,12 +11,12 @@ as a detection).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .gan import GanModel, LossHistory, TrainConfig, sample_patrol, train_gan
-from .geodata import BoundingBox, count_within
+from .gan import GanModel, sample_patrol
+from .geodata import count_within
 from .ingest import RACE_GROUPS, MonthSlice, Neighborhood
 
 # How reported mode places patrols: from the reported-crime locations, or
@@ -31,7 +31,6 @@ class SimConfig:
     radius_ft: float = 700.0
     p_officer: float = 0.85
     reporting_prob: float = 0.521
-    seed: int = 0
     expected_value: bool = False
     reported_mode_semantics: str = PATROL_FROM_REPORTS
 
@@ -130,27 +129,14 @@ def _month_result(slice_: MonthSlice,
         probs, sample, rng, slice_.neighborhood_ids, neighborhoods)))
 
 
-def train_month(slice_: MonthSlice, gan_cfg: TrainConfig, bbox: BoundingBox,
-                master_seed: int, replicate: int = 0,
-                ) -> tuple[GanModel, LossHistory]:
-    """Detected mode's patrol GAN, trained on the month's coordinates with
-    the month-run's seed; one training serves every `SimConfig`."""
-    seed = month_run_seed(master_seed, slice_.city, slice_.year,
-                          slice_.month, "detected", replicate)
-    return train_gan(slice_.incidents, replace(gan_cfg, seed=seed), bbox)
-
-
 def run_month_detected(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
                        model: GanModel, sim_cfg: SimConfig,
-                       replicate: int = 0) -> MonthRunResult:
-    """Detected mode: the model `train_month` trained places patrols.
-    `replicate` and the master seed `sim_cfg.seed` give the month-run's
-    seed (`month_run_seed`), as in reported mode."""
+                       seed: int) -> MonthRunResult:
+    """Detected mode: `model`, the patrol GAN trained on the month, places
+    patrols; the draws come from the month-run's `seed`."""
     if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
-    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
-                          slice_.month, "detected", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     patrols = sample_patrol(model, sim_cfg.n_officers, rng)
     probs = noisy_or(slice_.incidents, patrols, sim_cfg)
@@ -160,13 +146,11 @@ def run_month_detected(slice_: MonthSlice,
 
 def run_month_reported(slice_: MonthSlice,
                        neighborhoods: dict[str, Neighborhood],
-                       sim_cfg: SimConfig,
-                       replicate: int = 0) -> MonthRunResult:
-    """Reported mode: citizen reports seed the detection pipeline."""
+                       sim_cfg: SimConfig, seed: int) -> MonthRunResult:
+    """Reported mode: citizen reports seed the detection pipeline; the
+    draws come from the month-run's `seed`."""
     if not len(slice_.incidents):
         raise ValueError("cannot run on an empty month slice")
-    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
-                          slice_.month, "reported", replicate)
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     # One report draw per crime, by position: crimes may share an id.
     reported = rng.random(len(slice_.incidents)) < sim_cfg.reporting_prob

@@ -96,6 +96,46 @@ def synth_config(tmp_path, out_dir, **overrides):
     return write_config(tmp_path, config)
 
 
+def fine_and_bad_config(tmp_path):
+    """A config of two one-neighborhood cities, "Bad" and "Fine", each with
+    five crimes in March and April 2019 and no bbox; the caller spoils the
+    files of Bad, the debias city."""
+    crimes = [(str(i), f"2019-{m:02d}-15 12:00")
+              for m in (3, 4) for i in range(5)]
+    bindings = {}
+    for city in ("Fine", "Bad"):
+        (tmp_path / city).mkdir()
+        binding = write_city(tmp_path / city, crimes)
+        bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
+    return dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
+                data_dir=str(tmp_path), data={"cities": bindings},
+                cells=[{"city": c, "year": 2019, "mode": "reported"}
+                       for c in ("Bad", "Fine")],
+                debias={"city": "Bad", "year": 2019})
+
+
+def assert_only_bad_fails(tmp_path, caplog, config, *named):
+    """`ingest` and `debias` exit 2 with an error holding each of `named`;
+    in a grid, and under `all` without the debias block, Bad fails to load,
+    named alike, and Fine still runs. Nothing logs a traceback."""
+    path = write_config(tmp_path, config)
+    assert main(["ingest", "--config", path]) == 2
+    assert main(["debias", "--config", path]) == 2
+    assert all(text in caplog.text for text in named), caplog.text
+    assert "Traceback" not in caplog.text
+    config = {k: v for k, v in config.items() if k != "debias"}
+    for command, path in (("grid", path),
+                          ("all", write_config(tmp_path, config))):
+        caplog.clear()
+        assert main([command, "--config", path]) == 3
+        assert "Bad 2019 failed to load" in caplog.text
+        assert all(text in caplog.text for text in named)
+        assert "Traceback" not in caplog.text
+        assert {(r["city"], r["month"]) for r in read_rows(
+            tmp_path / "out" / "monthly.csv")} == {("Fine", "3"),
+                                                   ("Fine", "4")}
+
+
 class TestConfig:
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["grid", "--config", str(tmp_path / "nope.json")]) == 1
@@ -159,6 +199,8 @@ class TestConfig:
         ("", "data_dir", 5),
         ("", "replicate", 3),                 # typo of replicates
         ("data", "synthetc", {}),             # typo of synthetic
+        ("sim", "seed", 5),                   # only the top-level seed
+        ("train", "seed", 5),
     ])
     def test_strict_blocks(self, tmp_path, block, key, value):
         # `block` is the dotted path of the object that holds `key`. Every
@@ -385,26 +427,31 @@ class TestGrid:
             assert len(fh.read().strip().split("\n")) == 1 + 22
 
     def test_manifest_seed_is_the_run_seed(self, tmp_path, monkeypatch):
-        # A detected month-run trains its GAN on the month-run's seed.
-        runs, seeds = [], []
-        real_run, real_train = simulate.run_month_detected, simulate.train_gan
+        # A detected month-run trains its GAN on the seed that manifest.json
+        # records for it, and draws from that seed too.
+        trained, drawn = [], []
+        real_run, real_train = simulate.run_month_detected, gan.train_gan
 
-        def run(slice_, nbs, model, sim_cfg, replicate=0):
-            runs.append(f"Synth/2020/{slice_.month}/detected/r{replicate}")
-            return real_run(slice_, nbs, model, sim_cfg, replicate)
+        def run(slice_, nbs, model, sim_cfg, seed):
+            drawn.append(seed)
+            return real_run(slice_, nbs, model, sim_cfg, seed)
 
         def train(points, cfg, bbox):
-            seeds.append(cfg.seed)
+            trained.append(cfg.seed)
             return real_train(points, cfg, bbox)
         monkeypatch.setattr(simulate, "run_month_detected", run)
-        monkeypatch.setattr(simulate, "train_gan", train)
+        monkeypatch.setattr(gan, "train_gan", train)
         out = tmp_path / "out"
         assert main(["grid", "--config",
                      synth_config(tmp_path, out, replicates=2)]) == 0
         with open(out / "manifest.json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        assert len(set(runs)) == 22
-        assert manifest["per_run_seeds"] == dict(zip(runs, seeds))
+            seeds = json.load(fh)["per_run_seeds"]
+        runs = [f"Synth/2020/{m}/detected/r{rep}"
+                for m in range(2, 13) for rep in (0, 1)]
+        assert trained == drawn and len(set(trained)) == 22
+        assert seeds == dict(zip(runs, trained))
+        assert seeds["Synth/2020/5/detected/r1"] == simulate.month_run_seed(
+            7, "Synth", 2020, 5, "detected", 1)
 
     def test_city_files_read_once(self, tmp_path, monkeypatch):
         # One crime CSV holds both years; each year keeps only its own rows.
@@ -435,7 +482,7 @@ class TestGrid:
             assert set(slice_.neighborhood_ids.tolist()) == {"A", "B"}
             out = cli._task((cli.Cell("Synth", 2020, "reported"), slice_,
                              data.neighborhoods, data.bbox, plan.train_cfg,
-                             [plan.sim_cfg], 0))
+                             [plan.sim_cfg], 0, 1))
             assert not isinstance(out, str), out
             sizes.append(len(pickle.dumps(out)))
         assert abs(sizes[1] - sizes[0]) <= 64, sizes
@@ -550,54 +597,25 @@ class TestGrid:
             "nan-income", "census-missing-income"])
     def test_malformed_demographics_is_data_error(self, tmp_path, caplog,
                                                   demographics):
-        crimes = [(str(i), f"2019-{m:02d}-15 12:00")
-                  for m in (3, 4) for i in range(5)]
-        bindings = {}
-        for city in ("Fine", "Bad"):
-            (tmp_path / city).mkdir()
-            binding = write_city(tmp_path / city, crimes)
-            bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
+        config = fine_and_bad_config(tmp_path)
         (tmp_path / "Bad" / "demo.csv").write_text(demographics)
-        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
-                      data_dir=str(tmp_path), data={"cities": bindings},
-                      cells=[{"city": c, "year": 2019, "mode": "reported"}
-                             for c in ("Bad", "Fine")],
-                      debias={"city": "Bad", "year": 2019})
-        path = write_config(tmp_path, config)
-        assert main(["ingest", "--config", path]) == 2
-        assert main(["debias", "--config", path]) == 2
         # The bad file's row, named by its id.
-        assert "'Good'" in caplog.text and "Traceback" not in caplog.text
-        caplog.clear()
-        # In a grid the cell fails to load and the other cell still runs.
-        assert main(["grid", "--config", path]) == 3
-        assert "Bad 2019 failed to load" in caplog.text
-        assert "Traceback" not in caplog.text
-        assert {(r["city"], r["month"]) for r in read_rows(
-            tmp_path / "out" / "monthly.csv")} == {("Fine", "3"), ("Fine", "4")}
-        # So under `all` without the debias block, which names the bad city.
-        del config["debias"]
-        assert main(["all", "--config", write_config(tmp_path, config)]) == 3
-        assert "Bad 2019 failed to load" in caplog.text
+        assert_only_bad_fails(tmp_path, caplog, config, "'Good'")
 
     @pytest.mark.parametrize("bad", [
         "geometry-null", "string-coordinate", "features-null", "feature-null",
         "not-utf-8", "csv-field-too-large", "boundaries-not-utf-8",
-        "demographics-not-utf-8"])
+        "demographics-not-utf-8", "demographics-without-id", "features-empty",
+        "no-shared-id"])
     def test_malformed_city_file_is_data_error(self, tmp_path, caplog, bad):
-        # A GeoJSON member set to null, a coordinate that is a string, or a
-        # crime CSV that is not UTF-8 or not CSV: exit 2 under ingest and
-        # debias naming the file (and the feature or line), and a recorded
-        # load failure in a grid that still runs the other city.
-        crimes = [(str(i), f"2019-{m:02d}-15 12:00")
-                  for m in (3, 4) for i in range(5)]
-        bindings = {}
-        for city in ("Fine", "Bad"):
-            (tmp_path / city).mkdir()
-            binding = write_city(tmp_path / city, crimes)
-            bindings[city] = {k: f"{city}/{v}" for k, v in binding.items()}
-        bounds, crime_csv = tmp_path / "Bad" / "bounds.geojson", \
-            tmp_path / "Bad" / "crime.csv"
+        # A GeoJSON member set to null, a coordinate that is a string, a
+        # city file that is not UTF-8 or not CSV, a demographics file
+        # without an id column, or no boundary feature with a demographics
+        # row (and no bbox to stand in for their hull): the error names the
+        # file (and the feature or line), or both files when none joins.
+        config = fine_and_bad_config(tmp_path)
+        bounds, demo, crime_csv = (tmp_path / "Bad" / name for name in (
+            "bounds.geojson", "demo.csv", "crime.csv"))
         collection = json.loads(bounds.read_text())
         if bad == "geometry-null":
             collection["features"][0]["geometry"] = None
@@ -608,6 +626,8 @@ class TestGrid:
             collection["features"] = None
         elif bad == "feature-null":
             collection["features"].insert(0, None)
+        elif bad == "features-empty":
+            collection["features"] = []
         elif bad == "not-utf-8":
             with open(crime_csv, "ab") as fh:
                 fh.write(b"99,39.30,-76.62,2019-03-15 12:00,CAF\xc9\n")
@@ -615,37 +635,28 @@ class TestGrid:
             with open(crime_csv, "a", encoding="utf-8") as fh:
                 fh.write('99,39.30,-76.62,2019-03-15 12:00,"'
                          + "x" * 200_000 + '"\n')
+        elif bad == "demographics-without-id":
+            demo.write_text(demo.read_text().replace("id,", "ident,", 1))
+        elif bad == "no-shared-id":
+            demo.write_text(demo.read_text().replace("Good", "Elsewhere"))
         bounds.write_text(json.dumps(collection))
-        named_file = {"boundaries-not-utf-8": bounds,
-                      "demographics-not-utf-8": tmp_path / "Bad" / "demo.csv",
-                      "not-utf-8": crime_csv,
-                      "csv-field-too-large": crime_csv}.get(bad, bounds)
+        named_file = {"boundaries-not-utf-8": bounds, "not-utf-8": crime_csv,
+                      "csv-field-too-large": crime_csv,
+                      "geometry-null": bounds, "string-coordinate": bounds,
+                      "features-null": bounds, "feature-null": bounds,
+                      }.get(bad, demo)
         if bad.endswith("-not-utf-8"):
             named_file.write_bytes(named_file.read_bytes().replace(
                 b"Good", b"G\xf6od", 1))
         named = {"geometry-null": "'Good'", "string-coordinate": "'Good'",
                  "features-null": '"features"', "feature-null": "feature 0",
                  "not-utf-8": "line 12", "csv-field-too-large": "line 12",
-                 }.get(bad, "utf-8")
-        path_named = str(named_file)
-        config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
-                      data_dir=str(tmp_path), data={"cities": bindings},
-                      cells=[{"city": c, "year": 2019, "mode": "reported"}
-                             for c in ("Bad", "Fine")],
-                      debias={"city": "Bad", "year": 2019})
-        path = write_config(tmp_path, config)
-        assert main(["ingest", "--config", path]) == 2
-        assert main(["debias", "--config", path]) == 2
-        assert named in caplog.text and path_named in caplog.text
-        assert "Traceback" not in caplog.text
-        caplog.clear()
-        assert main(["grid", "--config", path]) == 3
-        assert "Bad 2019 failed to load" in caplog.text
-        assert named in caplog.text and "Traceback" not in caplog.text
-        assert {(r["city"], r["month"]) for r in read_rows(
-            tmp_path / "out" / "monthly.csv")} == {("Fine", "3"), ("Fine", "4")}
-        del config["debias"]
-        assert main(["all", "--config", write_config(tmp_path, config)]) == 3
+                 "boundaries-not-utf-8": "utf-8",
+                 "demographics-not-utf-8": f"{demo}, line 2: not UTF-8",
+                 "demographics-without-id": f"{demo}, line 2: ",
+                 }.get(bad, str(bounds))
+        assert_only_bad_fails(tmp_path, caplog, config, named,
+                              str(named_file))
 
     def test_null_properties_drop_the_feature(self, tmp_path, caplog, capsys):
         # RFC 7946 allows "properties": null: a feature without the id
@@ -700,12 +711,12 @@ class TestSensitivity:
     def test_one_training_per_month_run(self, tmp_path, monkeypatch, values):
         # The GAN of a detected (month, replicate) serves every sweep value.
         seeds = Counter()
-        real = simulate.train_gan
+        real = gan.train_gan
 
         def train(points, cfg, bbox):
             seeds[cfg.seed] += 1
             return real(points, cfg, bbox)
-        monkeypatch.setattr(simulate, "train_gan", train)
+        monkeypatch.setattr(gan, "train_gan", train)
         config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
                       replicates=2, sensitivity={
                           "parameter": "radius_ft", "values": values,
@@ -1008,7 +1019,6 @@ class TestStatsCommand:
         def no_training(*args, **kwargs):
             raise AssertionError("stats trained a GAN")
         monkeypatch.setattr(gan, "train_gan", no_training)
-        monkeypatch.setattr(simulate, "train_gan", no_training)
         assert main(["stats", "--config", path]) == 0
         # The grid's files are read, not rewritten.
         assert {p.name: p.stat().st_mtime_ns for p in out.iterdir()

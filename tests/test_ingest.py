@@ -166,6 +166,15 @@ class TestLoadNeighborhoods:
         nbs = load_neighborhoods(bpath, str(dpath))
         assert [nb.id for nb in nbs] == ["A"]
 
+    def test_no_shared_id_fatal(self, tmp_path, boundary_files):
+        bpath, _ = boundary_files
+        dpath = tmp_path / "demo-other.csv"
+        dpath.write_text("id,pct_black,pct_white,median_income,poverty_rate\n"
+                         "C,62.0,30.5,35000,22.0\n")
+        with pytest.raises(IngestError) as err:
+            load_neighborhoods(bpath, str(dpath))
+        assert bpath in str(err.value) and str(dpath) in str(err.value)
+
     def test_percentage_out_of_range_fatal(self, tmp_path, boundary_files):
         bpath, _ = boundary_files
         dpath = tmp_path / "demo4.csv"

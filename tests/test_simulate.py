@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import datetime
 from unittest import mock
 
@@ -8,16 +9,14 @@ from hypothesis import strategies as st
 
 from patrolsim import simulate
 from patrolsim.gan import (GanModel, TrainConfig, denormalize_coords,
-                           sample_patrol)
+                           sample_patrol, train_gan)
 from patrolsim.geodata import count_within
 from patrolsim.ingest import (RACE_GROUPS, CrimeIncident, MonthSlice,
                               Neighborhood, Polygon, partition_by_month)
 from patrolsim.metrics import group_rates
 from patrolsim.simulate import (PATROL_FROM_REPORTS, REPORT_IS_DETECTION,
-                                SimConfig, derive_seed, draw_groups,
-                                month_run_seed, noisy_or,
-                                run_month_detected, run_month_reported,
-                                train_month)
+                                SimConfig, derive_seed, draw_groups, noisy_or,
+                                run_month_detected, run_month_reported)
 from patrolsim.synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                                  synthetic_month_slice,
                                  synthetic_neighborhoods)
@@ -56,12 +55,11 @@ def to_points(uv) -> np.ndarray:
     return np.column_stack(denormalize_coords(uv[:, 0], uv[:, 1], BBOX))
 
 
-def run_detected(slice_, neighborhoods, train_cfg, sim_cfg):
-    """A detected month-run of replicate 0: the month's GAN, then patrols."""
-    return run_month_detected(slice_, neighborhoods,
-                              train_month(slice_, train_cfg, BBOX,
-                                          sim_cfg.seed)[0],
-                              sim_cfg)
+def run_detected(slice_, neighborhoods, train_cfg, sim_cfg, seed):
+    """A detected month-run on `seed`: the month's GAN, trained on that
+    seed, then patrols."""
+    model, _ = train_gan(slice_.incidents, replace(train_cfg, seed=seed), BBOX)
+    return run_month_detected(slice_, neighborhoods, model, sim_cfg, seed)
 
 
 def recording_patrols(run, *args):
@@ -94,11 +92,10 @@ def oracle_draws(neighborhood_ids, neighborhoods, probs, sample, rng):
     return groups, credits
 
 
-def oracle_month(slice_, neighborhoods, sim_cfg, mode, model=None):
-    """(groups, credits, reported, patrols) of a month-run, drawn crime by
-    crime in the order: reports, then patrols, then group and credit."""
-    seed = month_run_seed(sim_cfg.seed, slice_.city, slice_.year,
-                          slice_.month, mode, 0)
+def oracle_month(slice_, neighborhoods, sim_cfg, seed, mode, model=None):
+    """(groups, credits, reported, patrols) of a month-run on `seed`, drawn
+    crime by crime in the order: reports, then patrols, then group and
+    credit."""
     rng = np.random.default_rng(derive_seed(seed, "sim"))
     crimes = slice_.incidents
     sample, reported, patrols = not sim_cfg.expected_value, None, pts()
@@ -209,7 +206,7 @@ class TestColumnsMatchPerCrimeStream:
                         p_officer, reporting_prob):
         nbs, slice_ = self.city(shares, picks, spread, seed)
         cfg = SimConfig(n_officers=5, radius_ft=3000.0, p_officer=p_officer,
-                        reporting_prob=reporting_prob, seed=seed,
+                        reporting_prob=reporting_prob,
                         expected_value=expected,
                         reported_mode_semantics=(
                             PATROL_FROM_REPORTS if mode == "detected"
@@ -219,12 +216,12 @@ class TestColumnsMatchPerCrimeStream:
         if mode == "detected":
             model = GanModel(BBOX, seed=seed)
             result, placed = recording_patrols(
-                run_month_detected, slice_, nbs, model, cfg)
-            want = oracle_month(slice_, nbs, cfg, "detected", model)
+                run_month_detected, slice_, nbs, model, cfg, seed)
+            want = oracle_month(slice_, nbs, cfg, seed, "detected", model)
         else:
             result, placed = recording_patrols(run_month_reported, slice_,
-                                               nbs, cfg)
-            want = oracle_month(slice_, nbs, cfg, "reported")
+                                               nbs, cfg, seed)
+            want = oracle_month(slice_, nbs, cfg, seed, "reported")
         groups, credits, _, patrols = want
         out = result.outcomes
         assert out.groups.tolist() == groups
@@ -333,15 +330,15 @@ class TestRunMonthDetected:
         # and (under expected_value) the probability are 1.
         slice_ = co_located_slice(30)
         for expected in (False, True):
-            cfg = SimConfig(p_officer=1.0, radius_ft=1e6, seed=1,
+            cfg = SimConfig(p_officer=1.0, radius_ft=1e6,
                             expected_value=expected)
-            result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg)
+            result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg, 1)
             assert result.outcomes.credits.tolist() == [1.0] * 30
 
     def test_patrols_out_of_range_zero_detection(self):
         slice_ = co_located_slice(30)
-        cfg = SimConfig(p_officer=1.0, radius_ft=1.0, seed=2)
-        result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg)
+        cfg = SimConfig(p_officer=1.0, radius_ft=1.0)
+        result = run_detected(slice_, NBS, TrainConfig(epochs=0), cfg, 2)
         # Untrained generator scatters; probability of a patrol within 1 ft
         # of the fixed crime point is nil.
         assert result.outcomes.credits.tolist() == [0.0] * 30
@@ -350,19 +347,19 @@ class TestRunMonthDetected:
         empty = MonthSlice("S", 2020, 3, np.empty((0, 2)),
                            np.array([], dtype=str))
         with pytest.raises(ValueError):
-            train_month(empty, TrainConfig(epochs=1), BBOX, 0)
+            run_detected(empty, NBS, TrainConfig(epochs=1), SimConfig(), 0)
         with pytest.raises(ValueError):
-            run_month_detected(empty, NBS, GanModel(BBOX), SimConfig())
+            run_month_detected(empty, NBS, GanModel(BBOX), SimConfig(), 0)
 
     def test_determinism(self):
         slice_ = synthetic_month_slice("Synth", 2020, 3,
                                        SyntheticCityConfig(incidents_per_month=40))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
-        cfg = SimConfig(seed=99)
+        cfg = SimConfig()
         r1, p1 = recording_patrols(run_detected, slice_, nbs,
-                                   TrainConfig(epochs=2), cfg)
+                                   TrainConfig(epochs=2), cfg, 99)
         r2, p2 = recording_patrols(run_detected, slice_, nbs,
-                                   TrainConfig(epochs=2), cfg)
+                                   TrainConfig(epochs=2), cfg, 99)
         assert_same_outcomes(r1.outcomes, r2.outcomes)
         assert np.array_equal(p1, p2)
 
@@ -370,9 +367,9 @@ class TestRunMonthDetected:
         slice_ = synthetic_month_slice("Synth", 2020, 6,
                                        SyntheticCityConfig(incidents_per_month=60))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
-        cfg = SimConfig(seed=9, expected_value=True, radius_ft=1500.0)
+        cfg = SimConfig(expected_value=True, radius_ft=1500.0)
         result, patrols = recording_patrols(run_detected, slice_, nbs,
-                                            TrainConfig(epochs=0), cfg)
+                                            TrainConfig(epochs=0), cfg, 9)
         probs = oracle_noisy_or(slice_.incidents, patrols, cfg)
         assert result.outcomes.credits.tolist() == probs
         assert len({0.0, 1.0}.union(probs)) > 2
@@ -382,7 +379,7 @@ class TestRunMonthDetected:
                                        SyntheticCityConfig(incidents_per_month=50))
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(SyntheticCityConfig())}
         result = run_detected(slice_, nbs, TrainConfig(epochs=0),
-                              SimConfig(seed=3))
+                              SimConfig(), 3)
         assert sum(group_rates(result.outcomes.groups,
                                result.outcomes.credits).total.values()) == 50
         assert len(result.outcomes) == 50
@@ -398,11 +395,10 @@ class TestRunMonthDetected:
         eval_slice = synthetic_month_slice("Synth", 2020, 5, eval_cfg)
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(cfg)}
 
-        from patrolsim.gan import train_gan
         model, _ = train_gan(history.incidents,
                              TrainConfig(epochs=60, seed=7), BBOX)
-        sim_cfg = SimConfig(seed=8, expected_value=True, radius_ft=2000.0)
-        result = run_month_detected(eval_slice, nbs, model, sim_cfg)
+        sim_cfg = SimConfig(expected_value=True, radius_ft=2000.0)
+        result = run_month_detected(eval_slice, nbs, model, sim_cfg, 8)
         out = result.outcomes
         ids = eval_slice.neighborhood_ids
         rate_a = np.mean(out.credits[ids == "A"])
@@ -414,16 +410,16 @@ class TestRunMonthReported:
     def test_full_reporting_full_coverage(self):
         slice_ = co_located_slice(40)
         cfg = SimConfig(p_officer=1.0, reporting_prob=1.0,
-                        radius_ft=1e6, n_officers=60, seed=4)
+                        radius_ft=1e6, n_officers=60)
         result, patrols = recording_patrols(run_month_reported, slice_,
-                                            NBS, cfg)
+                                            NBS, cfg, 4)
         assert result.outcomes.credits.tolist() == [1.0] * 40
         assert patrols.shape == (40, 2)  # every crime reported
 
     def test_low_reporting_few_detections(self):
         slice_ = co_located_slice(200)
-        cfg = SimConfig(reporting_prob=0.01, seed=5)
-        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg)
+        cfg = SimConfig(reporting_prob=0.01)
+        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg, 5)
         assert len(patrols) < 20  # one patrol per reported crime
 
     def test_zero_reports_still_emits_result(self):
@@ -431,10 +427,10 @@ class TestRunMonthReported:
         # With reporting_prob tiny and few crimes, a no-report month happens;
         # find a seed where it does.
         for seed in range(50):
-            cfg = SimConfig(reporting_prob=0.001, seed=seed)
+            cfg = SimConfig(reporting_prob=0.001)
             result, patrols = recording_patrols(run_month_reported, slice_,
-                                                NBS, cfg)
-            if not any(oracle_month(slice_, NBS, cfg, "reported")[2]):
+                                                NBS, cfg, seed)
+            if not any(oracle_month(slice_, NBS, cfg, seed, "reported")[2]):
                 assert result.outcomes.credits.tolist() == [0.0] * 3
                 assert patrols.shape == (0, 2)
                 return
@@ -442,26 +438,26 @@ class TestRunMonthReported:
 
     def test_report_is_detection_semantics(self):
         slice_ = co_located_slice(100)
-        cfg = SimConfig(reporting_prob=0.5, seed=6,
+        cfg = SimConfig(reporting_prob=0.5,
                         reported_mode_semantics=REPORT_IS_DETECTION)
         result, patrols = recording_patrols(run_month_reported, slice_,
-                                            NBS, cfg)
-        reported = oracle_month(slice_, NBS, cfg, "reported")[2]
+                                            NBS, cfg, 6)
+        reported = oracle_month(slice_, NBS, cfg, 6, "reported")[2]
         assert result.outcomes.credits.tolist() == list(map(float, reported))
         assert patrols.shape == (0, 2)
 
     def test_report_is_detection_expected_credits(self):
         # Under expected_value a report's credit is its probability.
-        cfg = SimConfig(reporting_prob=0.3, seed=6, expected_value=True,
+        cfg = SimConfig(reporting_prob=0.3, expected_value=True,
                         reported_mode_semantics=REPORT_IS_DETECTION)
-        result = run_month_reported(co_located_slice(50), NBS, cfg)
+        result = run_month_reported(co_located_slice(50), NBS, cfg, 6)
         assert result.outcomes.credits.tolist() == [0.3] * 50
 
     def test_patrol_count_capped_by_reports(self):
         slice_ = co_located_slice(10)
         cfg = SimConfig(reporting_prob=1.0, n_officers=60,
-                        seed=7, reported_mode_semantics=PATROL_FROM_REPORTS)
-        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg)
+                        reported_mode_semantics=PATROL_FROM_REPORTS)
+        _, patrols = recording_patrols(run_month_reported, slice_, NBS, cfg, 7)
         assert patrols.shape == (10, 2)
 
     @pytest.mark.parametrize("semantics", [PATROL_FROM_REPORTS,
@@ -474,19 +470,22 @@ class TestRunMonthReported:
             make_incident(p, ident=f"c{i}") for i, p in enumerate(uv))
         shared = month_slice(make_incident(p, ident="dup") for p in uv)
         for seed in (1, 2, 3):
-            cfg = SimConfig(reporting_prob=0.5, seed=seed,
+            cfg = SimConfig(reporting_prob=0.5,
                             reported_mode_semantics=semantics)
-            a, pa = recording_patrols(run_month_reported, shared, NBS, cfg)
-            b, pb = recording_patrols(run_month_reported, distinct, NBS, cfg)
+            a, pa = recording_patrols(run_month_reported, shared, NBS, cfg,
+                                      seed)
+            b, pb = recording_patrols(run_month_reported, distinct, NBS, cfg,
+                                      seed)
             assert_same_outcomes(a.outcomes, b.outcomes)
             assert np.array_equal(pa, pb)
-            assert 0 < sum(oracle_month(shared, NBS, cfg, "reported")[2]) < 40
+            assert 0 < sum(oracle_month(shared, NBS, cfg, seed,
+                                        "reported")[2]) < 40
 
     def test_determinism(self):
         slice_ = co_located_slice(50)
-        cfg = SimConfig(seed=8)
-        r1 = run_month_reported(slice_, NBS, cfg)
-        r2 = run_month_reported(slice_, NBS, cfg)
+        cfg = SimConfig()
+        r1 = run_month_reported(slice_, NBS, cfg, 8)
+        r2 = run_month_reported(slice_, NBS, cfg, 8)
         assert_same_outcomes(r1.outcomes, r2.outcomes)
 
 
