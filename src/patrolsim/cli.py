@@ -14,7 +14,8 @@ import logging
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
+                         replace)
 from operator import attrgetter
 from typing import get_type_hints
 
@@ -232,9 +233,9 @@ def build_plan(config: dict) -> ExperimentPlan:
         synthetic = parse_block(
             SyntheticCityConfig, "data.synthetic",
             {"seed": seed, **raw} if isinstance(raw, dict) else raw)
-        # The block as written, so the checksum ignores defaulted keys.
+        # The config the city is generated from, defaults and seed included.
         synthetic_checksum = "synthetic:" + hashlib.sha256(json.dumps(
-            raw, sort_keys=True).encode()).hexdigest()[:16]
+            asdict(synthetic), sort_keys=True).encode()).hexdigest()[:16]
     cities = {}
     for city, raw in _json_value("data.cities", data.get("cities", {}),
                                  dict).items():
@@ -290,9 +291,8 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
     """Resolve one (city, year) to month slices + neighborhoods.
 
     A 'synthetic' data block generates the bundled two-cluster city;
-    otherwise the city's `data.cities` binding names its files. Pass one
-    `files` dict to the loads of several years, and each city's boundaries
-    and each crime CSV are read only once.
+    otherwise the city's `data.cities` binding names its files. Commands
+    load through `load_city_years`, whose loads share the parsed files.
     """
     if plan.synthetic is not None:
         nbs = synthetic_neighborhoods(plan.synthetic)
@@ -330,6 +330,26 @@ def load_city_year(plan: ExperimentPlan, city: str, year: int,
     incidents, _ = ingest.assign_neighborhoods(incidents, nbs)
     slices = ingest.partition_by_month(incidents, city, year)
     return CityYearData(slices, _without_polygons(nbs), bbox, checksum)
+
+
+def load_city_years(plan: ExperimentPlan, keys
+                    ) -> dict[tuple[str, int], CityYearData | Exception]:
+    """Each distinct (city, year) of `keys`, in order, loaded: its
+    CityYearData, or the IngestError or OSError that stopped its load.
+
+    The loads share one cache of parsed crime CSVs and boundaries, so each
+    file is read once; the cache ends here, and only CityYearData is kept.
+    """
+    files: dict = {}
+    loaded: dict = {}
+    for key in dict.fromkeys(keys):
+        try:
+            loaded[key] = load_city_year(plan, *key, files)
+        except (IngestError, OSError) as exc:
+            loaded[key] = exc
+    # A kept error's traceback holds the frames that held the cache.
+    files.clear()
+    return loaded
 
 
 # --- month-run execution --------------------------------------------------
@@ -389,34 +409,36 @@ class MonthRuns:
     belong to the i-th sim config, in (cell, month, replicate) order;
     `attempted` lists the (cell, month, replicate, seed) runs, and `failed`
     maps the key of each one that raised, under every sim config, to its
-    error. `files` is the cache the loads shared (see `load_city_year`)."""
+    error. `loaded` holds the cells' city-years that loaded."""
     records: list[list[metrics.MonthlyBiasRecord]]
     tallies: list[list[stats.NeighborhoodTally]]
     totals: list[list[float]]
     failed: dict[str, str]
     attempted: list[tuple[Cell, int, int, int]]
     loaded: dict[tuple[str, int], CityYearData]
-    files: dict
     skipped: list[str]
     failures: int
 
 
 def run_months(plan: ExperimentPlan, cells: list[Cell],
-               sim_cfgs: list[SimConfig], jobs: int) -> MonthRuns:
+               sim_cfgs: list[SimConfig], jobs: int,
+               loaded: dict | None = None) -> MonthRuns:
     """Run every (cell, month, replicate) under each sim config, serially or
     on `jobs` processes; results keep that order whatever `jobs` is.
 
-    Each distinct (city, year) loads once. A cell that fails to load and a
-    month-run that raises count as failures; every other run still runs.
-    Only here is a month-run's seed derived from the master seed.
+    The cells' city-years come from `loaded`, a `load_city_years` batch, or
+    are loaded in one batch here. A cell that failed to load and a month-run
+    that raises count as failures; every other run still runs. Only here is
+    a month-run's seed derived from the master seed.
     """
-    loaded: dict[tuple[str, int], CityYearData] = {}
-    files: dict = {}
-    for key in dict.fromkeys((c.city, c.year) for c in cells):
-        try:
-            loaded[key] = load_city_year(plan, *key, files)
-        except (IngestError, OSError) as exc:
-            log.error("%s %s failed to load: %s", *key, exc)
+    keys = dict.fromkeys((c.city, c.year) for c in cells)
+    if loaded is None:
+        loaded = load_city_years(plan, keys)
+    for key in keys:
+        if isinstance(loaded[key], Exception):
+            log.error("%s %s failed to load: %s", *key, loaded[key])
+    loaded = {key: loaded[key] for key in keys
+              if not isinstance(loaded[key], Exception)}
     skipped: list[str] = []
     tasks = []
     for cell in cells:
@@ -452,7 +474,7 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
                                 for j in range(3))
     load_failures = sum((c.city, c.year) not in loaded for c in cells)
     return MonthRuns(records, tallies, totals, failed, attempted, loaded,
-                     files, skipped, load_failures + len(failed))
+                     skipped, load_failures + len(failed))
 
 
 def _annual_summaries(cells: list[Cell],
@@ -468,10 +490,12 @@ def _annual_summaries(cells: list[Cell],
     return summaries
 
 
-def run_grid(plan: ExperimentPlan, jobs: int = 1) -> MonthRuns:
+def run_grid(plan: ExperimentPlan, jobs: int = 1,
+             loaded: dict | None = None) -> MonthRuns:
     """Run every (cell, month, replicate) of the plan and write monthly.csv,
-    annual.csv, observations.csv and manifest.json."""
-    runs = run_months(plan, plan.cells, [plan.sim_cfg], jobs)
+    annual.csv, observations.csv and manifest.json; `loaded` is as for
+    `run_months`."""
+    runs = run_months(plan, plan.cells, [plan.sim_cfg], jobs, loaded)
     os.makedirs(plan.out_dir, exist_ok=True)
     if plan.cells:
         _write_csv(plan.out_dir, "monthly.csv", metrics.MONTHLY_CSV_HEADER,
@@ -576,8 +600,8 @@ def run_sensitivity(plan: ExperimentPlan, jobs: int = 1) -> int:
 
 # --- debias experiment ----------------------------------------------------
 
-def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
-                          files: dict | None = None) -> dict:
+def run_debias_experiment(plan: ExperimentPlan,
+                          loaded: dict | None = None) -> dict:
     """Biased vs rebalanced training comparison on one city-year; writes
     debias.csv and returns the facts that manifest.json records of it.
 
@@ -586,15 +610,16 @@ def run_debias_experiment(plan: ExperimentPlan, loaded: dict | None = None,
     replaces a fraction of the training set with group-balanced synthetic
     points, and retrains the patrol GAN on the result. Both conditions are
     evaluated against the same crimes, each as soon as its model is
-    trained, and no trained model outlives the next training. A city-year
-    in `loaded` (the grid's, under `all`) is not loaded again, and any other
-    is loaded through the `files` cache (the grid's too).
+    trained, and no trained model outlives the next training. The
+    city-year comes from `loaded`, a `load_city_years` batch (the one `all`
+    loads before its grid), or is loaded here; a load error is raised.
     """
     if plan.debias is None:
         raise ConfigError("config has no 'debias' block")
-    city, year = plan.debias.city, plan.debias.year
-    data = ((loaded or {}).get((city, year))
-            or load_city_year(plan, city, year, files))
+    key = city, year = plan.debias.city, plan.debias.year
+    data = (loaded or load_city_years(plan, [key]))[key]
+    if isinstance(data, Exception):
+        raise data
     if not sum(len(s.incidents) for s in data.slices):
         raise IngestError(f"no incidents for debias cell {city} {year}")
 
@@ -679,9 +704,11 @@ def run_stats(plan: ExperimentPlan, jobs: int) -> int:
 # Each command returns its failure count; main maps a nonzero count to exit 3.
 
 def run_ingest(plan: ExperimentPlan, jobs: int) -> int:
-    summary, files = {}, {}
-    for city, year in dict.fromkeys((c.city, c.year) for c in plan.cells):
-        data = load_city_year(plan, city, year, files)
+    loaded = load_city_years(plan, [(c.city, c.year) for c in plan.cells])
+    summary = {}
+    for (city, year), data in loaded.items():
+        if isinstance(data, Exception):
+            raise data
         summary[f"{city}-{year}"] = {
             "months": len(data.slices),
             "incidents": sum(len(s.incidents) for s in data.slices),
@@ -716,11 +743,16 @@ def run_debias(plan: ExperimentPlan, jobs: int) -> int:
 
 
 def run_all(plan: ExperimentPlan, jobs: int) -> int:
-    runs = run_grid(plan, jobs)
+    # The grid's city-years and the debias one load in one batch.
+    keys = [(c.city, c.year) for c in plan.cells]
+    if plan.debias:
+        keys.append((plan.debias.city, plan.debias.year))
+    loaded = load_city_years(plan, keys)
+    runs = run_grid(plan, jobs, loaded)
     if plan.debias:
         # The grid's manifest, rewritten with the debias facts added.
         _write_manifest(plan, plan.cells, runs, runs.failed,
-                        run_debias_experiment(plan, runs.loaded, runs.files))
+                        run_debias_experiment(plan, loaded))
     return runs.failures + run_stats(plan, jobs) + run_plots(plan, jobs)
 
 

@@ -160,8 +160,8 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
     as csv.DictReader reads them: blank lines are skipped, a short row's
     missing fields read as None (a row without its id is dropped), the last
     of repeated header names wins and extra fields are ignored. Duplicate
-    ids are kept as-is. A file that is not UTF-8 or not valid CSV is an
-    IngestError naming the line.
+    ids are kept as-is. A leading UTF-8 byte-order mark is skipped; a file
+    that is not UTF-8 or not valid CSV is an IngestError naming the line.
     """
     if isinstance(column_mapping, str):
         try:
@@ -170,7 +170,7 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
             raise IngestError(f"unknown column preset: {column_mapping!r}")
 
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        fh = open(path, newline="", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot open crime CSV {path}: {exc}") from exc
 
@@ -213,11 +213,12 @@ def parse_crime_csv(path: str, column_mapping: dict[str, str] | str
 
 
 def read_csv_rows(path: str, parse, what: str) -> list:
-    """`parse` of each csv.DictReader row of the file at `path`. A line that
-    is not UTF-8 or not CSV, or a row that `parse` cannot read (a KeyError,
-    TypeError or ValueError), is an IngestError naming the file and the
-    line; for a row, also `what` it should be."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """`parse` of each csv.DictReader row of the file at `path`, past any
+    UTF-8 byte-order mark. A line that is not UTF-8 or not CSV, or a row
+    that `parse` cannot read (a KeyError, TypeError or ValueError), is an
+    IngestError naming the file and the line; for a row, also `what` it
+    should be."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             with _csv_faults(reader, path, path):
@@ -337,10 +338,11 @@ def load_neighborhoods(boundary_path: str, demographics_path: str,
 
     Ids present in only one source are dropped with a warning; no id in
     both is an IngestError naming both files. pct_neither is computed as
-    the remainder when the CSV does not carry it.
+    the remainder when the CSV does not carry it. Either file may start
+    with a UTF-8 byte-order mark.
     """
     try:
-        with open(boundary_path, encoding="utf-8") as fh:
+        with open(boundary_path, encoding="utf-8-sig") as fh:
             collection = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IngestError(f"cannot read boundaries {boundary_path}: {exc}") from exc

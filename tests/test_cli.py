@@ -302,6 +302,19 @@ class TestConfig:
         assert plan.debias == cli.DebiasSpec("Synth", 2020, 0.30)
         assert build_plan(SYNTH_CONFIG).debias is None
 
+    def test_synthetic_checksum_is_of_the_city_generated(self):
+        # Without a seed of its own the synthetic city takes the master
+        # seed, so --seed 1 and --seed 2 generate different incidents.
+        def checksum(seed, synthetic):
+            return build_plan(dict(SYNTH_CONFIG, seed=seed, data={
+                "synthetic": synthetic})).synthetic_checksum
+        block = {"incidents_per_month": 25}
+        assert checksum(1, block) != checksum(2, block)
+        # A default written out hashes as the default left out.
+        assert checksum(1, block) == checksum(1, {**block, "seed": 1}) \
+            == checksum(1, {**block, "sigma": 0.08})
+        assert checksum(1, {**block, "seed": 2}) == checksum(2, block)
+
     def test_defaults_filled(self, tmp_path):
         plan = build_plan(load_config(write_config(tmp_path, {})))
         assert plan.replicates == 1
@@ -1175,6 +1188,76 @@ class TestAll:
         assert main(["all", "--config", write_config(tmp_path, config)]) == 0
         assert reads == {"parse_crime_csv": 1, "load_neighborhoods": 1}
         assert (tmp_path / "out" / "debias.csv").exists()
+
+    @pytest.mark.parametrize("debias_city", ["Bad", "Unbound"])
+    def test_debias_city_year_that_fails_to_load(self, tmp_path, caplog,
+                                                 debias_city):
+        # The grid runs and writes its files; then debias raises the load
+        # error of its city-year (exit 2), and stats and plots do not run.
+        # Bad is also a grid cell, whose failure the grid logs and counts;
+        # Unbound has no data binding.
+        config = fine_and_bad_config(tmp_path)
+        config["debias"]["city"] = debias_city
+        demo = tmp_path / "Bad" / "demo.csv"
+        demo.write_text(demo.read_text().replace("Good", "Elsewhere"))
+        assert main(["all", "--config", write_config(tmp_path, config)]) == 2
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == [
+            "annual.csv", "manifest.json", "monthly.csv", "observations.csv"]
+        manifest = read_manifest(out)
+        assert "debias" not in manifest
+        assert list(manifest["data_checksums"]) == ["Fine-2019"]
+        assert {r["city"] for r in read_rows(out / "monthly.csv")} == {"Fine"}
+        error = [r.getMessage() for r in caplog.records
+                 if r.levelname == "ERROR"][-1]
+        named = str(demo) if debias_city == "Bad" else "'Unbound'"
+        assert error.startswith("data error: ") and named in error
+        assert "Traceback" not in caplog.text
+
+    @pytest.mark.parametrize("command", ["grid", "all", "grid-unbound"])
+    def test_parsed_files_end_with_the_loading(self, tmp_path, monkeypatch,
+                                               command):
+        # The parsed crime rows and the boundary polygons are freed before
+        # the first month-run starts: under `all` with a debias city-year
+        # outside the grid too, and when a cell's load error is kept for
+        # the grid to log. Only CityYearData reaches the month-runs.
+        class Rows(list):
+            pass
+        refs, alive = [], []
+        real_parse, real_load = ingest.parse_crime_csv, \
+            ingest.load_neighborhoods
+        real_run = cli._run_one_month
+
+        def parse(*args):
+            rows, dropped = real_parse(*args)
+            rows = Rows(rows)
+            refs.append(weakref.ref(rows))
+            return rows, dropped
+
+        def load(*args):
+            nbs = real_load(*args)
+            refs.extend(weakref.ref(p) for nb in nbs for p in nb.polygons)
+            return nbs
+
+        def run(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return real_run(*args)
+        monkeypatch.setattr(ingest, "parse_crime_csv", parse)
+        monkeypatch.setattr(ingest, "load_neighborhoods", load)
+        monkeypatch.setattr(cli, "_run_one_month", run)
+        binding = write_city(tmp_path, [("1", "2019-03-15 14:30")] + [
+            (str(i), f"2020-0{i % 3 + 3}-11 17:45") for i in range(2, 42)])
+        config = city_config(tmp_path, binding, [2019])
+        if command == "all":
+            config["debias"] = {"city": "Gen", "year": 2020}
+        if command == "grid-unbound":
+            config["cells"].append(
+                {"city": "Unbound", "year": 2019, "mode": "reported"})
+        assert main([command.split("-")[0], "--config",
+                     write_config(tmp_path, config), "--jobs", "1"]) \
+            == (3 if command == "grid-unbound" else 0)
+        assert len(refs) == 2
+        assert alive == [0]
 
     def test_ingest_summary(self, tmp_path, capsys):
         out = tmp_path / "out"

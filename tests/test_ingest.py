@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from datetime import datetime
 
 import numpy as np
@@ -84,6 +85,18 @@ class TestParseCrimeCsv:
         with pytest.raises(IngestError):
             parse_crime_csv("/nonexistent.csv", "generic")
 
+    def test_byte_order_mark_is_read(self, tmp_path, crime_csv):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + CRIME_CSV, encoding="utf-8")
+        assert parse_crime_csv(str(path), "generic") \
+            == parse_crime_csv(crime_csv, "generic")
+        # A line that is not UTF-8 is still named by its number.
+        path.write_bytes(b"\xef\xbb\xbf" + CRIME_CSV.encode()
+                         + b"4,39.3,-76.6,2019-03-15,CAF\xc9\n")
+        with pytest.raises(IngestError, match="line 5: not UTF-8"):
+            parse_crime_csv(str(path), "generic")
+
     def test_missing_mapped_column_fatal(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("id,lat,date\n1,39.3,2019-03-15 14:30\n")
@@ -149,6 +162,22 @@ class TestLoadNeighborhoods:
         assert a.pct_neither == pytest.approx(0.075)
         assert a.poverty_rate == pytest.approx(0.22)
         assert a.pct_black + a.pct_white + a.pct_neither == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["boundaries",
+                                                   "demographics"])
+    def test_byte_order_mark_is_read(self, boundary_files, which):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark.
+        def read():
+            return [(replace(nb, polygons=()),
+                     [[ring.tolist() for ring in p.rings]
+                      for p in nb.polygons])
+                    for nb in load_neighborhoods(*boundary_files)]
+        expected = read()
+        with open(boundary_files[which], encoding="utf-8") as fh:
+            text = fh.read()
+        with open(boundary_files[which], "w", encoding="utf-8") as fh:
+            fh.write("\ufeff" + text)
+        assert read() == expected
 
     def test_pct_neither_computed_when_absent(self, tmp_path, boundary_files):
         bpath, _ = boundary_files
