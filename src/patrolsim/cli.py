@@ -11,13 +11,14 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import sys
 from dataclasses import (asdict, dataclass, field, fields, is_dataclass,
                          replace)
 from operator import attrgetter
-from typing import get_type_hints
+from typing import Annotated, Literal, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from . import __version__, gan, ingest, metrics, simulate, stats
 from .gan import TrainConfig
 from .geodata import BALTIMORE_BBOX, BoundingBox
 from .ingest import IngestError, MonthSlice, Neighborhood
+from .ranges import check_ranges
 from .simulate import SimConfig, derive_seed
 from .synthetic import (SYNTH_BBOX, SyntheticCityConfig,
                         synthetic_neighborhoods, synthetic_year)
@@ -45,24 +47,16 @@ class ConfigError(Exception):
 class Cell:
     city: str
     year: int
-    mode: str
-
-    def __post_init__(self):
-        if self.mode not in ("detected", "reported"):
-            raise ValueError(f"mode must be detected or reported, "
-                             f"got {self.mode!r}")
+    mode: Literal["detected", "reported"]
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
 class DebiasSpec:
     city: str
     year: int
-    replace_fraction: float = 0.30
-
-    def __post_init__(self):
-        if not 0.0 <= self.replace_fraction < 1.0:
-            raise ValueError(f"replace_fraction must be in [0, 1), "
-                             f"got {self.replace_fraction!r}")
+    replace_fraction: Annotated[float, "[0, 1)"] = 0.30
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True)
@@ -96,59 +90,53 @@ class CityBinding:
                              f"got {self.column_mapping!r}")
 
 
-SENSITIVITY_PARAMS = ("radius_ft", "n_officers", "reporting_prob")
-
-
 @dataclass
 class Sensitivity:
     """The `sensitivity` block: `parameter` takes each of `values` on
     `base_cell`. `values` stay as written, for sensitivity.csv."""
-    parameter: str
-    values: list
+    parameter: Literal["radius_ft", "n_officers", "reporting_prob"]
+    values: Annotated[list, "[1, 100]"]
     base_cell: Cell
     # The plan's sim config with each value in turn; set by build_plan.
     sim_cfgs: list[SimConfig] = field(default_factory=list, init=False)
-
-    def __post_init__(self):
-        if self.parameter not in SENSITIVITY_PARAMS:
-            raise ValueError(f"parameter must be one of {SENSITIVITY_PARAMS}")
-        if not self.values:
-            raise ValueError("values must be a non-empty list")
+    __post_init__ = check_ranges
 
 
 @dataclass
 class ExperimentPlan:
     seed: int
     cells: list[Cell]
-    replicates: int
+    replicates: Annotated[int, "[1, 1e3]"]
     sim_cfg: SimConfig
     train_cfg: TrainConfig
     synthetic: SyntheticCityConfig | None
     cities: dict[str, CityBinding]
     debias: DebiasSpec | None
     sensitivity: Sensitivity | None
-    plot_y_max: float
+    plot_y_max: Annotated[float, "(0, 1e6]"]
     out_dir: str
     data_dir: str  # the root of the `data.cities` paths
     synthetic_checksum: str  # "" without a data.synthetic block
+    __post_init__ = check_ranges
 
 
-_JSON_TYPES = {int: "an integer", float: "a number", str: "a string",
+_JSON_TYPES = {int: "an integer", float: "a finite number", str: "a string",
                bool: "true or false", list: "a list", dict: "an object"}
 
 
 def _json_value(name: str, value, kind: type):
-    """`value` checked to be of the JSON type `kind`: an integer is taken
-    (as a float) for a float, a bool is never a number, and a dict for a
-    dataclass is parsed by `parse_block`; `object` takes any value, for the
-    dataclass to check."""
+    """`value` checked to be of the JSON type `kind`: a float is finite, an
+    integer in float range is taken (as a float) for one, a bool is never a
+    number, a `Literal` is a string and a dict for a dataclass is parsed by
+    `parse_block`; `object` takes any value, for the dataclass to check."""
     if is_dataclass(kind):
         return parse_block(kind, name, value)
     if kind is object:
         return value
-    if kind is float and type(value) is int:
+    kind = str if get_origin(kind) is Literal else kind
+    if kind is float and type(value) is int and abs(value) < 1e308:
         return float(value)
-    if type(value) is not kind:
+    if type(value) is not kind or kind is float and not math.isfinite(value):
         raise ConfigError(f"{name} must be {_JSON_TYPES[kind]}, got {value!r}")
     return value
 
@@ -185,11 +173,11 @@ def parse_block(cls: type, name: str, raw, **fixed):
 
 def load_config(path: str, overrides: dict | None = None) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             config = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
@@ -211,11 +199,7 @@ def build_plan(config: dict) -> ExperimentPlan:
     _check_keys("config", config, TOP_LEVEL_KEYS)
     seed = _json_value("seed", config.get("seed", 0), int)
     replicates = _json_value("replicates", config.get("replicates", 1), int)
-    if replicates < 1:
-        raise ConfigError("replicates must be >= 1")
     y_max = _json_value("plot_y_max", config.get("plot_y_max", 100.0), float)
-    if not y_max > 0:
-        raise ConfigError(f"plot_y_max must be positive, got {y_max!r}")
     cells = [parse_block(Cell, "cell", raw)
              for raw in _json_value("cells", config.get("cells", []), list)]
     sim = config.get("sim", {})
@@ -257,9 +241,12 @@ def build_plan(config: dict) -> ExperimentPlan:
                         {**sim, sensitivity.parameter: value})
             for value in sensitivity.values]
     out_dir = _json_value("output_dir", config.get("output_dir", "out"), str)
-    return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
-                          synthetic, cities, debias, sensitivity, y_max,
-                          out_dir, data_dir, synthetic_checksum)
+    try:
+        return ExperimentPlan(seed, cells, replicates, sim_cfg, train_cfg,
+                              synthetic, cities, debias, sensitivity, y_max,
+                              out_dir, data_dir, synthetic_checksum)
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 # --- data resolution ------------------------------------------------------

@@ -17,6 +17,7 @@ widened to float64 before they are mapped back to latitude and longitude.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .geodata import BoundingBox
 from .ingest import RACE_GROUPS
 from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
                         Sigmoid, Tanh, bce_loss)
+from .ranges import check_ranges
 
 LATENT_DIM = 100
 # The dtype the GAN trains and samples in.
@@ -36,22 +38,13 @@ MODE_COLLAPSE_MIN_SHARE = 0.05
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 200
-    batch_size: int = 64
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
+    epochs: Annotated[int, "[0, 1e4]"] = 200
+    batch_size: Annotated[int, "[2, 1e5]"] = 64  # batch norm needs 2 rows
+    lr: Annotated[float, "(0, 1]"] = 2e-4
+    beta1: Annotated[float, "[0, 1)"] = 0.5
+    beta2: Annotated[float, "[0, 1)"] = 0.999
     seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (batch norm)")
-        if not self.lr > 0:
-            raise ValueError("lr must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
+    __post_init__ = check_ranges
 
 
 @dataclass
@@ -304,11 +297,10 @@ def rebalance_training_set(points: np.ndarray, model: GanModel,
     Output size equals input size; floor(fraction * n) uniformly chosen real
     rows are removed, the others keep their order, and synthetic rows split
     as equally as possible (round-robin) across the groups follow them.
+    `replace_fraction` is in [0, 1), the range `DebiasSpec` declares.
     """
     if not model.conditional:
         raise ValueError("rebalancing requires a conditional model")
-    if not 0.0 <= replace_fraction < 1.0:
-        raise ValueError("replace_fraction must be in [0, 1)")
     n = len(points)
     n_synth = int(replace_fraction * n)
     if n_synth == 0:

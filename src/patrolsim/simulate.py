@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import Annotated, Literal
 
 import numpy as np
 
 from .gan import GanModel, sample_patrol
 from .geodata import count_within
 from .ingest import RACE_GROUPS, MonthSlice, Neighborhood
+from .ranges import check_ranges
 
 # How reported mode places patrols: from the reported-crime locations, or
 # treating a citizen report directly as a detection.
@@ -27,25 +29,15 @@ REPORT_IS_DETECTION = "report_is_detection"
 
 @dataclass(frozen=True)
 class SimConfig:
-    n_officers: int = 60
-    radius_ft: float = 700.0
-    p_officer: float = 0.85
-    reporting_prob: float = 0.521
+    # Noisy-OR compares every crime with every patrol.
+    n_officers: Annotated[int, "[1, 1e4]"] = 60
+    radius_ft: Annotated[float, "(0, 1e6]"] = 700.0
+    p_officer: Annotated[float, "(0, 1]"] = 0.85
+    reporting_prob: Annotated[float, "(0, 1]"] = 0.521
     expected_value: bool = False
-    reported_mode_semantics: str = PATROL_FROM_REPORTS
-
-    def __post_init__(self):
-        if self.n_officers < 1:
-            raise ValueError("n_officers must be >= 1")
-        if self.radius_ft <= 0:
-            raise ValueError("radius_ft must be positive")
-        if not 0.0 < self.p_officer <= 1.0:
-            raise ValueError("p_officer must be in (0, 1]")
-        if not 0.0 < self.reporting_prob <= 1.0:
-            raise ValueError("reporting_prob must be in (0, 1]")
-        if self.reported_mode_semantics not in (PATROL_FROM_REPORTS,
-                                                REPORT_IS_DETECTION):
-            raise ValueError("bad reported_mode_semantics")
+    reported_mode_semantics: Literal[
+        "patrol_from_reports", "report_is_detection"] = PATROL_FROM_REPORTS
+    __post_init__ = check_ranges
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,12 +11,14 @@ covariates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
 from .gan import denormalize_coords
 from .geodata import BoundingBox, Polygon
 from .ingest import MONTHS, MonthSlice, Neighborhood
+from .ranges import check_ranges
 from .simulate import derive_seed
 
 SYNTH_BBOX = BoundingBox(39.20, 39.37, -76.71, -76.53)
@@ -28,24 +30,15 @@ CLUSTER_HALF_WIDTH = 0.4  # normalized units, square neighborhood extent
 
 @dataclass(frozen=True)
 class SyntheticCityConfig:
-    incidents_per_month: int = 60
-    weight_a: float = 0.5       # share of incidents in cluster A
-    sigma: float = 0.08         # cluster spread, normalized units
-    pct_black_a: float = 0.90
-    pct_black_b: float = 0.05
+    incidents_per_month: Annotated[int, "[0, 1e5]"] = 60
+    weight_a: Annotated[float, "[0, 1]"] = 0.5  # share in cluster A
+    # Cluster spread, normalized; at 1 the sampler keeps 9% of its draws.
+    sigma: Annotated[float, "(0, 1]"] = 0.08
+    # Each neighborhood's pct_white is 0.95 - pct_black.
+    pct_black_a: Annotated[float, "[0, 0.95]"] = 0.90
+    pct_black_b: Annotated[float, "[0, 0.95]"] = 0.05
     seed: int = 0
-
-    def __post_init__(self):
-        if self.incidents_per_month < 0:
-            raise ValueError("incidents_per_month must be >= 0")
-        if not 0.0 <= self.weight_a <= 1.0:
-            raise ValueError("weight_a must be in [0, 1]")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-        # Each neighborhood's pct_white is 0.95 - pct_black.
-        for name in ("pct_black_a", "pct_black_b"):
-            if not 0.0 <= getattr(self, name) <= 0.95:
-                raise ValueError(f"{name} must be in [0, 0.95]")
+    __post_init__ = check_ranges
 
 
 def _square_polygon(center: tuple[float, float], half: float,
