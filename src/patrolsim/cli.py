@@ -204,8 +204,7 @@ def build_plan(config: dict) -> ExperimentPlan:
              for raw in _json_value("cells", config.get("cells", []), list)]
     sim = config.get("sim", {})
     sim_cfg = parse_block(SimConfig, "sim", sim)
-    train_cfg = parse_block(TrainConfig, "train", config.get("train", {}),
-                            seed=seed)
+    train_cfg = parse_block(TrainConfig, "train", config.get("train", {}))
     data = _json_value("data", config.get("data", {}), dict)
     _check_keys("data", data, DATA_KEYS)
     data_dir = (_json_value("data_dir", config.get("data_dir", ""), str)
@@ -351,8 +350,7 @@ def _run_one_month(cell: Cell, slice_: MonthSlice,
     (record, neighborhood tally, credit total in crime order). `seed` is
     the month-run's: a detected cell trains its GAN once on it, and the run
     under each sim config draws from it."""
-    model = (gan.train_gan(slice_.incidents, replace(train_cfg, seed=seed),
-                           bbox)[0]
+    model = (gan.train_gan(slice_.incidents, train_cfg, bbox, seed)[0]
              if cell.mode == "detected" else None)
     outputs = []
     for sim_cfg in sim_cfgs:
@@ -446,7 +444,8 @@ def run_months(plan: ExperimentPlan, cells: list[Cell],
     if jobs > 1 and len(tasks) > 1:
         # Imported here, so that a command on one job does not load it.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # Under fork the pool starts all its workers at once.
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             outputs = list(pool.map(_task, tasks))
     else:
         outputs = [_task(task) for task in tasks]
@@ -617,14 +616,14 @@ def run_debias_experiment(plan: ExperimentPlan,
         np.concatenate([s.neighborhood_ids for s in data.slices]),
         data.neighborhoods, rng.random(len(crimes)))
 
-    train_cfg = replace(plan.train_cfg, seed=seed)
     rows = []
     collapsed = {}
 
     def condition(name: str, points: np.ndarray) -> None:
         """Train the patrol GAN on `points` and evaluate its patrols, with
         the condition's own rng; the model is dropped on return."""
-        model, history = gan.train_gan(points, train_cfg, data.bbox)
+        model, collapsed[name] = gan.train_gan(points, plan.train_cfg,
+                                               data.bbox, seed)
         eval_rng = np.random.default_rng(derive_seed(seed, "eval", name))
         patrols = gan.sample_patrol(model, plan.sim_cfg.n_officers, eval_rng)
         rates = _evaluate_condition(crimes, groups, patrols, plan.sim_cfg,
@@ -632,10 +631,10 @@ def run_debias_experiment(plan: ExperimentPlan,
         rows.append((name, *metrics.disparate_impact_ratio(rates),
                      rates.rate("Black") or 0.0, rates.rate("White") or 0.0,
                      metrics.parity_gap(rates)))
-        collapsed[name] = history.mode_collapsed
 
     condition("biased", crimes)
-    cond_model, _ = gan.train_gan(crimes, train_cfg, data.bbox, groups)
+    cond_model, _ = gan.train_gan(crimes, plan.train_cfg, data.bbox, seed,
+                                  groups)
     rebalanced = gan.rebalance_training_set(crimes, cond_model, rng,
                                             plan.debias.replace_fraction)
     del cond_model

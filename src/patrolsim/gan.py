@@ -16,7 +16,7 @@ widened to float64 before they are mapped back to latitude and longitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -43,15 +43,7 @@ class TrainConfig:
     lr: Annotated[float, "(0, 1]"] = 2e-4
     beta1: Annotated[float, "[0, 1)"] = 0.5
     beta2: Annotated[float, "[0, 1)"] = 0.999
-    seed: int = 0
     __post_init__ = check_ranges
-
-
-@dataclass
-class LossHistory:
-    g_loss: list[float] = field(default_factory=list)
-    d_loss: list[float] = field(default_factory=list)
-    mode_collapsed: bool = False
 
 
 def normalize_coords(lat, lon, bbox: BoundingBox):
@@ -121,7 +113,9 @@ class GanModel:
 
 
 def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
-                cfg: TrainConfig) -> LossHistory:
+                cfg: TrainConfig, seed: int) -> bool:
+    """Train `model` on the normalized rows `real` for `cfg.epochs` epochs
+    with the stream of `seed`; returns the mode-collapse flag."""
     n = real.shape[0]
     if n < 2:
         # Batch norm needs batches of >= 2 rows, so fewer points would
@@ -131,7 +125,7 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
     if n < 2 * batch:
         batch = max(2, n // 2)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     gen, disc = model.generator, model.discriminator
     g_opt = Adam(gen.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
     d_opt = Adam(disc.parameters(), cfg.lr, cfg.beta1, cfg.beta2)
@@ -146,11 +140,9 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
     # Discriminator targets: the real rows (1) stacked over the fake (0).
     d_targets = np.repeat(np.array([1, 0], DTYPE), batch)[:, None]
     g_targets = np.ones((batch, 1), DTYPE)
-    history = LossHistory()
 
-    for epoch in range(cfg.epochs):
+    for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        g_losses, d_losses = [], []
         # Last partial batch dropped: batch norm needs >= 2 rows.
         for start in range(0, n - batch + 1, batch):
             if groups is not None:
@@ -177,36 +169,26 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
             p = disc.forward(
                 np.hstack([np.vstack([x_real, fake]), np.vstack([cond, cond])]),
                 training=True, rng=rng)
-            d_loss, grad_p = bce_loss(p, d_targets)
+            _, grad_p = bce_loss(p, d_targets)
             disc.backward(2.0 * grad_p)
             _update(disc, d_opt)
-            d_losses.append(2.0 * d_loss)
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
             fake = gen.forward(np.hstack([_latent(rng, batch), cond]),
                                training=True)
             p = disc.forward(np.hstack([fake, cond]), training=True, rng=rng)
-            g_loss, grad_p = bce_loss(p, g_targets)
+            _, grad_p = bce_loss(p, g_targets)
             # Input gradient only: the next discriminator step assigns
             # every discriminator gradient afresh.
             grad_in = disc.backward(grad_p, param_grads=False)
             gen.backward(grad_in[:, :2])
             _update(gen, g_opt)
-            g_losses.append(g_loss)
-
-        eg = float(np.mean(g_losses))
-        ed = float(np.mean(d_losses))
-        if not (np.isfinite(eg) and np.isfinite(ed)):
-            raise FloatingPointError(f"non-finite GAN loss at epoch {epoch}")
-        history.g_loss.append(eg)
-        history.d_loss.append(ed)
 
     # Training is over: the model keeps only its weights and batch-norm
     # running statistics from here on, the collapse check included (each
     # step already left both networks released).
     del g_opt, d_opt
-    history.mode_collapsed = _detect_mode_collapse(model, real, cfg.seed)
-    return history
+    return _detect_mode_collapse(model, real, seed)
 
 
 def _update(net: Network, opt: Adam) -> None:
@@ -254,11 +236,15 @@ def _two_means(points: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def train_gan(points: np.ndarray, cfg: TrainConfig, bbox: BoundingBox,
-              groups: np.ndarray | None = None,
-              ) -> tuple[GanModel, LossHistory]:
+              seed: int, groups: np.ndarray | None = None,
+              ) -> tuple[GanModel, bool]:
     """Train the patrol GAN on (n, 2) incident coordinates or, given each
     point's group index, the label-conditioned GAN used for debias
-    rebalancing."""
+    rebalancing; `seed` draws the weights and every training draw.
+
+    Returns the model and whether it collapsed onto one mode of bimodal
+    data (never for the conditional GAN, nor for zero epochs). A training
+    that diverges raises the FloatingPointError of `Network.forward`."""
     if groups is not None:
         # np.bincount rejects a negative index with a ValueError.
         counts = np.bincount(groups, minlength=len(RACE_GROUPS))
@@ -269,11 +255,11 @@ def train_gan(points: np.ndarray, cfg: TrainConfig, bbox: BoundingBox,
         if missing:
             raise ValueError(f"need >= 2 examples per group, "
                              f"missing: {missing}")
-    model = GanModel(bbox, conditional=groups is not None, seed=cfg.seed)
+    model = GanModel(bbox, conditional=groups is not None, seed=seed)
     data = np.column_stack(normalize_coords(*points.T, bbox)).astype(DTYPE)
     if cfg.epochs == 0:
-        return model, LossHistory()
-    return model, _train_loop(model, data, groups, cfg)
+        return model, False
+    return model, _train_loop(model, data, groups, cfg, seed)
 
 
 def sample_patrol(model: GanModel, n: int, rng: np.random.Generator,

@@ -208,8 +208,8 @@ def test_criterion_5_gan_sanity():
                       "60 patrols in bbox"):
         rng = np.random.default_rng(103)
         uv = np.clip(rng.normal((0.2, -0.1), 0.05, size=(500, 2)), -0.99, 0.99)
-        model, _ = train_gan(to_points(uv), TrainConfig(epochs=200, seed=104),
-                             BBOX)
+        model, _ = train_gan(to_points(uv), TrainConfig(epochs=200), BBOX,
+                             104)
         samples = model.generate_normalized(2000, np.random.default_rng(105))
         data_mean = uv.mean(axis=0)
         gen_mean = samples.mean(axis=0)
@@ -233,7 +233,7 @@ def test_criterion_6_conditional_gan():
                               -0.99, 0.99))
             groups += [group] * count
         model, _ = train_gan(to_points(np.vstack(uv)),
-                             TrainConfig(epochs=200, seed=108), BBOX,
+                             TrainConfig(epochs=200), BBOX, 108,
                              np.array(groups))
         means = {}
         for group, label in enumerate(("Black", "White")):

@@ -175,6 +175,7 @@ class TestConfig:
         plan = build_plan(load_config(path, {"seed": 42, "output_dir": None}))
         assert plan.seed == 42
         assert plan.out_dir == "out"
+        assert plan.train_cfg == build_plan(load_config(path)).train_cfg
 
     @pytest.mark.parametrize("block,key,value", [
         ("sim", "radius", 300.0),             # typo of radius_ft
@@ -414,6 +415,63 @@ class TestGrid:
             "Synth/2020/5/detected/r0": "FloatingPointError: overflow in GAN loss"}
         assert (out / "annual.csv").exists()
 
+    def test_diverging_training_fails_only_its_month_run(self, tmp_path,
+                                                         monkeypatch):
+        # May's training turns a weight NaN after its first update; the
+        # next forward pass raises, and the other months still run.
+        may = simulate.month_run_seed(7, "Synth", 2020, 5, "detected", 0)
+        seeds = []
+
+        class PoisoningAdam(gan.Adam):
+            def step(self, grads):
+                super().step(grads)
+                if seeds[-1] == may:
+                    self.params[0][0, 0] = np.nan
+
+        def train(points, cfg, bbox, seed, _real=gan.train_gan):
+            seeds.append(seed)
+            return _real(points, cfg, bbox, seed)
+        clean, out = tmp_path / "clean", tmp_path / "out"
+        assert main(["grid", "--config", synth_config(tmp_path, clean)]) == 0
+        monkeypatch.setattr(gan, "Adam", PoisoningAdam)
+        monkeypatch.setattr(gan, "train_gan", train)
+        assert main(["grid", "--config", synth_config(tmp_path, out)]) == 3
+        assert read_manifest(out)["failed_month_runs"] == {
+            "Synth/2020/5/detected/r0":
+                "FloatingPointError: non-finite activations in forward pass"}
+        assert read_rows(out / "monthly.csv") == [
+            row for row in read_rows(clean / "monthly.csv")
+            if row["month"] != "5"]
+
+    def test_pool_has_no_more_workers_than_month_runs(self, tmp_path,
+                                                      monkeypatch):
+        # Under fork a pool starts all of its workers at once. The stand-in
+        # pool records its size and maps in this process.
+        import concurrent.futures
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            InProcessPool)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["grid", "--config", synth_config(tmp_path, serial)]) == 0
+        assert main(["grid", "--config", synth_config(tmp_path, pooled),
+                     "--jobs", "64"]) == 0
+        assert workers == [11]
+        for name in ("monthly.csv", "annual.csv", "manifest.json"):
+            assert (serial / name).read_bytes() == (pooled / name).read_bytes()
+
     def test_one_incident_month_fails(self, tmp_path):
         # One incident cannot fill a batch-norm batch, so the GAN would
         # place patrols from its random initial weights.
@@ -449,9 +507,9 @@ class TestGrid:
             drawn.append(seed)
             return real_run(slice_, nbs, model, sim_cfg, seed)
 
-        def train(points, cfg, bbox):
-            trained.append(cfg.seed)
-            return real_train(points, cfg, bbox)
+        def train(points, cfg, bbox, seed):
+            trained.append(seed)
+            return real_train(points, cfg, bbox, seed)
         monkeypatch.setattr(simulate, "run_month_detected", run)
         monkeypatch.setattr(gan, "train_gan", train)
         out = tmp_path / "out"
@@ -726,9 +784,9 @@ class TestSensitivity:
         seeds = Counter()
         real = gan.train_gan
 
-        def train(points, cfg, bbox):
-            seeds[cfg.seed] += 1
-            return real(points, cfg, bbox)
+        def train(points, cfg, bbox, seed):
+            seeds[seed] += 1
+            return real(points, cfg, bbox, seed)
         monkeypatch.setattr(gan, "train_gan", train)
         config = dict(SYNTH_CONFIG, output_dir=str(tmp_path / "out"),
                       replicates=2, sensitivity={
@@ -968,9 +1026,9 @@ class TestDebiasManifest:
         def tracking(*args, **kwargs):
             gc.collect()
             alive.append(sum(ref() is not None for ref in models))
-            model, history = real(*args, **kwargs)
+            model, collapsed = real(*args, **kwargs)
             models.append(weakref.ref(model))
-            return model, history
+            return model, collapsed
 
         monkeypatch.setattr(gan, "train_gan", tracking)
         path = synth_config(tmp_path, tmp_path / "out", cells=[],

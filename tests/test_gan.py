@@ -109,47 +109,71 @@ class TestCoordinateMap:
 class TestTraining:
     def test_zero_epochs_returns_initialized_model(self):
         pts = gaussian_points((0.0, 0.0), 0.1, 50, 1)
-        model, history = train_gan(pts, TrainConfig(epochs=0, seed=3), BBOX)
-        assert history.g_loss == []
+        model, collapsed = train_gan(pts, TrainConfig(epochs=0), BBOX, 3)
+        assert collapsed is False
+        assert same_bits(model.generator.parameters()[0],
+                         GanModel(BBOX, seed=3).generator.parameters()[0])
         out = model.generate_normalized(100, np.random.default_rng(0))
         assert np.all(np.abs(out) <= 1.0)
 
     def test_empty_data_fatal(self):
         with pytest.raises(ValueError):
-            train_gan(np.empty((0, 2)), TrainConfig(epochs=1, seed=0), BBOX)
+            train_gan(np.empty((0, 2)), TrainConfig(epochs=1), BBOX, 0)
 
     def test_one_point_fatal(self):
         # Batch norm needs two rows per batch: one point would train no
         # step and return the model at its random initial weights.
         pts = gaussian_points((0.0, 0.0), 0.1, 1, 2)
         with pytest.raises(ValueError, match="1 point"):
-            train_gan(pts, TrainConfig(epochs=3, seed=4), BBOX)
+            train_gan(pts, TrainConfig(epochs=3), BBOX, 4)
 
     def test_two_points_train(self):
         pts = gaussian_points((0.0, 0.0), 0.1, 2, 2)
-        _, history = train_gan(pts, TrainConfig(epochs=2, seed=4), BBOX)
-        assert all(np.isfinite(v) for v in history.g_loss + history.d_loss)
+        model, collapsed = train_gan(pts, TrainConfig(epochs=2), BBOX, 4)
+        assert type(collapsed) is bool
+        assert all(np.isfinite(p).all() for p in model.generator.parameters()
+                   + model.discriminator.parameters())
 
-    def test_small_data_shrinks_batch(self):
+    def test_small_data_shrinks_batch(self, monkeypatch):
+        # 20 points fill no batch of 64: the batch shrinks to 10, so each
+        # epoch takes two steps of a discriminator and a generator update.
+        steps = []
+
+        class CountingAdam(Adam):
+            def step(self, grads):
+                steps.append(len(grads))
+                super().step(grads)
+        monkeypatch.setattr(gan, "Adam", CountingAdam)
         pts = gaussian_points((0.0, 0.0), 0.1, 20, 2)
-        model, history = train_gan(pts, TrainConfig(epochs=3, seed=4), BBOX)
-        assert len(history.g_loss) == 3
-        assert all(np.isfinite(v) for v in history.g_loss + history.d_loss)
+        train_gan(pts, TrainConfig(epochs=3), BBOX, 4)
+        assert len(steps) == 3 * 2 * 2
+
+    def test_divergence_raises(self, monkeypatch):
+        # A weight turned NaN after the first update spreads to the next
+        # forward pass, which raises on its non-finite activations.
+        class PoisoningAdam(Adam):
+            def step(self, grads):
+                super().step(grads)
+                self.params[0][0, 0] = np.nan
+        monkeypatch.setattr(gan, "Adam", PoisoningAdam)
+        pts = gaussian_points((0.0, 0.0), 0.1, 20, 2)
+        with pytest.raises(FloatingPointError, match="non-finite activations"):
+            train_gan(pts, TrainConfig(epochs=3), BBOX, 4)
 
     def test_training_deterministic(self):
         pts = gaussian_points((0.2, -0.1), 0.1, 80, 5)
-        m1, h1 = train_gan(pts, TrainConfig(epochs=4, seed=6), BBOX)
-        m2, h2 = train_gan(pts, TrainConfig(epochs=4, seed=6), BBOX)
+        m1, c1 = train_gan(pts, TrainConfig(epochs=4), BBOX, 6)
+        m2, c2 = train_gan(pts, TrainConfig(epochs=4), BBOX, 6)
         for p1, p2 in zip(m1.generator.parameters(), m2.generator.parameters()):
             assert np.array_equal(p1, p2)
         for p1, p2 in zip(m1.discriminator.parameters(),
                           m2.discriminator.parameters()):
             assert np.array_equal(p1, p2)
-        assert h1.g_loss == h2.g_loss
+        assert c1 == c2
 
     def test_discriminator_output_in_unit_interval(self):
         pts = gaussian_points((0.0, 0.0), 0.2, 60, 7)
-        model, _ = train_gan(pts, TrainConfig(epochs=2, seed=8), BBOX)
+        model, _ = train_gan(pts, TrainConfig(epochs=2), BBOX, 8)
         x = np.random.default_rng(1).uniform(-50, 50, (20, 2)).astype(DTYPE)
         p = model.discriminator.forward(x, training=False)
         assert np.all((p > 0.0) & (p < 1.0))
@@ -161,10 +185,10 @@ class TestTraining:
         # by the per-point formulas, then rounded to float32.
         seen = []
         monkeypatch.setattr(gan, "_train_loop",
-                            lambda model, real, groups, cfg:
-                            seen.append((real, groups)) or gan.LossHistory())
+                            lambda model, real, groups, cfg, seed:
+                            seen.append((real, groups)) or False)
         points, groups = labeled_two_cluster(20, 27)
-        train_gan(points, TrainConfig(epochs=1, seed=28), BBOX,
+        train_gan(points, TrainConfig(epochs=1), BBOX, 28,
                   groups if labeled else None)
         [(real, got_groups)] = seen
         want = np.array([oracle_normalize(LatLon(*p), BBOX)
@@ -177,7 +201,7 @@ class TestTraining:
 @pytest.fixture(scope="module")
 def patrol_model():
     pts = gaussian_points((0.1, 0.1), 0.1, 100, 9)
-    model, _ = train_gan(pts, TrainConfig(epochs=3, seed=10), BBOX)
+    model, _ = train_gan(pts, TrainConfig(epochs=3), BBOX, 10)
     return model
 
 
@@ -225,9 +249,9 @@ def labeled_two_cluster(n_per, seed, n_neither=10):
     return to_points(np.vstack(uv)), np.array(groups)
 
 
-def train_conditional(data, cfg):
+def train_conditional(data, cfg, seed):
     points, groups = data
-    return train_gan(points, cfg, BBOX, groups)
+    return train_gan(points, cfg, BBOX, seed, groups)
 
 
 class TestConditional:
@@ -235,7 +259,7 @@ class TestConditional:
         points, _ = labeled_two_cluster(10, 1)
         with pytest.raises(ValueError, match="White"):
             train_conditional((points, np.zeros(len(points), int)),
-                              TrainConfig(epochs=1, seed=0))
+                              TrainConfig(epochs=1), 0)
 
     def test_unknown_label_fatal(self):
         points, groups = labeled_two_cluster(5, 2)
@@ -243,13 +267,13 @@ class TestConditional:
         for unknown in (len(RACE_GROUPS), -1):
             with pytest.raises(ValueError):
                 train_conditional((points, np.append(groups, unknown)),
-                                  TrainConfig(epochs=1, seed=0))
+                                  TrainConfig(epochs=1), 0)
         with pytest.raises(ValueError):  # one group short
-            train_conditional((points, groups), TrainConfig(epochs=1, seed=0))
+            train_conditional((points, groups), TrainConfig(epochs=1), 0)
 
     def test_sample_conditional_in_bbox(self):
         model, _ = train_conditional(labeled_two_cluster(20, 3),
-                                     TrainConfig(epochs=2, seed=14))
+                                     TrainConfig(epochs=2), 14)
         pts = sample_patrol(model, 10, np.random.default_rng(15), BLACK)
         assert pts.shape == (10, 2)
         assert in_box(pts)
@@ -268,7 +292,7 @@ class TestConditional:
 @pytest.fixture(scope="module")
 def cond_model():
     model, _ = train_conditional(labeled_two_cluster(20, 4),
-                                 TrainConfig(epochs=2, seed=16))
+                                 TrainConfig(epochs=2), 16)
     return model
 
 
@@ -415,8 +439,8 @@ class TestFloat32:
                 super().step(grads)
         monkeypatch.setattr(gan, "Adam", RecordingAdam)
         points, groups = labeled_two_cluster(20, 24)
-        model, history = train_gan(points, TrainConfig(epochs=2, seed=25),
-                                   BBOX, groups if labeled else None)
+        model, _ = train_gan(points, TrainConfig(epochs=2), BBOX, 25,
+                             groups if labeled else None)
         assert len(optimizers) == 2
         arrays = [a for opt in optimizers
                   for a in opt.params + opt.grads + opt.m + opt.v]
@@ -428,7 +452,7 @@ class TestFloat32:
         # 22 parameters, each with a gradient and two moments; 3 batch norms.
         assert len(arrays) == 5 * 22 + 2 * 3
         assert all(a.dtype == np.float32 for a in arrays)
-        assert all(np.isfinite(v) for v in history.g_loss + history.d_loss)
+        assert all(np.isfinite(a).all() for a in arrays)
 
     def test_sample_patrol_coordinates_are_float64(self, patrol_model):
         pts = sample_patrol(patrol_model, 5, np.random.default_rng(26))
@@ -454,7 +478,7 @@ class TestTrainedModelMemory:
     def test_trained_model_keeps_only_its_weights(self, labeled):
         # Two clusters, so the patrol GAN's collapse check samples 500 rows.
         points, groups = labeled_two_cluster(20, 27)
-        model, _ = train_gan(points, TrainConfig(epochs=2, seed=28), BBOX,
+        model, _ = train_gan(points, TrainConfig(epochs=2), BBOX, 28,
                              groups if labeled else None)
         weights = 0
         for net in (model.generator, model.discriminator):
@@ -498,7 +522,7 @@ class TestStepLifetimes:
         monkeypatch.setattr(gan, "GanModel", RecordingModel)
         monkeypatch.setattr(gan, "Adam", CheckingAdam)
         points, groups = labeled_two_cluster(20, 29)
-        train_gan(points, TrainConfig(epochs=2, seed=30), BBOX,
+        train_gan(points, TrainConfig(epochs=2), BBOX, 30,
                   groups if labeled else None)
         # 50 points at batch 25 (n < 2 * 64): two steps per epoch, each
         # with a discriminator and a generator update.

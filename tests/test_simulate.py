@@ -1,4 +1,3 @@
-from dataclasses import replace
 from datetime import datetime
 from unittest import mock
 
@@ -58,7 +57,7 @@ def to_points(uv) -> np.ndarray:
 def run_detected(slice_, neighborhoods, train_cfg, sim_cfg, seed):
     """A detected month-run on `seed`: the month's GAN, trained on that
     seed, then patrols."""
-    model, _ = train_gan(slice_.incidents, replace(train_cfg, seed=seed), BBOX)
+    model, _ = train_gan(slice_.incidents, train_cfg, BBOX, seed)
     return run_month_detected(slice_, neighborhoods, model, sim_cfg, seed)
 
 
@@ -395,8 +394,8 @@ class TestRunMonthDetected:
         eval_slice = synthetic_month_slice("Synth", 2020, 5, eval_cfg)
         nbs = {nb.id: nb for nb in synthetic_neighborhoods(cfg)}
 
-        model, _ = train_gan(history.incidents,
-                             TrainConfig(epochs=60, seed=7), BBOX)
+        model, _ = train_gan(history.incidents, TrainConfig(epochs=60),
+                             BBOX, 7)
         sim_cfg = SimConfig(expected_value=True, radius_ft=2000.0)
         result = run_month_detected(eval_slice, nbs, model, sim_cfg, 8)
         out = result.outcomes
