@@ -24,7 +24,7 @@ import numpy as np
 from .geodata import BoundingBox
 from .ingest import RACE_GROUPS
 from .neuralnet import (Adam, BatchNorm, Dense, Dropout, LeakyReLU, Network,
-                        Sigmoid, Tanh, bce_loss)
+                        Sigmoid, Tanh, bce_grad)
 from .ranges import check_ranges
 
 LATENT_DIM = 100
@@ -169,18 +169,16 @@ def _train_loop(model: GanModel, real: np.ndarray, groups: np.ndarray | None,
             p = disc.forward(
                 np.hstack([np.vstack([x_real, fake]), np.vstack([cond, cond])]),
                 training=True, rng=rng)
-            _, grad_p = bce_loss(p, d_targets)
-            disc.backward(2.0 * grad_p)
+            disc.backward(2.0 * bce_grad(p, d_targets))
             _update(disc, d_opt)
 
             # Generator step: non-saturating loss, maximize log D(G(z)).
             fake = gen.forward(np.hstack([_latent(rng, batch), cond]),
                                training=True)
             p = disc.forward(np.hstack([fake, cond]), training=True, rng=rng)
-            _, grad_p = bce_loss(p, g_targets)
             # Input gradient only: the next discriminator step assigns
             # every discriminator gradient afresh.
-            grad_in = disc.backward(grad_p, param_grads=False)
+            grad_in = disc.backward(bce_grad(p, g_targets), param_grads=False)
             gen.backward(grad_in[:, :2])
             _update(gen, g_opt)
 

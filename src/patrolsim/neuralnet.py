@@ -291,17 +291,20 @@ class Network:
         return [g for layer in self.layers for g in layer.grads]
 
 
-def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean binary cross-entropy and its gradient w.r.t. predictions.
-
-    Predictions are clamped to [1e-7, 1 - 1e-7] before the log.
-    """
+def bce_loss(predictions: np.ndarray, targets: np.ndarray) -> float:
+    """Mean binary cross-entropy, predictions clamped to [1e-7, 1 - 1e-7]
+    before the log. Training needs only its gradient, `bce_grad`; the
+    gradient checks differentiate this."""
     p = np.clip(predictions, BCE_CLAMP, 1.0 - BCE_CLAMP)
     t = targets
-    loss = -np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p))
-    grad = np.where((predictions > BCE_CLAMP) & (predictions < 1.0 - BCE_CLAMP),
-                    (p - t) / (p * (1.0 - p)) / p.size, 0.0)
-    return float(loss), grad
+    return float(-np.mean(t * np.log(p) + (1.0 - t) * np.log(1.0 - p)))
+
+
+def bce_grad(predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gradient of `bce_loss` w.r.t. predictions; 0 where the clamp holds."""
+    p = np.clip(predictions, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return np.where((predictions > BCE_CLAMP) & (predictions < 1.0 - BCE_CLAMP),
+                    (p - targets) / (p * (1.0 - p)) / p.size, 0.0)
 
 
 class Adam:

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .ingest import read_csv_rows
 
@@ -21,8 +21,8 @@ SERIES_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd",
 @dataclass
 class Series:
     label: str
-    points: list[tuple[float, float]]  # (x, y); y may be omitted via gaps
-    gaps: list[float] | None = None    # x positions with flagged (plotted-as-gap) values
+    points: list[tuple[float, float]]  # (x, y)
+    gaps: list[float] = field(default_factory=list)  # x of flagged values
 
 
 def _esc(text: str) -> str:
@@ -30,8 +30,16 @@ def _esc(text: str) -> str:
             .replace('"', "&quot;"))
 
 
-class SvgCanvas:
-    def __init__(self, title: str, x_label: str, y_label: str):
+class Chart:
+    """One SVG document: its titles and a frame ticked at five points on
+    each axis, with a linear mapping from data space to the frame. A
+    zero-length range is widened to length 1."""
+
+    def __init__(self, title: str, x_label: str, y_label: str,
+                 x_range: tuple[float, float], y_range: tuple[float, float]):
+        (self.x0, x1), (self.y0, y1) = x_range, y_range
+        self.x1 = x1 if x1 != self.x0 else self.x0 + 1.0
+        self.y1 = y1 if y1 != self.y0 else self.y0 + 1.0
         self.parts = [
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -44,7 +52,24 @@ class SvgCanvas:
             f'<text x="16" y="{HEIGHT / 2}" text-anchor="middle" font-size="12" '
             f'font-family="sans-serif" transform="rotate(-90 16 {HEIGHT / 2})">'
             f'{_esc(y_label)}</text>\n',
+            f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
+            f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333"/>\n',
         ]
+        for i in range(5):
+            xv = self.x0 + i * (self.x1 - self.x0) / 4
+            yv = self.y0 + i * (self.y1 - self.y0) / 4
+            self.add(f'<text x="{self.px(xv):.1f}" y="{HEIGHT - MARGIN + 18}" '
+                     f'text-anchor="middle" font-size="10" '
+                     f'font-family="sans-serif">{xv:.3g}</text>\n')
+            self.add(f'<text x="{MARGIN - 6}" y="{self.py(yv):.1f}" '
+                     f'text-anchor="end" font-size="10" '
+                     f'font-family="sans-serif">{yv:.3g}</text>\n')
+
+    def px(self, x: float) -> float:
+        return MARGIN + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - 2 * MARGIN)
+
+    def py(self, y: float) -> float:
+        return HEIGHT - MARGIN - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - 2 * MARGIN)
 
     def add(self, fragment: str) -> None:
         self.parts.append(fragment)
@@ -53,124 +78,65 @@ class SvgCanvas:
         return "".join(self.parts) + "</svg>\n"
 
 
-class Axes:
-    """Linear mapping from data space to the plot rectangle, with ticks."""
-
-    def __init__(self, canvas: SvgCanvas, x_range: tuple[float, float],
-                 y_range: tuple[float, float]):
-        self.canvas = canvas
-        x0, x1 = x_range
-        y0, y1 = y_range
-        if x1 == x0:
-            x1 = x0 + 1.0
-        if y1 == y0:
-            y1 = y0 + 1.0
-        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
-        self._frame()
-
-    def px(self, x: float) -> float:
-        return MARGIN + (x - self.x0) / (self.x1 - self.x0) * (WIDTH - 2 * MARGIN)
-
-    def py(self, y: float) -> float:
-        return HEIGHT - MARGIN - (y - self.y0) / (self.y1 - self.y0) * (HEIGHT - 2 * MARGIN)
-
-    def _frame(self) -> None:
-        c = self.canvas
-        c.add(f'<rect x="{MARGIN}" y="{MARGIN}" width="{WIDTH - 2 * MARGIN}" '
-              f'height="{HEIGHT - 2 * MARGIN}" fill="none" stroke="#333"/>\n')
-        for i in range(5):
-            xv = self.x0 + i * (self.x1 - self.x0) / 4
-            yv = self.y0 + i * (self.y1 - self.y0) / 4
-            c.add(f'<text x="{self.px(xv):.1f}" y="{HEIGHT - MARGIN + 18}" '
-                  f'text-anchor="middle" font-size="10" font-family="sans-serif">'
-                  f'{xv:.3g}</text>\n')
-            c.add(f'<text x="{MARGIN - 6}" y="{self.py(yv):.1f}" '
-                  f'text-anchor="end" font-size="10" font-family="sans-serif">'
-                  f'{yv:.3g}</text>\n')
-
-    def polyline(self, pts: list[tuple[float, float]], color: str) -> None:
-        if len(pts) == 1:
-            x, y = pts[0]
-            self.canvas.add(f'<circle cx="{self.px(x):.1f}" cy="{self.py(y):.1f}" '
-                            f'r="3" fill="{color}"/>\n')
-            return
-        path = " ".join(f"{self.px(x):.1f},{self.py(y):.1f}" for x, y in pts)
-        self.canvas.add(f'<polyline points="{path}" fill="none" '
-                        f'stroke="{color}" stroke-width="1.5"/>\n')
-
-    def marker(self, x: float, color: str) -> None:
-        """Gap marker at the top edge for flagged (non-finite) values."""
-        self.canvas.add(f'<text x="{self.px(x):.1f}" y="{MARGIN - 4}" '
-                        f'text-anchor="middle" font-size="11" fill="{color}" '
-                        f'font-family="sans-serif">&#215;</text>\n')
-
-    def scatter(self, pts: list[tuple[float, float]], color: str) -> None:
-        for x, y in pts:
-            self.canvas.add(f'<circle cx="{self.px(x):.1f}" cy="{self.py(y):.1f}" '
-                            f'r="2.5" fill="{color}" fill-opacity="0.6"/>\n')
-
-
-def _legend(canvas: SvgCanvas, entries: list[tuple[str, str]]) -> None:
-    y = MARGIN + 14
-    for label, color in entries:
-        canvas.add(f'<rect x="{WIDTH - MARGIN - 160}" y="{y - 9}" width="10" '
-                   f'height="10" fill="{color}"/>\n')
-        canvas.add(f'<text x="{WIDTH - MARGIN - 146}" y="{y}" font-size="11" '
-                   f'font-family="sans-serif">{_esc(label)}</text>\n')
-        y += 16
-
-
 def line_chart(series: list[Series], title: str, x_label: str, y_label: str,
                y_max: float | None = None) -> str:
-    canvas = SvgCanvas(title, x_label, y_label)
+    """One line per series (a dot for a single point), with an x at the top
+    edge for each of its gaps; y values above `y_max` are drawn at it."""
     xs = [x for s in series for x, _ in s.points] + \
-         [x for s in series for x in (s.gaps or [])]
-    ys = [y for s in series for _, y in s.points]
-    if not xs:
-        xs, ys = [0.0, 1.0], [0.0, 1.0]
-    if not ys:
-        ys = [0.0, 1.0]
-    top = max(ys)
-    clipped = False
-    if y_max is not None and top > y_max:
-        top = y_max
-        clipped = True
-    axes = Axes(canvas, (min(xs), max(xs)), (min(min(ys), 0.0), top))
-    entries = []
+         [x for s in series for x in s.gaps] or [0.0, 1.0]
+    ys = [y for s in series for _, y in s.points] or [0.0, 1.0]
+    clipped = y_max is not None and max(ys) > y_max
+    top = y_max if clipped else max(ys)
+    chart = Chart(title, x_label, y_label, (min(xs), max(xs)),
+                  (min(min(ys), 0.0), top))
+    legend = []
     for s, color in zip(series, itertools.cycle(SERIES_COLORS)):
-        pts = [(x, min(y, top)) for x, y in s.points]
-        if pts:
-            axes.polyline(pts, color)
-        for gx in (s.gaps or []):
-            axes.marker(gx, color)
-        label = s.label + (" (x = flagged)" if s.gaps else "")
-        entries.append((label, color))
+        pts = [(chart.px(x), chart.py(min(y, top))) for x, y in s.points]
+        if len(pts) == 1:
+            chart.add(f'<circle cx="{pts[0][0]:.1f}" cy="{pts[0][1]:.1f}" '
+                      f'r="3" fill="{color}"/>\n')
+        elif pts:
+            path = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+            chart.add(f'<polyline points="{path}" fill="none" '
+                      f'stroke="{color}" stroke-width="1.5"/>\n')
+        for gx in s.gaps:
+            chart.add(f'<text x="{chart.px(gx):.1f}" y="{MARGIN - 4}" '
+                      f'text-anchor="middle" font-size="11" fill="{color}" '
+                      f'font-family="sans-serif">&#215;</text>\n')
+        legend.append((s.label + (" (x = flagged)" if s.gaps else ""), color))
     if clipped:
-        entries.append((f"clipped at y={y_max:g}", "#333"))
-    _legend(canvas, entries)
-    return canvas.render()
+        legend.append((f"clipped at y={y_max:g}", "#333"))
+    for i, (label, color) in enumerate(legend):
+        y = MARGIN + 14 + 16 * i
+        chart.add(f'<rect x="{WIDTH - MARGIN - 160}" y="{y - 9}" width="10" '
+                  f'height="10" fill="{color}"/>\n')
+        chart.add(f'<text x="{WIDTH - MARGIN - 146}" y="{y}" font-size="11" '
+                  f'font-family="sans-serif">{_esc(label)}</text>\n')
+    return chart.render()
 
 
 def scatter_chart(points: list[tuple[float, float]], title: str,
                   x_label: str, y_label: str) -> str:
-    canvas = SvgCanvas(title, x_label, y_label)
     xs = [x for x, _ in points] or [0.0, 1.0]
     ys = [y for _, y in points] or [0.0, 1.0]
-    axes = Axes(canvas, (min(xs), max(xs)), (min(ys), max(ys)))
-    axes.scatter(points, SERIES_COLORS[0])
-    return canvas.render()
+    chart = Chart(title, x_label, y_label, (min(xs), max(xs)),
+                  (min(ys), max(ys)))
+    for x, y in points:
+        chart.add(f'<circle cx="{chart.px(x):.1f}" cy="{chart.py(y):.1f}" '
+                  f'r="2.5" fill="{SERIES_COLORS[0]}" fill-opacity="0.6"/>\n')
+    return chart.render()
 
 
 def _monthly_row(row: dict) -> tuple[str, float, dict[str, float | None]]:
-    """(series key, month, values) of one monthly.csv row, an empty value
-    read as None. One line per cell and replicate; replicate 0 keeps the
-    cell's name."""
+    """(series key, month, values) of one monthly.csv row; an empty DIR or
+    parity gap is read as None, and the Gini must be a number. One line per
+    cell and replicate; replicate 0 keeps the cell's name."""
     rep = int(row["replicate"])
     key = (f"{row['city']} {row['year']} {row['mode']}"
            + (f" r{rep}" if rep else ""))
-    return key, float(row["month"]), {
-        column: None if row[column] == "" else float(row[column])
-        for column in ("dir", "parity_gap", "gini")}
+    values = {column: None if row[column] == "" else float(row[column])
+              for column in ("dir", "parity_gap")}
+    return key, float(row["month"]), dict(values, gini=float(row["gini"]))
 
 
 def emit_plots(monthly_csv_path: str, out_dir: str,
@@ -180,54 +146,53 @@ def emit_plots(monthly_csv_path: str, out_dir: str,
 
     Returns the list of files written; empty input produces none. A row
     either file cannot be read from is an IngestError naming the line.
+    Both files are read before the first chart is written, so a file that
+    cannot be read leaves no chart.
     """
     rows = read_csv_rows(monthly_csv_path, _monthly_row, "a monthly row")
-    written: list[str] = []
     if not rows:
-        return written
-    os.makedirs(out_dir, exist_ok=True)
-
-    def cell_series(column: str, flag_aware: bool) -> list[Series]:
-        series: dict[str, Series] = {}
-        for key, month, values in rows:
-            s = series.setdefault(key, Series(key, [], [] if flag_aware else None))
-            value = values[column]
-            if value is None:
-                if flag_aware:
-                    s.gaps.append(month)
-                continue
-            s.points.append((month, value))
-        return list(series.values())
-
-    charts = [
-        ("dir_monthly.svg", cell_series("dir", True),
-         "Monthly disparate impact ratio", "month", "DIR", y_max),
-        ("parity_gap_monthly.svg", cell_series("parity_gap", True),
-         "Monthly demographic parity gap", "month", "Black - White rate", None),
-        ("gini_trend.svg", cell_series("gini", False),
-         "Monthly Gini over group detection rates", "month", "Gini", None),
-    ]
-    for filename, series, title, xl, yl, ym in charts:
-        path = os.path.join(out_dir, filename)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(line_chart(series, title, xl, yl, y_max=ym))
-        written.append(path)
-
+        return []
+    obs = []
     if observations_csv_path and os.path.exists(observations_csv_path):
         obs = read_csv_rows(observations_csv_path, lambda o: {
             column: float(o[column])
             for column in ("pct_black", "pct_white", "detection_rate")},
             "an observations row")
-        for column, filename, xl in (
-                ("pct_black", "scatter_pct_black.svg", "share Black (fraction)"),
-                ("pct_white", "scatter_pct_white.svg", "share White (fraction)")):
-            pts = [(o[column], o["detection_rate"]) for o in obs]
-            if not pts:
-                continue
-            path = os.path.join(out_dir, filename)
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(scatter_chart(
-                    pts, f"Neighborhood detection rate vs {xl}",
-                    xl, "detection rate (fraction)"))
-            written.append(path)
+
+    def cell_series(column: str) -> list[Series]:
+        series: dict[str, Series] = {}
+        for key, month, values in rows:
+            s = series.setdefault(key, Series(key, []))
+            if values[column] is None:
+                s.gaps.append(month)
+            else:
+                s.points.append((month, values[column]))
+        return list(series.values())
+
+    charts = [
+        ("dir_monthly.svg", line_chart(
+            cell_series("dir"), "Monthly disparate impact ratio", "month",
+            "DIR", y_max)),
+        ("parity_gap_monthly.svg", line_chart(
+            cell_series("parity_gap"), "Monthly demographic parity gap",
+            "month", "Black - White rate")),
+        ("gini_trend.svg", line_chart(
+            cell_series("gini"), "Monthly Gini over group detection rates",
+            "month", "Gini")),
+    ]
+    for column, filename, xl in (
+            ("pct_black", "scatter_pct_black.svg", "share Black (fraction)"),
+            ("pct_white", "scatter_pct_white.svg", "share White (fraction)")
+            ) if obs else ():
+        charts.append((filename, scatter_chart(
+            [(o[column], o["detection_rate"]) for o in obs],
+            f"Neighborhood detection rate vs {xl}", xl,
+            "detection rate (fraction)")))
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    for filename, svg in charts:
+        path = os.path.join(out_dir, filename)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+        written.append(path)
     return written

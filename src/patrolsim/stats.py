@@ -180,18 +180,15 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> OlsFit:
 
 
 def _rankdata(x: np.ndarray) -> np.ndarray:
-    """Average ranks, ties sharing the mean rank."""
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x), dtype=float)
-    i = 0
-    sorted_x = x[order]
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks, ties sharing the mean rank; 0.0 ties -0.0, and each
+    NaN ranks on its own after every number, in input order."""
+    # Asking for the first indices makes np.unique sort stably, and so
+    # keeps the NaNs in input order.
+    _, _, inverse, counts = np.unique(x, return_index=True,
+                                      return_inverse=True,
+                                      return_counts=True, equal_nan=False)
+    start = np.cumsum(counts) - counts
+    return (start + (counts + 1) / 2)[inverse]
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:

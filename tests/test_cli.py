@@ -1164,6 +1164,38 @@ class TestPlotsCommand:
         assert f"{name}, line 2: not a" in caplog.text
         assert "Traceback" not in caplog.text
 
+    def test_empty_gini_is_a_data_error(self, tmp_path, caplog):
+        # The grid writes a Gini on every row, so a row without one is not
+        # a monthly row: exit 2, not a point left out of the Gini chart.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "monthly.csv").write_text(
+            ",".join(metrics.MONTHLY_CSV_HEADER)
+            + "\nS,2020,3,detected,0,0.3,0.2,0.1,1.5,ok,0.1,0.28,0.028"
+            + "\nS,2020,4,detected,0,0.3,0.2,0.1,1.5,ok,0.1,,0.028\n",
+            encoding="utf-8")
+        assert main(["plots", "--config", synth_config(tmp_path, out)]) == 2
+        assert (f"{out / 'monthly.csv'}, line 3: not a monthly row"
+                in caplog.text)
+        assert "Traceback" not in caplog.text
+        assert not (out / "plots").exists()
+
+    def test_unreadable_observations_leave_no_chart(self, tmp_path, caplog):
+        # Both inputs are read before the first chart is written.
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "monthly.csv").write_text(
+            ",".join(metrics.MONTHLY_CSV_HEADER)
+            + "\nS,2020,3,detected,0,0.3,0.2,0.1,1.5,ok,0.1,0.28,0.028\n",
+            encoding="utf-8")
+        (out / "observations.csv").write_text(
+            ",".join(f.name for f in fields(stats.NeighborhoodObservation))
+            + "\nA,S,2020,detected,0.5,half,0.2,3,0.1\n", encoding="utf-8")
+        assert main(["plots", "--config", synth_config(tmp_path, out)]) == 2
+        assert (f"{out / 'observations.csv'}, line 2: not an observations "
+                "row") in caplog.text
+        assert list(out.glob("plots/*.svg")) == []
+
     def test_plots_without_grid_noop(self, tmp_path):
         out = tmp_path / "out"
         path = synth_config(tmp_path, out)

@@ -5,6 +5,7 @@ config that breaks either exits 1 before anything runs."""
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import fields, is_dataclass
@@ -224,3 +225,23 @@ def test_build_plan_refuses_or_keeps_every_number_in_range(changes):
     except ConfigError:
         return
     assert_in_range(plan)
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+
+
+def readme_json_blocks():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    return re.findall(r"```json\n(.*?)```", text, re.DOTALL)
+
+
+def test_readme_example_config_builds():
+    # The example config, as written and with its data block replaced by
+    # the real-data fragment that follows it.
+    example, real_data = readme_json_blocks()[:2]
+    config = json.loads(example)
+    assert build_plan(config).synthetic is not None
+    config.update(json.loads("{" + real_data + "}"))
+    plan = build_plan(config)
+    assert plan.synthetic is None and set(plan.cities) == {"Baltimore"}

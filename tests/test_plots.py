@@ -1,5 +1,7 @@
+import hashlib
 import os
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +157,68 @@ class TestEmitPlots:
     def test_missing_monthly_csv_fatal(self, tmp_path):
         with pytest.raises(OSError):
             emit_plots(str(tmp_path / "absent.csv"), str(tmp_path / "plots"))
+
+
+# A fixed input that reaches every drawing path: flagged DIR months (4 and
+# 5), a DIR clipped at y_max (month 3), a replicate line, a one-point
+# series (Chicago) and a cell with an empty parity gap (Denver).
+GOLDEN_ROWS = [
+    "Baltimore,2019,2,detected,0,0.3,0.2,0.1,1.5,ok,0.1,0.28,0.028",
+    "Baltimore,2019,2,detected,1,0.3,0.25,0.1,1.2,ok,0.05,0.2,0.01",
+    "Baltimore,2019,3,detected,0,0.4,0.001,0.1,400.0,ok,0.399,0.33,0.13167",
+    "Baltimore,2019,3,detected,1,0.35,0.2,0.1,1.75,ok,0.15,0.25,0.0375",
+    "Baltimore,2019,4,detected,0,0.2,0.0,0.1,,infinite_positive_over_zero,"
+    "0.2,0.44,0.088",
+    "Baltimore,2019,4,detected,1,0.25,0.1,0.1,2.5,ok,0.15,0.3,0.045",
+    "Baltimore,2019,5,detected,0,0.0,0.0,0.0,,undefined_zero_over_zero,"
+    "0.0,0.0,0.0",
+    "Chicago,2020,7,reported,0,0.5,0.25,0.2,2.0,ok,0.25,0.3,0.075",
+    "Denver,2021,2,detected,0,,0.2,0.1,,undefined_zero_over_zero,,0.1,",
+    "Denver,2021,3,detected,0,0.1,0.2,0.1,0.5,ok,-0.1,0.12,-0.012",
+]
+
+GOLDEN_OBS_ROWS = OBS_ROWS + [
+    "D,Chicago,2020,reported,0.27,0.62,0.31,41000,0.22",
+]
+
+# SHA-256 of each chart; any change to a drawn byte changes its digest.
+GOLDEN_SVG_SHA256 = {
+    "dir_monthly.svg":
+        "3fab2f7e9bb1620251ccf4e8c3ddae4988fee583b2016ca739a8868b12f8635a",
+    "parity_gap_monthly.svg":
+        "cb1eef3e14bc279f6302464059ef1b209e4975aa69fd39744694a79f69e2b648",
+    "gini_trend.svg":
+        "5fa7742a9910ad3549a1cf6f83e7a277017621b53da04f77d2a37eaf0a5cc40c",
+    "scatter_pct_black.svg":
+        "3292f0d0e3976a01abec74c36eaafe13ee4bf3a1a8ea405940f2f558e4669b8e",
+    "scatter_pct_white.svg":
+        "b96eaa9df1ead8ba61d057fd9e3cf34598182b572a13e763f70b1a60f0e4fde6",
+    "line_chart([])":
+        "09a2efe170525c8294581cd5e0c6cf7839dcac3b1ecfd4cf6dccdc8079ca3c83",
+    "scatter_chart([])":
+        "09a2efe170525c8294581cd5e0c6cf7839dcac3b1ecfd4cf6dccdc8079ca3c83",
+}
+
+
+def sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestGoldenBytes:
+    def test_emit_plots_bytes(self, tmp_path):
+        obs_path = tmp_path / "observations.csv"
+        obs_path.write_text(OBS_HEADER + "\n" +
+                            "".join(r + "\n" for r in GOLDEN_OBS_ROWS))
+        out = tmp_path / "plots"
+        written = emit_plots(monthly_csv(tmp_path, GOLDEN_ROWS), str(out),
+                             observations_csv_path=str(obs_path))
+        digests = {os.path.basename(path): sha256(Path(path).read_bytes())
+                   for path in written}
+        assert digests == {name: digest for name, digest in
+                           GOLDEN_SVG_SHA256.items() if name.endswith(".svg")}
+
+    def test_empty_charts_bytes(self):
+        assert sha256(line_chart([], "t", "x", "y").encode()) == \
+            GOLDEN_SVG_SHA256["line_chart([])"]
+        assert sha256(scatter_chart([], "t", "x", "y").encode()) == \
+            GOLDEN_SVG_SHA256["scatter_chart([])"]

@@ -238,6 +238,40 @@ class TestOls:
         assert np.allclose(fit.std_errors, np.sqrt(np.diag(cov)), atol=1e-10)
 
 
+def loop_rankdata(x):
+    """Average ranks by a walk over the stably sorted values, each run of
+    equal values sharing the mean of its positions: the reference that
+    `stats._rankdata` must match bit for bit."""
+    order = np.argsort(x, kind="stable")
+    ranks = np.empty(len(x), dtype=float)
+    i = 0
+    sorted_x = x[order]
+    while i < len(x):
+        j = i
+        while j + 1 < len(x) and sorted_x[j + 1] == sorted_x[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+class TestRankdata:
+    # A small pool makes ties common; 0.0 and -0.0 tie, and each NaN
+    # ranks on its own, after every number.
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, math.nan, 1.0, -1.0, 2.5,
+                                     math.inf, -math.inf, 1e-300])
+                    | st.floats(allow_nan=True), max_size=40))
+    def test_matches_loop_bitwise(self, values):
+        x = np.array(values, dtype=float)
+        assert stats._rankdata(x).tobytes() == loop_rankdata(x).tobytes()
+
+    def test_ties_and_signed_zero(self):
+        x = np.array([2.0, -0.0, math.nan, 0.0, 2.0, -1.0, math.nan])
+        assert stats._rankdata(x).tolist() == [4.5, 2.5, 6.0, 2.5, 4.5, 1.0,
+                                               7.0]
+
+
 class TestCorrelations:
     def test_perfect_positive(self):
         x = np.arange(10.0)
